@@ -11,12 +11,19 @@ which is analytic in nu: on the continued branches ``1/(2 m nu)`` becomes
 evolved position at finite time is either the Taylor sum of the recursion
 or, on the continued branches, the exact unitary conjugation by the
 eigendecomposition of the interior Hamiltonian.
+
+The interior Hamiltonian and the stationary generator are tridiagonal, so
+their eigensystems come from their two bands through the O(n^2) MRRR
+tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``), and two-time
+matrix elements apply the eigenvectors to state vectors rather than
+forming the evolved operator.
 """
 from __future__ import annotations
 
 from math import factorial
 
 import numpy as np
+from scipy.linalg import bandwidth, eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
@@ -26,6 +33,38 @@ from .operators import OperatorMatrix, commutator
 from .spaces import WeightedSpace
 
 _STATE_NORM_TOL = 1e-6
+
+
+def _tridiagonal_eigh(m: np.ndarray, **options):
+    """Eigenvalues (ascending) and eigenvectors of a real symmetric
+    tridiagonal matrix held dense, from its diagonal and first
+    off-diagonal.
+
+    ``options`` (``eigvals_only``, ``select``, ``select_range``) go to
+    ``scipy.linalg.eigh_tridiagonal``.
+    """
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        if np.max(np.abs(m.imag), initial=0.0) > 0:
+            raise InputError("the matrix must be real symmetric")
+        m = m.real
+    lo, up = bandwidth(m)
+    if lo > 1 or up > 1:
+        raise InputError(f"the matrix must be tridiagonal, not of bandwidth "
+                         f"({lo}, {up})")
+    off = np.diagonal(m, 1)
+    if not np.array_equal(off, np.diagonal(m, -1)):
+        raise InputError("the matrix must be real symmetric")
+    try:
+        return eigh_tridiagonal(np.diagonal(m), off, **options)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericalBreakdownError("eigendecomposition failed") from exc
+
+
+def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``v @ U`` for complex ``v`` and real ``U``, without a complex copy
+    of ``U``."""
+    return v.real @ U + 1j * (v.imag @ U)
 
 
 def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
@@ -78,25 +117,24 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     gives the standard convention), realized by the eigendecomposition of
     the Hamiltonian restricted to interior nodes (hard walls).  Boundary
     rows pass through unchanged from X.
+
+    The interior of H must be real symmetric tridiagonal and X diagonal,
+    as ``hamiltonian`` and ``position_operator`` build them.
     """
     if p.is_real:
         raise UnsupportedConfigError(
             "exact conjugation is a continued-branch operation; use "
             "taylor_heisenberg or the stationary semigroup in real mode")
-    n = X.space.grid.n
-    h_int = H.matrix[1:-1, 1:-1]
-    if np.max(np.abs(h_int.imag)) > 0:
-        raise InputError("continued-mode Hamiltonian must be real symmetric")
-    try:
-        lam, U = np.linalg.eigh(h_int.real)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalBreakdownError("eigendecomposition failed") from exc
-    # minus branch: X(s) = e^{+iHs/hbar} X e^{-iHs/hbar}
-    phase = np.exp(-1j * p.sign * lam * s / p.hbar)
-    left = (U * phase) @ U.T
-    right = (U * np.conj(phase)) @ U.T
-    out = X.matrix.astype(complex).copy()
-    out[1:-1, 1:-1] = left @ X.matrix[1:-1, 1:-1] @ right
+    if bandwidth(X.matrix) != (0, 0):
+        raise InputError("exact conjugation needs a diagonal position operator")
+    lam, U = _tridiagonal_eigh(H.matrix[1:-1, 1:-1])
+    # minus branch: X(s) = L X L^H with L = U e^{i phi} U^T = e^{+iHs/hbar}
+    phi = -p.sign * lam * s / p.hbar
+    left = np.empty(U.shape, dtype=complex)
+    left.real = (U * np.cos(phi)) @ U.T
+    left.imag = (U * np.sin(phi)) @ U.T
+    out = X.matrix.astype(complex)
+    out[1:-1, 1:-1] = (left * np.diagonal(X.matrix)[1:-1]) @ left.conj()
     return OperatorMatrix(X.space, out, f"heisenberg(s={s:g})")
 
 
@@ -164,19 +202,26 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     if p.is_real:
         L, theta = stationary_generator(ws, p, t_index)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
-        lam, U = np.linalg.eigh(L)
+        lam, U = _tridiagonal_eigh(L)
         v = xi * theta
         w = U.T @ v
         return complex(np.sum(w * np.exp(lam * s) * w) * grid.dx)
     if V is None:
         raise InputError("continued-mode correlation needs the potential V")
-    from .operators import hamiltonian, position_operator
+    from .operators import hamiltonian
     from .spaces import build_space
     space = build_space(grid, "L2")
     H = hamiltonian(None, p, V, space)
-    X = position_operator(space)
-    Xs = heisenberg_operator(X, H, s, p)
+    lam, U = _tridiagonal_eigh(H.matrix[1:-1, 1:-1])
     psi = np.exp(ws.R[t_index] + 1j * np.where(np.isnan(ws.S[t_index]), 0.0,
                                                ws.S[t_index]))
     psi = space.normalize(psi)
-    return correlation(psi, [Xs, X], space)
+    x = grid.x
+    # On the interior X(s) = L x L^H with L = U e^{i phi} U^T (see
+    # heisenberg_operator), so (psi, X(s) X psi) there is
+    # (L^H psi, x L^H x psi); the boundary rows of X(s) are those of X.
+    phase = np.exp(1j * p.sign * lam * s / p.hbar)
+    pair = np.stack([psi, x * psi])[:, 1:-1]
+    a, b = _real_right_matmul(_real_right_matmul(pair, U) * phase, U.T)
+    ends = np.abs(psi[[0, -1]]) ** 2 * x[[0, -1]] ** 2
+    return complex((np.sum(np.conj(a) * xi * b) + np.sum(ends)) * grid.dx)

@@ -1,8 +1,9 @@
 """Second-order finite-difference stencils, nodal and matrix forms.
 
 Interior nodes use centered stencils; the first and last node of a
-contiguous run use one-sided second-order stencils.  Matrix builders
-return dense arrays (the operator work in this package is desk scale).
+contiguous run use one-sided second-order stencils.  The one matrix
+builder, the hard-wall Laplacian on interior nodes, returns a dense
+tridiagonal array; the operator algebra reads its bands.
 """
 from __future__ import annotations
 
@@ -60,31 +61,6 @@ def contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     starts = np.where(d == 1)[0]
     stops = np.where(d == -1)[0]
     return list(zip(starts, stops))
-
-
-def derivative_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense first-derivative matrix: centered interior, one-sided ends."""
-    D = np.zeros((n, n))
-    c = 0.5 / dx
-    idx = np.arange(1, n - 1)
-    D[idx, idx + 1] = c
-    D[idx, idx - 1] = -c
-    D[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * dx)
-    D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * dx)
-    return D
-
-
-def laplacian_matrix(n: int, dx: float) -> np.ndarray:
-    """Dense second-derivative matrix: centered interior, one-sided ends."""
-    L = np.zeros((n, n))
-    inv = 1.0 / (dx * dx)
-    idx = np.arange(1, n - 1)
-    L[idx, idx] = -2.0 * inv
-    L[idx, idx + 1] = inv
-    L[idx, idx - 1] = inv
-    L[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) * inv
-    L[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) * inv
-    return L
 
 
 def dirichlet_laplacian_matrix(n_interior: int, dx: float) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 
 from nelsonlab import (Grid1D, InputError, UnsupportedConfigError,
                        diffusion_params, continue_to_imaginary)
-from nelsonlab.algebra import (build_space, correlation, hamiltonian,
+from nelsonlab.algebra import (OperatorMatrix, build_space, correlation,
+                               hamiltonian,
                                heisenberg_operator, mapped_velocity_operator,
                                momentum_operator, position_operator,
                                stationary_generator, taylor_heisenberg,
@@ -224,3 +225,41 @@ def test_real_mode_second_derivative_is_acceleration_multiplication():
         lhs = (X2.matrix @ psi)[sel]
         rhs = (acc.from_drift * psi)[sel]
         assert np.max(np.abs(lhs - rhs)) < 5e-3
+
+
+def test_two_time_continued_equals_dense_conjugation(grid801):
+    """The vector form of the continued element equals the sandwich with
+    the dense evolved operator, the formula it replaced."""
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    V = 0.5 * grid801.x ** 2
+    sp = build_space(grid801, "L2")
+    X = position_operator(sp)
+    psi = sp.normalize(np.exp(ws.R[0] + 1j * np.where(
+        np.isnan(ws.S[0]), 0.0, ws.S[0])))
+    for sign in ("minus", "plus"):
+        pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
+        H = hamiltonian(None, pc, V, sp)
+        for s in (0.25, 1.0):
+            ref = correlation(psi, [heisenberg_operator(X, H, s, pc), X], sp)
+            got = two_time_position_correlation(ws, pc, s, V)
+            assert abs(got - ref) < 1e-12
+
+
+def test_heisenberg_needs_tridiagonal_h_and_diagonal_x():
+    grid = Grid1D(-6.0, 6.0, 41)
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    sp = build_space(grid, "L2")
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    X = position_operator(sp)
+    wide = H.matrix.copy()
+    wide[5, 7] = wide[7, 5] = 0.1
+    with pytest.raises(InputError, match="tridiagonal"):
+        heisenberg_operator(X, OperatorMatrix(sp, wide), 0.3, pc)
+    skew = H.matrix.copy()
+    skew[5, 6] += 0.1
+    with pytest.raises(InputError, match="symmetric"):
+        heisenberg_operator(X, OperatorMatrix(sp, skew), 0.3, pc)
+    smeared = X.matrix.copy()
+    smeared[5, 6] = smeared[6, 5] = 0.1
+    with pytest.raises(InputError, match="diagonal"):
+        heisenberg_operator(OperatorMatrix(sp, smeared), H, 0.3, pc)

@@ -160,3 +160,88 @@ def test_hamiltonian_continued_spectrum(grid801):
     lam = np.linalg.eigvalsh(H.matrix[1:-1, 1:-1].real)
     assert abs(lam[0] - 0.5) < 1e-4
     assert abs(lam[1] - 1.5) < 1e-4
+
+
+def _dense_commutator(a, b):
+    """The dense formula, kept as the reference for the band kernel."""
+    return a @ b - b @ a
+
+
+def _banded_random(rng, n, lower, upper, complex_entries=False):
+    m = rng.standard_normal((n, n))
+    if complex_entries:
+        m = m + 1j * rng.standard_normal((n, n))
+    return np.triu(np.tril(m, upper), -lower)
+
+
+@pytest.fixture()
+def band_calls(monkeypatch):
+    """Count the commutators that took the band kernel."""
+    from nelsonlab.algebra import operators
+    calls = []
+    kernel = operators._banded_commutator
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(operators, "_banded_commutator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 2), (2, 0), (0, 1)])
+@pytest.mark.parametrize("complex_narrow", [False, True])
+def test_banded_commutator_matches_dense_against_wide(rng, band_calls, bands,
+                                                      complex_narrow):
+    n = 400
+    narrow = _banded_random(rng, n, *bands, complex_entries=complex_narrow)
+    wide = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for a, b in ((narrow, wide), (wide, narrow)):
+        ref = _dense_commutator(a, b)
+        got = commutator(a, b)
+        assert got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert band_calls == [False, True]
+
+
+@pytest.mark.parametrize("bands_a, bands_b",
+                         [((1, 1), (2, 2)), ((0, 0), (1, 1)),
+                          ((2, 1), (0, 3))])
+def test_banded_commutator_matches_dense_for_two_banded(rng, band_calls,
+                                                        bands_a, bands_b):
+    n = 333
+    a = _banded_random(rng, n, *bands_a)
+    b = _banded_random(rng, n, *bands_b, complex_entries=True)
+    for x, y in ((a, b), (b, a)):
+        ref = _dense_commutator(x, y)
+        got = commutator(x, y)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert len(band_calls) == 2
+
+
+def test_commutator_of_two_wide_operands_is_the_dense_product(rng,
+                                                              band_calls):
+    n = 300
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.array_equal(commutator(a, b), _dense_commutator(a, b))
+    # a band wider than n / 64 diagonals also takes the dense products
+    c = _banded_random(rng, n, 3, 3)
+    assert np.array_equal(commutator(c, b), _dense_commutator(c, b))
+    # dtypes the band scan does not support keep the dense products
+    d = np.eye(3, dtype=object)
+    assert np.array_equal(commutator(d, d), np.zeros((3, 3)))
+    assert band_calls == []
+
+
+def test_banded_commutator_is_bit_identical_on_the_recursion(setup,
+                                                             band_calls):
+    grid, ground, p = setup
+    sp = build_space(grid, "H_t", ground.rho(0))
+    H = hamiltonian(ground, p, 0.5 * grid.x ** 2, sp)
+    current = position_operator(sp).matrix.astype(complex)
+    for _ in range(3):
+        got = commutator(H, current)
+        assert np.array_equal(got, _dense_commutator(H.matrix, current))
+        current = got
+    assert len(band_calls) == 3

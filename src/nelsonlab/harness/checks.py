@@ -36,7 +36,7 @@ from ..sampler import (Ensemble, density_histogram, estimate_backward_drift,
                        estimate_forward_drift, estimate_mean_acceleration,
                        estimate_quadratic_variation, histogram_l1_distance,
                        reflect, sample_initial, simulate_ensemble)
-from ..sampler import rng as srng
+from ..sampler.ensemble import _EulerMaruyama
 from .config import ExperimentConfig
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, digest
 
@@ -1086,7 +1086,11 @@ def check_fk_bridge_real(ctx: CheckContext):
 
 
 def _coherent_mean_curve(ctx, nu, dt, n_total, n_paths, seed, keep_steps):
-    """Streaming simulation keeping only snapshot rows and the mean curve."""
+    """Streaming simulation keeping only snapshot rows and the mean curve.
+
+    Steps with the sampler's own sharded Euler-Maruyama step, so the noise,
+    the dt guard and the non-finite check are those of ``simulate_ensemble``.
+    """
     grid = ctx.grid
     times = np.linspace(0.0, (n_total + 1) * dt, 80)
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
@@ -1094,19 +1098,17 @@ def _coherent_mean_curve(ctx, nu, dt, n_total, n_paths, seed, keep_steps):
     df = drift_fields(ws, p)
     x = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
     x = reflect(x, grid.x_min, grid.x_max)
-    sigma = np.sqrt(2 * nu * dt)
     means = np.empty(n_total + 1)
     means[0] = x.mean()
     kept = {}
     if 0 in keep_steps:
         kept[0] = x.copy()
-    for j in range(n_total):
-        z = srng.step_normals(seed, j, n_paths)
-        x = x + df.b_at(j * dt, x) * dt + sigma * z
-        x = reflect(x, grid.x_min, grid.x_max)
-        means[j + 1] = x.mean()
-        if (j + 1) in keep_steps:
-            kept[j + 1] = x.copy()
+    with _EulerMaruyama(df, p, dt, n_paths, seed, n_workers=None) as em:
+        for j in range(n_total):
+            em.step(x, j)
+            means[j + 1] = x.mean()
+            if (j + 1) in keep_steps:
+                kept[j + 1] = x.copy()
     return means, kept
 
 

@@ -57,14 +57,15 @@ def _as_edges(e: Ensemble, bins) -> np.ndarray:
 
 def _bin_reduce(cond: np.ndarray, values: np.ndarray, edges: np.ndarray,
                 min_count: int, t_index: int, kind: str) -> ConditionalMomentTable:
+    # digitize puts samples below the first edge in slot 0 and those at or
+    # above the last edge (and NaN) in slot nb + 1; slicing them off after
+    # bincount leaves each bin's sum over the same samples in the same order
     nb = edges.size - 1
-    idx = np.digitize(cond, edges) - 1
-    ok = (idx >= 0) & (idx < nb)
-    idx = idx[ok]
-    vals = values[ok]
-    counts = np.bincount(idx, minlength=nb)
-    sums = np.bincount(idx, weights=vals, minlength=nb)
-    sq = np.bincount(idx, weights=vals * vals, minlength=nb)
+    idx = np.digitize(cond, edges)
+    inside = slice(1, nb + 1)
+    counts = np.bincount(idx, minlength=nb + 2)[inside]
+    sums = np.bincount(idx, weights=values, minlength=nb + 2)[inside]
+    sq = np.bincount(idx, weights=values * values, minlength=nb + 2)[inside]
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = sums / counts
         var = np.maximum(sq / counts - mean * mean, 0.0)

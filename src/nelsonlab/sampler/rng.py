@@ -3,9 +3,13 @@
 Every random number consumed by the sampler is a pure function of
 ``(master seed, stream tag, element index)``: each time step (and the
 initial draw) owns a Philox stream keyed by ``(seed, tag)``, and the k-th
-path reads element k of that stream.  Workers that handle a slice of
-paths regenerate the full row and slice it, so the output is bit-identical
-for any partitioning of paths over workers.
+path reads element k of that stream.  A shard of paths ``[lo, hi)`` skips
+ahead to its first element (Philox emits four 64-bit words per counter
+value, so it advances the counter by ``lo // 4`` and drops ``lo % 4``
+words) and generates only its own slice.  The slice is bit-equal to the
+same elements of the full row, so the output is bit-identical for any
+partitioning of paths over workers; this is the counter-based design of
+Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11).
 
 Normals are produced via the inverse normal CDF applied to uniforms,
 which consumes exactly one 64-bit draw per element (the rejection-based
@@ -17,9 +21,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from ..errors import InputError
+
 INIT_TAG = np.uint64(2 ** 63)  # stream tag reserved for initial positions
 
 _UNIFORM_LOW = 2.0 ** -64  # keep uniforms strictly inside (0, 1)
+_UNIFORM_HIGH = 1.0 - 2 ** -53
+_WORDS_PER_COUNTER = 4  # Philox4x64 yields four 64-bit words per counter
 
 
 def stream(seed: int, tag: int | np.uint64) -> Generator:
@@ -28,10 +36,20 @@ def stream(seed: int, tag: int | np.uint64) -> Generator:
     return Generator(Philox(key=key))
 
 
+def _uniform_slice(seed: int, tag: int | np.uint64, lo: int,
+                   hi: int) -> np.ndarray:
+    """Elements [lo, hi) of the (seed, tag) uniform stream, clipped to (0, 1)."""
+    lo, hi = int(lo), int(hi)  # Philox.advance rejects numpy integers
+    gen = stream(seed, tag)
+    gen.bit_generator.advance(lo // _WORDS_PER_COUNTER)
+    skip = lo % _WORDS_PER_COUNTER
+    u = gen.random(hi - lo + skip)[skip:]
+    return np.clip(u, _UNIFORM_LOW, _UNIFORM_HIGH, out=u)
+
+
 def stream_uniforms(seed: int, tag: int | np.uint64, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from the (seed, tag) stream."""
-    u = stream(seed, tag).random(n)
-    return np.clip(u, _UNIFORM_LOW, 1.0 - 2 ** -53)
+    return _uniform_slice(seed, tag, 0, n)
 
 
 def stream_normals(seed: int, tag: int | np.uint64, n: int) -> np.ndarray:
@@ -43,8 +61,11 @@ def step_normals(seed: int, step_index: int, n_paths: int,
                  lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Normals for paths [lo, hi) at one time step.
 
-    The full row for the step is generated and sliced, which is what makes
-    the result independent of how paths are partitioned.
+    Only the slice is generated, by skipping ahead in the step's stream;
+    it is bit-equal to ``stream_normals(seed, step_index, n_paths)[lo:hi]``.
     """
-    row = stream_normals(seed, step_index, n_paths)
-    return row[lo:hi if hi is not None else n_paths]
+    hi = n_paths if hi is None else hi
+    if not 0 <= lo <= hi <= n_paths:
+        raise InputError(f"bad path slice [{lo}, {hi}) of {n_paths}")
+    u = _uniform_slice(seed, step_index, lo, hi)
+    return ndtri(u, out=u)

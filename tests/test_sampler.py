@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nelsonlab import (InputError, NumericalBreakdownError,
+from nelsonlab import (Grid1D, InputError, NumericalBreakdownError,
                        UnsupportedConfigError, diffusion_params,
                        continue_to_imaginary)
 from nelsonlab.fields import drift_fields, ho_ground_density
 from nelsonlab.sampler import (load_ensemble_binary, export_ensemble_binary,
                                export_ensemble_csv, reflect, sample_initial,
-                               simulate_ensemble, stream_normals)
+                               simulate_ensemble, step_normals,
+                               stream_normals)
 from nelsonlab.fields.drift import DriftField
 
 
@@ -78,6 +79,64 @@ def test_schedule_independence(grid801, ground, p_half):
     assert np.array_equal(runs[0].paths, runs[2].paths)
 
 
+def _serial_reference(df, x0, p, dt, n_steps, seed):
+    """Unsharded Euler-Maruyama loop on full noise rows, every step kept."""
+    lo, hi = df.grid.x_min, df.grid.x_max
+    sigma = np.sqrt(2.0 * p.nu_real * dt)
+    x = reflect(x0, lo, hi)
+    cols = [x]
+    for j in range(n_steps):
+        z = stream_normals(seed, j, x.size)
+        x = reflect(x + df.b_at(j * dt, x) * dt + sigma * z, lo, hi)
+        cols.append(x)
+    return np.stack(cols, axis=1)
+
+
+def test_shards_and_blocks_match_serial_loop(grid801, ground, p_half):
+    """Shard edges off the Philox word boundary, shards longer than one
+    block, and paths that hit the walls all reproduce the serial loop."""
+    df = drift_fields(ground, p_half)
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 70_001, seed=5)
+    x0[:300] = 7.99                       # reflect at the right wall
+    ref = _serial_reference(df, x0, p_half, 5e-3, 4, seed=5)
+    first = (x0 + df.b_at(0.0, x0) * 5e-3
+             + np.sqrt(2 * 0.5 * 5e-3) * stream_normals(5, 0, x0.size))
+    assert np.count_nonzero(first > grid801.x_max) > 10
+    for w in (None, 1, 2, 3, 8):
+        e = simulate_ensemble(df, x0, p_half, 5e-3, 4, seed=5, n_workers=w)
+        assert e.paths.flags.f_contiguous
+        assert np.array_equal(e.paths, ref), w
+    with pytest.raises(InputError):
+        simulate_ensemble(df, x0, p_half, 5e-3, 4, seed=5, n_workers=0)
+
+
+def _nan_node_drift():
+    """Drift 500 to the right on a unit-spaced grid, NaN at the node x = 0:
+    a path within one cell of x = 0 goes non-finite on its next step."""
+    grid = Grid1D(-8.0, 8.0, 17)
+    b = np.full((1, grid.n), 500.0)
+    b[0, 8] = np.nan
+    return DriftField(grid=grid, times=np.array([0.0]), b=b, b_star=b.copy(),
+                      params=diffusion_params("nu", 0.5), provenance="nan node")
+
+
+@pytest.mark.parametrize("n_workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("late, early, expected", [
+    # paths at -1.25 go bad at step 2, paths at -0.25 at step 1
+    ({2: -1.25}, {5: -0.25, 10: -0.25}, "path 5 at step 1"),
+    ({1: -1.25}, {9: -0.25}, "path 9 at step 1"),
+])
+def test_nonfinite_report_is_partition_independent(n_workers, late, early,
+                                                   expected):
+    df = _nan_node_drift()
+    x0 = np.full(12, -5.0)
+    for k, v in {**late, **early}.items():
+        x0[k] = v
+    with pytest.raises(NumericalBreakdownError, match=expected):
+        simulate_ensemble(df, x0, df.params, 1e-3, 3, seed=1,
+                          n_workers=n_workers)
+
+
 def test_store_every_matches_dense_run(grid801, ground, p_half):
     df = drift_fields(ground, p_half)
     x0 = sample_initial(ho_ground_density(grid801.x), grid801, 500, seed=4)
@@ -105,7 +164,17 @@ def test_reflect_folds_into_box(x):
     y = reflect(np.array([x]), -8.0, 8.0)[0]
     assert -8.0 <= y <= 8.0
     if -8.0 <= x <= 8.0:
-        assert y == pytest.approx(x)
+        assert y == x
+
+
+def test_reflect_leaves_in_box_points_and_input_alone():
+    x = np.array([-8.0, -7.999999999999999, -3.3, 0.1, 7.3, 8.0,
+                  8.5, -9.0, 25.0, -40.25])
+    before = x.copy()
+    y = reflect(x, -8.0, 8.0)
+    assert np.array_equal(x, before)
+    assert np.array_equal(y[:6], x[:6])
+    assert np.allclose(y[6:], [7.5, -7.0, -7.0, -7.75], rtol=0, atol=1e-12)
 
 
 def test_guards(grid801, ground, p_half):
@@ -126,6 +195,33 @@ def test_stream_normals_are_standard():
     # distinct steps decorrelate
     z2 = stream_normals(99, 1, 200_000)
     assert abs(np.corrcoef(z, z2)[0, 1]) < 3 / np.sqrt(z.size)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1001), (1, 1000), (7, 503),
+                                    (3, 4), (500, 500), (998, 1001)])
+def test_step_normals_shard_is_slice_of_row(lo, hi):
+    row = stream_normals(42, 7, 1001)
+    assert np.array_equal(step_normals(42, 7, 1001, lo, hi), row[lo:hi])
+
+
+def test_step_normals_shards_concatenate_to_row():
+    row = stream_normals(42, 3, 1001)
+    edges = [0, 1, 3, 3, 250, 667, 1001]
+    parts = [step_normals(42, 3, 1001, a, b)
+             for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(parts), row)
+    assert np.array_equal(step_normals(42, 3, 1001), row)
+    with pytest.raises(InputError):
+        step_normals(42, 3, 1001, 5, 1002)
+
+
+def test_binary_export_is_row_major(tmp_path, grid801, ground, p_half):
+    df = drift_fields(ground, p_half)
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 40, seed=6)
+    e = simulate_ensemble(df, x0, p_half, 1e-3, 5, seed=6)
+    assert e.paths.flags.f_contiguous
+    binpath = export_ensemble_binary(tmp_path / "e.bin", e)
+    assert binpath.read_bytes() == np.ascontiguousarray(e.paths).tobytes()
 
 
 def test_ensemble_io_roundtrip(tmp_path, grid801, ground, p_half):

@@ -10,8 +10,6 @@ from .operators import (AccelerationFields, OperatorMatrix,
                         gauge_map, hamiltonian, mapped_velocity_operator,
                         momentum_operator, position_operator,
                         rho_term_coefficient, velocity_operator)
-from .reporting import (export_operator_csv, residual_report,
-                        write_residual_reports)
 from .spaces import SPACE_KINDS, WeightedSpace, build_space
 
 __all__ = [
@@ -29,17 +27,14 @@ __all__ = [
     "correlation",
     "density_curvature",
     "derivative_operator",
-    "export_operator_csv",
     "gauge_map",
     "hamiltonian",
     "heisenberg_operator",
     "mapped_velocity_operator",
     "momentum_operator",
     "position_operator",
-    "residual_report",
     "rho_term_coefficient",
     "stationary_generator",
-    "write_residual_reports",
     "taylor_heisenberg",
     "time_derivative_recursion",
     "two_time_position_correlation",

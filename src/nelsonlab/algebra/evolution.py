@@ -27,7 +27,6 @@ from scipy.linalg import bandwidth, eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
-from ..finitediff import dirichlet_laplacian_matrix
 from ..params import DiffusionParams
 from .operators import OperatorMatrix, commutator
 from .spaces import WeightedSpace
@@ -55,8 +54,13 @@ def _tridiagonal_eigh(m: np.ndarray, **options):
     off = np.diagonal(m, 1)
     if not np.array_equal(off, np.diagonal(m, -1)):
         raise InputError("the matrix must be real symmetric")
+    return _eigh_bands(np.diagonal(m), off, **options)
+
+
+def _eigh_bands(diag: np.ndarray, off: np.ndarray, **options):
+    """``eigh_tridiagonal`` on the two bands of a real symmetric matrix."""
     try:
-        return eigh_tridiagonal(np.diagonal(m), off, **options)
+        return eigh_tridiagonal(diag, off, **options)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalBreakdownError("eigendecomposition failed") from exc
 
@@ -160,6 +164,23 @@ def correlation(state: np.ndarray, ops: list[OperatorMatrix],
     return space.inner(state, vec)
 
 
+def _stationary_bands(ws: WaveSolution, p: DiffusionParams, t_index: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of ``stationary_generator``'s ``L``, and
+    theta, from the three-point hard-wall stencil on theta."""
+    if not p.is_real:
+        raise UnsupportedConfigError("the stationary semigroup is real-mode only")
+    grid = ws.grid
+    theta = np.exp(ws.R[t_index])[1:-1]
+    inv = 1.0 / (grid.dx * grid.dx)
+    padded = np.concatenate(([0.0], theta, [0.0]))
+    lap_theta = (inv * padded[:-2] + inv * padded[2:]) + (-2.0 * inv) * theta
+    q = lap_theta / theta
+    diag = p.nu_real * (-2.0 * inv - q)
+    off = np.full(theta.size - 1, p.nu_real * inv)
+    return diag, off, theta
+
+
 def stationary_generator(ws: WaveSolution, p: DiffusionParams,
                          t_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Gauge-image generator of the stationary diffusion on interior nodes.
@@ -171,13 +192,8 @@ def stationary_generator(ws: WaveSolution, p: DiffusionParams,
     the recursion shifted by the state's energy and divided by ``2 m nu``,
     up to O(dx^2).
     """
-    if not p.is_real:
-        raise UnsupportedConfigError("the stationary semigroup is real-mode only")
-    grid = ws.grid
-    theta = np.exp(ws.R[t_index])[1:-1]
-    lap = dirichlet_laplacian_matrix(grid.n - 2, grid.dx)
-    q = (lap @ theta) / theta
-    L = p.nu_real * (lap - np.diag(q))
+    diag, off, theta = _stationary_bands(ws, p, t_index)
+    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return L, theta
 
 
@@ -200,9 +216,9 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     grid = ws.grid
     xi = grid.x[1:-1]
     if p.is_real:
-        L, theta = stationary_generator(ws, p, t_index)
+        diag, off, theta = _stationary_bands(ws, p, t_index)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
-        lam, U = _tridiagonal_eigh(L)
+        lam, U = _eigh_bands(diag, off)
         v = xi * theta
         w = U.T @ v
         return complex(np.sum(w * np.exp(lam * s) * w) * grid.dx)

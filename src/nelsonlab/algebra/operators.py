@@ -143,35 +143,33 @@ def _banded_commutator(narrow, wide, swap: bool) -> np.ndarray:
     return out
 
 
+def _hard_wall_tridiagonal(n: int, lower: float, diag: float,
+                           upper: float) -> np.ndarray:
+    """Three-point stencil ``(lower, diag, upper)`` on the interior rows,
+    with the hard-wall closure: boundary rows and columns are zero."""
+    M = np.zeros((n, n))
+    idx = np.arange(1, n - 1)
+    M[idx, idx - 1] = lower
+    M[idx, idx] = diag
+    M[idx, idx + 1] = upper
+    M[:, [0, -1]] = 0.0
+    return M
+
+
 def closed_derivative_matrix(n: int, dx: float) -> np.ndarray:
     """Centered first derivative with the hard-wall closure.
 
     Interior rows are the exact centered stencil; boundary rows and
     columns are zero, making the matrix exactly antisymmetric.
     """
-    D = np.zeros((n, n))
     c = 0.5 / dx
-    idx = np.arange(1, n - 1)
-    D[idx, idx + 1] = c
-    D[idx, idx - 1] = -c
-    D[:, 0] = 0.0
-    D[:, -1] = 0.0
-    return D
+    return _hard_wall_tridiagonal(n, -c, 0.0, c)
 
 
 def closed_laplacian_matrix(n: int, dx: float) -> np.ndarray:
     """Centered second derivative with the hard-wall closure (symmetric)."""
-    L = np.zeros((n, n))
     inv = 1.0 / (dx * dx)
-    idx = np.arange(1, n - 1)
-    L[idx, idx] = -2.0 * inv
-    L[idx, idx + 1] = inv
-    L[idx, idx - 1] = inv
-    L[:, 0] = 0.0
-    L[:, -1] = 0.0
-    L[0, 0] = 0.0
-    L[-1, -1] = 0.0
-    return L
+    return _hard_wall_tridiagonal(n, inv, -2.0 * inv, inv)
 
 
 def averaging_matrix(n: int) -> np.ndarray:
@@ -181,13 +179,7 @@ def averaging_matrix(n: int) -> np.ndarray:
     (no reach into boundary columns); zero boundary rows.  Equals
     ``[D, X]`` for the closed derivative exactly.
     """
-    A = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    A[idx, idx - 1] = 0.5
-    A[idx, idx + 1] = 0.5
-    A[:, 0] = 0.0
-    A[:, -1] = 0.0
-    return A
+    return _hard_wall_tridiagonal(n, 0.5, 0.0, 0.5)
 
 
 def position_operator(space: WeightedSpace) -> OperatorMatrix:

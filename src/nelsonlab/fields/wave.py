@@ -117,10 +117,6 @@ class WaveSolution:
         return np.array([self.grid.trapezoid(np.abs(self.psi[j]) ** 2)
                          for j in range(self.n_times)])
 
-    def time_index(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        return j
-
     def roundtrip_error(self, j: int = 0) -> float:
         """Max |exp(R + iS) - psi| over the mask at snapshot j."""
         m = self.mask[j]

@@ -1,9 +1,9 @@
 """Second-order finite-difference stencils, nodal and matrix forms.
 
 Interior nodes use centered stencils; the first and last node of a
-contiguous run use one-sided second-order stencils.  The one matrix
-builder, the hard-wall Laplacian on interior nodes, returns a dense
-tridiagonal array; the operator algebra reads its bands.
+contiguous run use one-sided second-order stencils.  The hard-wall
+matrix stencils live with the operator algebra
+(``nelsonlab.algebra.operators``).
 """
 from __future__ import annotations
 
@@ -62,14 +62,3 @@ def contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     stops = np.where(d == -1)[0]
     return list(zip(starts, stops))
 
-
-def dirichlet_laplacian_matrix(n_interior: int, dx: float) -> np.ndarray:
-    """Tridiagonal second-derivative matrix on interior nodes, hard-wall ends."""
-    inv = 1.0 / (dx * dx)
-    L = np.zeros((n_interior, n_interior))
-    idx = np.arange(n_interior)
-    L[idx, idx] = -2.0 * inv
-    idx = np.arange(n_interior - 1)
-    L[idx, idx + 1] = inv
-    L[idx + 1, idx] = inv
-    return L

@@ -44,9 +44,5 @@ class Grid1D:
         """Trapezoidal quadrature of a nodal field."""
         return np.trapezoid(f, dx=self.dx)
 
-    def rectangle(self, f: np.ndarray) -> float | complex:
-        """Plain nodal Riemann sum ``sum(f) * dx`` (weighted inner products use this)."""
-        return f.sum() * self.dx
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         return (x >= self.x_min) & (x <= self.x_max)

@@ -1,12 +1,11 @@
 """Configured experiments, verification suite, reports, CLI."""
-from .checks import ALL_CHECKS, FAST_CHECKS, FULL_CHECKS, CheckContext
+from .checks import FAST_CHECKS, FULL_CHECKS, CheckContext
 from .config import ExperimentConfig, SdeConfig, config_from_dict, load_config
 from .plots import emit_plots_data
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, Report, digest
 from .suite import run_experiment, verify_suite
 
 __all__ = [
-    "ALL_CHECKS",
     "CheckContext",
     "CheckRecord",
     "ExperimentConfig",

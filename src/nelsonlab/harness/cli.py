@@ -23,18 +23,25 @@ from .config import ExperimentConfig, load_config
 from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--nu", type=float, default=None,
-                   help="diffusion constant (real mode)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="alternative parameterization; z = 1/sqrt(1 - beta/2)")
-    p.add_argument("--grid-n", type=int, default=801)
-    p.add_argument("--grid-x-max", type=float, default=8.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--out", type=str, default=None,
-                   help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)")
+_FLAGS = {
+    "seed": dict(type=int, default=42),
+    "nu": dict(type=float, default=None,
+               help="diffusion constant (real mode)"),
+    "beta": dict(type=float, default=None,
+                 help="alternative parameterization; z = 1/sqrt(1 - beta/2)"),
+    "grid-n": dict(type=int, default=801),
+    "grid-x-max": dict(type=float, default=8.0),
+    "dt": dict(type=float, default=1e-3),
+    "paths": dict(type=int, default=100_000),
+    "out": dict(type=str, default=None,
+                help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    """Declare the shared flags a subcommand reads, by name."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _out_dir(args) -> Path:
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="evolve a state and export densities")
-    _common_flags(ps)
+    _add_flags(ps, "nu", "beta", "grid-n", "grid-x-max", "dt", "out")
     ps.add_argument("--state", choices=("ho_ground", "ho_coherent",
                                         "free_gaussian"), default="ho_coherent")
     ps.add_argument("--x0", type=float, default=1.0)
@@ -180,19 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("sample", help="simulate an ensemble and export "
                                        "estimator tables")
-    _common_flags(pm)
+    _add_flags(pm, "seed", "nu", "beta", "grid-n", "grid-x-max", "dt",
+               "paths", "out")
     pm.add_argument("--steps", type=int, default=100)
     pm.add_argument("--csv", action="store_true",
                     help="also write the long-form ensemble CSV")
     pm.set_defaults(fn=cmd_sample)
 
     pv = sub.add_parser("verify", help="run the verification suite")
-    _common_flags(pv)
+    _add_flags(pv, "seed", "paths", "out")
     pv.add_argument("--level", choices=("fast", "full"), default="fast")
     pv.set_defaults(fn=cmd_verify)
 
     pc = sub.add_parser("correlate", help="two-time position matrix elements")
-    _common_flags(pc)
+    _add_flags(pc, "nu", "beta", "grid-n", "grid-x-max", "out")
     pc.add_argument("--mode", choices=("real", "minus", "plus"),
                     default="real")
     pc.add_argument("--s", type=str, default="0.25,0.5,1.0",

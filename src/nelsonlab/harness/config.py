@@ -7,23 +7,18 @@ from pathlib import Path
 
 from ..errors import InputError
 from ..grids import Grid1D
-from ..params import MODE_REAL, DiffusionParams, diffusion_params
 
-_STATE_KINDS = ("ho_ground", "ho_coherent", "free_gaussian")
+_KEYS = {"grid", "sde", "checks", "tolerances", "out_dir"}
+_GRID_KEYS = {"x_min", "x_max", "n"}
+_SDE_KEYS = {"n_paths", "seed"}
 
 
 @dataclass
 class SdeConfig:
-    dt: float = 1e-3
-    n_steps: int = 60
     n_paths: int = 100_000
     seed: int = 42
 
     def validate(self, prefix: str = "sde"):
-        if not self.dt > 0:
-            raise InputError(f"{prefix}.dt: must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise InputError(f"{prefix}.n_steps: must be >= 1")
         if self.n_paths < 1:
             raise InputError(f"{prefix}.n_paths: must be >= 1")
         if self.seed is None:
@@ -34,38 +29,20 @@ class SdeConfig:
 class ExperimentConfig:
     """Everything a reproducible run depends on.
 
-    ``params_list`` entries are ``{"kind": "nu"|"z"|"beta", "value": float,
-    "mode": "real"|"continued-plus"|"continued-minus"}``; ``checks`` names
-    must exist in the check registry; ``tolerances`` optionally overrides a
-    check's default tolerance by name.
+    ``checks`` names must exist in the check registry; ``tolerances``
+    optionally overrides a check's default tolerance by name.
     """
 
-    state_kind: str = "ho_ground"
-    state_params: dict = field(default_factory=dict)
     grid_x_min: float = -8.0
     grid_x_max: float = 8.0
     grid_n: int = 801
-    params_list: list = field(default_factory=lambda: [
-        {"kind": "nu", "value": 0.5, "mode": MODE_REAL},
-        {"kind": "nu", "value": 1.0, "mode": MODE_REAL},
-        {"kind": "nu", "value": 2.0, "mode": MODE_REAL},
-    ])
     sde: SdeConfig = field(default_factory=SdeConfig)
     checks: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
 
     def validate(self, known_checks: set[str] | None = None):
-        if self.state_kind not in _STATE_KINDS:
-            raise InputError(f"state.kind: unknown state {self.state_kind!r}")
         Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n)  # raises if bad
-        if not self.params_list:
-            raise InputError("params: at least one parameter set required")
-        for i, entry in enumerate(self.params_list):
-            try:
-                self.diffusion_params(i)
-            except Exception as exc:
-                raise InputError(f"params[{i}]: {exc}") from exc
         self.sde.validate()
         for name, tol in self.tolerances.items():
             if not (isinstance(tol, (int, float)) and tol > 0):
@@ -79,20 +56,11 @@ class ExperimentConfig:
     def grid(self) -> Grid1D:
         return Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n)
 
-    def diffusion_params(self, i: int) -> DiffusionParams:
-        entry = self.params_list[i]
-        return diffusion_params(entry.get("kind", "nu"), entry.get("value", 0.5),
-                                m=entry.get("m", 1.0), hbar=entry.get("hbar", 1.0),
-                                mode=entry.get("mode", MODE_REAL))
-
     def digest_payload(self) -> dict:
         return {
-            "state": {"kind": self.state_kind, "params": self.state_params},
             "grid": {"x_min": self.grid_x_min, "x_max": self.grid_x_max,
                      "n": self.grid_n},
-            "params_list": self.params_list,
-            "sde": {"dt": self.sde.dt, "n_steps": self.sde.n_steps,
-                    "n_paths": self.sde.n_paths, "seed": self.sde.seed},
+            "sde": {"n_paths": self.sde.n_paths, "seed": self.sde.seed},
             "tolerances": self.tolerances,
         }
 
@@ -108,27 +76,32 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw, source=str(path))
 
 
+def _section(raw: dict, name: str, keys: set[str], source: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise InputError(f"{source}: {name}: must be an object")
+    _reject_unknown(section, keys, source, f"{name}.")
+    return section
+
+
+def _reject_unknown(raw: dict, keys: set[str], source: str, prefix: str = ""):
+    for key in raw:
+        if key not in keys:
+            raise InputError(f"{source}: {prefix}{key}: unknown key "
+                             f"(expected one of {', '.join(sorted(keys))})")
+
+
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise InputError(f"{source}: top level must be an object")
+    _reject_unknown(raw, _KEYS, source)
     cfg = ExperimentConfig()
-    state = raw.get("state", {})
-    if not isinstance(state, dict):
-        raise InputError(f"{source}: state: must be an object")
-    cfg.state_kind = state.get("kind", cfg.state_kind)
-    cfg.state_params = state.get("params", {})
-    grid = raw.get("grid", {})
+    grid = _section(raw, "grid", _GRID_KEYS, source)
     cfg.grid_x_min = float(grid.get("x_min", cfg.grid_x_min))
     cfg.grid_x_max = float(grid.get("x_max", cfg.grid_x_max))
     cfg.grid_n = int(grid.get("n", cfg.grid_n))
-    if "params" in raw:
-        if not isinstance(raw["params"], list):
-            raise InputError(f"{source}: params: must be a list")
-        cfg.params_list = raw["params"]
-    sde = raw.get("sde", {})
-    cfg.sde = SdeConfig(dt=float(sde.get("dt", cfg.sde.dt)),
-                        n_steps=int(sde.get("n_steps", cfg.sde.n_steps)),
-                        n_paths=int(sde.get("n_paths", cfg.sde.n_paths)),
+    sde = _section(raw, "sde", _SDE_KEYS, source)
+    cfg.sde = SdeConfig(n_paths=int(sde.get("n_paths", cfg.sde.n_paths)),
                         seed=int(sde.get("seed", cfg.sde.seed)))
     cfg.checks = list(raw.get("checks", []))
     cfg.tolerances = dict(raw.get("tolerances", {}))

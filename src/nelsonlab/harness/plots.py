@@ -28,10 +28,6 @@ def emit_plots_data(report: Report, out_dir: str | Path) -> list[Path]:
                 written.extend(export_snapshots(
                     out_dir / name, art["grid"], art["times"], art["rho"],
                     stem="density"))
-            elif kind == "residual_report":
-                from ..algebra import write_residual_reports
-                written.append(write_residual_reports(
-                    out_dir / f"{name}.json", art["reports"]))
             else:
                 path = out_dir / f"{name}.csv"
                 with path.open("w", newline="") as fh:

@@ -35,9 +35,6 @@ class ConditionalMomentTable:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    def usable_where(self, min_count: int) -> np.ndarray:
-        return self.counts >= min_count
-
 
 def default_bins(e: Ensemble, n_bins: int = 40) -> np.ndarray:
     """Uniform bin edges spanning the generating grid's box."""

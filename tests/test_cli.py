@@ -15,6 +15,52 @@ def test_parser_subcommands():
         ap.parse_args(["verify", "--level", "medium"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--nu", "1"],
+    ["verify", "--beta", "1"],
+    ["verify", "--dt", "0.01"],
+    ["verify", "--grid-n", "3"],
+    ["verify", "--grid-x-max", "4"],
+    ["solve", "--paths", "10"],
+    ["solve", "--seed", "1"],
+    ["correlate", "--dt", "0.01"],
+    ["correlate", "--seed", "1"],
+    ["correlate", "--paths", "10"],
+])
+def test_parser_rejects_flags_the_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["solve", "--nu", "0.7", "--beta", "1.0", "--grid-n", "401",
+      "--grid-x-max", "6", "--dt", "0.002", "--out", "o", "--state",
+      "free_gaussian", "--x0", "0.5", "--sigma0", "2", "--steps", "10",
+      "--snapshots", "2"],
+     dict(nu=0.7, beta=1.0, grid_n=401, grid_x_max=6.0, dt=0.002, out="o",
+          state="free_gaussian", x0=0.5, sigma0=2.0, steps=10, snapshots=2)),
+    (["sample", "--seed", "3", "--nu", "0.7", "--beta", "1.0", "--grid-n",
+      "401", "--grid-x-max", "6", "--dt", "0.002", "--paths", "10", "--out",
+      "o", "--steps", "5", "--csv"],
+     dict(seed=3, nu=0.7, beta=1.0, grid_n=401, grid_x_max=6.0, dt=0.002,
+          paths=10, out="o", steps=5, csv=True)),
+    (["verify", "--level", "full", "--seed", "3", "--paths", "10",
+      "--out", "o"],
+     dict(level="full", seed=3, paths=10, out="o")),
+    (["correlate", "--nu", "0.7", "--beta", "1.0", "--grid-n", "401",
+      "--grid-x-max", "6", "--out", "o", "--mode", "plus", "--s", "0.1"],
+     dict(nu=0.7, beta=1.0, grid_n=401, grid_x_max=6.0, out="o",
+          mode="plus", s="0.1")),
+    (["report", "--path", "r.json", "--config", "c.json", "--out", "o"],
+     dict(path="r.json", config="c.json", out="o")),
+])
+def test_parser_accepts_every_declared_flag(argv, expect):
+    args = vars(build_parser().parse_args(argv))
+    assert {k: args[k] for k in expect} == expect
+    assert set(args) == set(expect) | {"command", "fn"}
+
+
 def test_correlate_writes_curve(tmp_path, capsys):
     rc = main(["correlate", "--mode", "minus", "--s", "0.25,0.5",
                "--grid-n", "401", "--grid-x-max", "8.0",

@@ -152,6 +152,25 @@ def test_stationary_generator_annihilates_sqrt_density(grid801):
     assert np.max(np.abs(L - L.T)) < 1e-12
 
 
+def test_stationary_generator_matches_dense_laplacian(grid801):
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 0.7)
+    L, theta = stationary_generator(ws, p)
+    m, inv = grid801.n - 2, 1.0 / grid801.dx ** 2
+    lap = (np.diag(np.full(m, -2.0 * inv)) + np.diag(np.full(m - 1, inv), 1)
+           + np.diag(np.full(m - 1, inv), -1))
+    ref = 0.7 * (lap - np.diag((lap @ theta) / theta))
+    assert np.array_equal(theta, np.exp(ws.R[0])[1:-1])
+    assert np.max(np.abs(L - ref)) < 1e-13 * np.max(np.abs(ref))
+    # the real two-time element is (x theta, exp(sL) x theta) on that L
+    lam, U = np.linalg.eigh(ref)
+    v = grid801.x[1:-1] * theta / np.sqrt(np.sum(theta ** 2) * grid801.dx)
+    w = U.T @ v
+    for s in (0.25, 1.0):
+        val = two_time_position_correlation(ws, p, s)
+        assert abs(val - np.sum(w * np.exp(lam * s) * w) * grid801.dx) < 1e-12
+
+
 def test_two_time_real_mode_matches_autocovariance(grid801):
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     for nu in (0.5, 1.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nelsonlab import InputError
-from nelsonlab.harness import (ALL_CHECKS, CheckContext, ExperimentConfig,
+from nelsonlab.harness import (FULL_CHECKS, CheckContext, ExperimentConfig,
                                Report, config_from_dict, emit_plots_data,
                                load_config, run_experiment, verify_suite)
 from nelsonlab.harness.checks import (check_continued_two_time,
@@ -34,10 +34,6 @@ def test_config_validation_reports_field():
     with pytest.raises(InputError):
         cfg.validate()
     cfg = small_cfg()
-    cfg.params_list = [{"kind": "beta", "value": 3.0}]
-    with pytest.raises(InputError, match=r"params\[0\]"):
-        cfg.validate()
-    cfg = small_cfg()
     cfg.tolerances = {"x": -1.0}
     with pytest.raises(InputError, match="tolerances.x"):
         cfg.validate()
@@ -52,21 +48,21 @@ def test_config_file_parse_error_reports_line(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     raw = {
-        "state": {"kind": "ho_coherent", "params": {"x0": 1.0}},
         "grid": {"x_min": -6.0, "x_max": 6.0, "n": 301},
-        "params": [{"kind": "nu", "value": 0.7}],
-        "sde": {"dt": 0.002, "n_steps": 10, "n_paths": 100, "seed": 7},
+        "sde": {"n_paths": 100, "seed": 7},
         "checks": ["equal_time_value"],
         "tolerances": {"equal_time_value": 1e-5},
+        "out_dir": "somewhere",
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     cfg = load_config(p)
-    assert cfg.state_kind == "ho_coherent"
-    assert cfg.grid.n == 301
-    assert cfg.sde.seed == 7
-    assert cfg.diffusion_params(0).nu == pytest.approx(0.7)
-    cfg.validate(known_checks=set(ALL_CHECKS))
+    assert cfg.grid.n == 301 and cfg.grid.x_min == -6.0
+    assert cfg.sde.seed == 7 and cfg.sde.n_paths == 100
+    assert cfg.checks == ["equal_time_value"]
+    assert cfg.tolerances == {"equal_time_value": 1e-5}
+    assert cfg.out_dir == "somewhere"
+    cfg.validate(known_checks=set(FULL_CHECKS))
 
 
 def test_run_experiment_writes_report_and_artifacts(tmp_path):
@@ -137,7 +133,20 @@ def test_known_unattainable_does_not_flip_aggregate():
 def test_config_from_dict_type_errors():
     with pytest.raises(InputError):
         config_from_dict([1, 2, 3])
-    with pytest.raises(InputError):
-        config_from_dict({"state": "ho_ground"})
-    with pytest.raises(InputError):
-        config_from_dict({"params": {"kind": "nu"}})
+    with pytest.raises(InputError, match="grid: must be an object"):
+        config_from_dict({"grid": [801]})
+    with pytest.raises(InputError, match="sde: must be an object"):
+        config_from_dict({"sde": 42})
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"state": {"kind": "ho_ground"}}, "state"),
+    ({"params": [{"kind": "nu", "value": 0.5}]}, "params"),
+    ({"chekcs": ["equal_time_value"]}, "chekcs"),
+    ({"sde": {"dt": 0.001, "seed": 1}}, "sde.dt"),
+    ({"sde": {"n_steps": 60}}, "sde.n_steps"),
+    ({"grid": {"n": 401, "dx": 0.04}}, "grid.dx"),
+])
+def test_config_from_dict_rejects_unknown_keys(raw, key):
+    with pytest.raises(InputError, match=rf"\b{key}: unknown key"):
+        config_from_dict(raw)

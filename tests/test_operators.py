@@ -43,6 +43,23 @@ def test_velocity_commutator_is_exactly_2nu_averaging(setup):
         assert np.max(np.abs((C - 2 * nu * A)[1:-1, :])) == 0.0
 
 
+def test_closed_stencils_match_entrywise_reference():
+    from nelsonlab.algebra import (closed_derivative_matrix,
+                                   closed_laplacian_matrix)
+    dx = 0.37
+    for n in (3, 4, 17):
+        ref = {k: np.zeros((n, n)) for k in ("D", "L", "A")}
+        for i in range(1, n - 1):
+            for j, w in ((i - 1, -1.0), (i, 0.0), (i + 1, 1.0)):
+                if 0 < j < n - 1:       # hard wall: no boundary columns
+                    ref["D"][i, j] = w * (0.5 / dx)
+                    ref["L"][i, j] = (-2.0 if w == 0.0 else 1.0) / (dx * dx)
+                    ref["A"][i, j] = 0.0 if w == 0.0 else 0.5
+        assert np.array_equal(closed_derivative_matrix(n, dx), ref["D"])
+        assert np.array_equal(closed_laplacian_matrix(n, dx), ref["L"])
+        assert np.array_equal(averaging_matrix(n), ref["A"])
+
+
 def test_velocity_on_constant_gives_drift(setup):
     grid, ground, p = setup
     df = drift_fields(ground, p)

@@ -4,15 +4,20 @@ Finite-volume flux form with zero-flux (reflecting) end faces: the nodal
 sum ``sum(rho) dx`` telescopes exactly, so total probability is conserved
 to roundoff.  Time stepping is trapezoidal (Crank-Nicolson), with the
 drift row interpolated in time between the snapshots of the DriftField.
+
+Each step builds one set of generator bands, at its end time
+``t0 + (j + 1) dt``, and carries it to the next step as that step's start
+bands; the implicit tridiagonal system is solved in place by LAPACK
+``dgtsv``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
-from ..errors import InputError, InstabilityError
+from ..errors import InputError, InstabilityError, NumericalBreakdownError
 from ..grids import Grid1D
 from .drift import DriftField
 
@@ -35,18 +40,19 @@ class DensityEvolution:
 
 def _generator_bands(b_row: np.ndarray, nu: float, dx: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal bands of the flux-form generator for one drift row."""
-    n = b_row.size
+    """Tridiagonal bands of the flux-form generator for one drift row.
+
+    Each face moves mass between its two nodes, so every column sums to
+    zero: ``main[i] = -lower[i] - upper[i - 1]``.
+    """
     bf = 0.5 * (b_row[:-1] + b_row[1:])  # face-centered drift
     c1 = 0.5 * bf / dx
     c2 = nu / (dx * dx)
-    main = np.zeros(n)
-    upper = np.empty(n - 1)
-    lower = np.empty(n - 1)
-    main[:-1] += -c1 - c2
-    main[1:] += c1 - c2
-    upper[:] = -c1 + c2
-    lower[:] = c1 + c2
+    upper = c2 - c1
+    lower = c1 + c2
+    main = np.zeros(b_row.size)
+    main[:-1] -= lower
+    main[1:] -= upper
     return main, upper, lower
 
 
@@ -67,13 +73,20 @@ def evolve_density_fokker_planck(df: DriftField, rho0: np.ndarray, dt: float,
 
     Raises
     ------
+    InputError
+        Non-finite, negative or non-normalized rho0, bad dt or n_steps.
     InstabilityError
-        If any nodal density drops below -1e-6 (suggests a smaller dt).
+        If any nodal density drops below -1e-6 or is NaN (suggests a
+        smaller dt).
+    NumericalBreakdownError
+        If LAPACK finds the step matrix singular.
     """
     grid = df.grid
     rho = np.asarray(rho0, dtype=float).copy()
     if rho.shape != (grid.n,):
         raise InputError("rho0 must be a nodal field on the drift grid")
+    if not np.all(np.isfinite(rho)):
+        raise InputError("rho0 must be finite")
     if rho.min() < 0:
         raise InputError("rho0 must be nonnegative")
     norm = grid.trapezoid(rho)
@@ -86,23 +99,33 @@ def evolve_density_fokker_planck(df: DriftField, rho0: np.ndarray, dt: float,
 
     nu = df.params.nu_real
     dx = grid.dx
-    n = grid.n
-    ab = np.zeros((3, n))
+    half = 0.5 * dt
+    rhs = np.empty_like(rho)
     out_rho = [rho.copy()]
     out_t = [t0]
-    t = t0
+
+    def half_bands(t):
+        return [half * g for g in _generator_bands(df.b_on_grid(t), nu, dx)]
+
+    # (1 + dt/2 G(t_j)) rho_j = (1 - dt/2 G(t_{j+1})) rho_{j+1}; the end
+    # bands of one step are the start bands of the next
+    m0, u0, l0 = half_bands(t0)
     for j in range(n_steps):
-        m0, u0, l0 = _generator_bands(df.b_on_grid(t), nu, dx)
-        m1, u1, l1 = _generator_bands(df.b_on_grid(t + dt), nu, dx)
-        rhs = (1.0 + 0.5 * dt * m0) * rho
-        rhs[:-1] += 0.5 * dt * u0 * rho[1:]
-        rhs[1:] += 0.5 * dt * l0 * rho[:-1]
-        ab[0, 1:] = -0.5 * dt * u1
-        ab[1, :] = 1.0 - 0.5 * dt * m1
-        ab[2, :-1] = -0.5 * dt * l1
-        rho = solve_banded((1, 1), ab, rhs)
         t = t0 + (j + 1) * dt
-        if rho.min() < _NEGATIVITY_TOL:
+        m1, u1, l1 = half_bands(t)
+        np.multiply(1.0 + m0, rho, out=rhs)
+        rhs[:-1] += u0 * rho[1:]
+        rhs[1:] += l0 * rho[:-1]
+        _, _, _, x, info = lapack.dgtsv(-l1, 1.0 - m1, -u1, rhs,
+                                        overwrite_dl=1, overwrite_d=1,
+                                        overwrite_du=1, overwrite_b=1)
+        if info != 0:  # pragma: no cover - defensive
+            raise NumericalBreakdownError(
+                f"singular tridiagonal system at step {j} (dgtsv info={info})")
+        rho, rhs = x, rho
+        m0, u0, l0 = m1, u1, l1
+        # written so that a NaN density fails the test too
+        if not rho.min() >= _NEGATIVITY_TOL:
             raise InstabilityError(
                 f"density reached {rho.min():.3e} at t={t:.6g}; "
                 "reduce dt (or refine the grid)")

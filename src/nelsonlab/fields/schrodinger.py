@@ -4,11 +4,16 @@ The wavefunction is pinned to zero at both grid ends; the interior update
 is the Cayley transform ``(1 + i dt H / 2 hbar)^-1 (1 - i dt H / 2 hbar)``,
 which is exactly unitary in the nodal l2 norm for the symmetric tridiagonal
 H, so the norm is conserved to roundoff at every step.
+
+``A = 1 + i dt H / 2 hbar`` does not change between steps, so it is
+factored once (LAPACK ``zgttrf``, LU with partial pivoting); each step forms
+its explicit right-hand side in one buffer and solves it in place with
+``zgttrs``.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from ..errors import InputError, NumericalBreakdownError
 from ..grids import Grid1D
@@ -43,9 +48,10 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
     Raises
     ------
     InputError
-        Non-normalized psi0, non-finite or complex V, bad dt.
+        Non-normalized or non-finite psi0, non-finite or complex V, bad dt.
     NumericalBreakdownError
-        If the tridiagonal solve degenerates (reported with its step index).
+        If LAPACK reports a singular factor or a failed solve, or a step
+        leaves a non-finite value (reported with its step index).
     """
     V = np.asarray(V, dtype=float)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -53,6 +59,8 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
         raise InputError("V and psi0 must be nodal fields on the grid")
     if not np.all(np.isfinite(V)):
         raise InputError("V must be finite")
+    if not np.all(np.isfinite(psi0)):
+        raise InputError("psi0 must be finite")
     if n_steps < 0:
         raise InputError("n_steps must be >= 0")
     if n_steps > 0 and not dt > 0:
@@ -74,24 +82,31 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
     h_off = -kin * np.ones(n_int - 1)
     r = 0.5j * dt / hbar
 
-    # banded form of A = 1 + r H (upper, main, lower rows)
-    ab = np.zeros((3, n_int), dtype=complex)
-    ab[0, 1:] = r * h_off
-    ab[1, :] = 1.0 + r * h_main
-    ab[2, :-1] = r * h_off
+    # 1 - r H (explicit) and 1 + r H (implicit, factored once) share the
+    # off-diagonal r h_off
+    rhs_main = 1.0 - r * h_main
+    r_off = r * h_off
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(r_off, 1.0 + r * h_main, r_off)
+    if info != 0:  # pragma: no cover - defensive: Re(A_ii) = 1
+        raise NumericalBreakdownError(
+            f"tridiagonal factorization failed (info={info})")
 
     p = psi0[1:-1].copy()
+    rhs = np.empty_like(p)
+    tmp = np.empty(n_int - 1, dtype=complex)
     stored = [psi0.copy()]
     stored_times = [0.0]
     for j in range(n_steps):
-        rhs = (1.0 - r * h_main) * p
-        rhs[:-1] -= r * h_off * p[1:]
-        rhs[1:] -= r * h_off * p[:-1]
-        try:
-            p = solve_banded((1, 1), ab, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        np.multiply(rhs_main, p, out=rhs)
+        np.multiply(r_off, p[1:], out=tmp)
+        rhs[:-1] -= tmp
+        np.multiply(r_off, p[:-1], out=tmp)
+        rhs[1:] -= tmp
+        x, info = lapack.zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        if info != 0:  # pragma: no cover - defensive
             raise NumericalBreakdownError(
-                f"tridiagonal solve failed at step {j}") from exc
+                f"tridiagonal solve failed at step {j} (info={info})")
+        p, rhs = x, p  # x is rhs, solved in place
         if not np.all(np.isfinite(p)):
             raise NumericalBreakdownError(
                 f"non-finite wavefunction at step {j}")

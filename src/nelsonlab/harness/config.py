@@ -91,19 +91,40 @@ def _reject_unknown(raw: dict, keys: set[str], source: str, prefix: str = ""):
                              f"(expected one of {', '.join(sorted(keys))})")
 
 
+def _convert(value, kind: type, where: str):
+    """``kind(value)``, or an InputError that names the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: expected {kind.__name__}, "
+                         f"got {value!r}") from exc
+
+
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise InputError(f"{source}: top level must be an object")
     _reject_unknown(raw, _KEYS, source)
     cfg = ExperimentConfig()
     grid = _section(raw, "grid", _GRID_KEYS, source)
-    cfg.grid_x_min = float(grid.get("x_min", cfg.grid_x_min))
-    cfg.grid_x_max = float(grid.get("x_max", cfg.grid_x_max))
-    cfg.grid_n = int(grid.get("n", cfg.grid_n))
+    cfg.grid_x_min = _convert(grid.get("x_min", cfg.grid_x_min), float,
+                              f"{source}: grid.x_min")
+    cfg.grid_x_max = _convert(grid.get("x_max", cfg.grid_x_max), float,
+                              f"{source}: grid.x_max")
+    cfg.grid_n = _convert(grid.get("n", cfg.grid_n), int, f"{source}: grid.n")
     sde = _section(raw, "sde", _SDE_KEYS, source)
-    cfg.sde = SdeConfig(n_paths=int(sde.get("n_paths", cfg.sde.n_paths)),
-                        seed=int(sde.get("seed", cfg.sde.seed)))
-    cfg.checks = list(raw.get("checks", []))
-    cfg.tolerances = dict(raw.get("tolerances", {}))
+    cfg.sde = SdeConfig(
+        n_paths=_convert(sde.get("n_paths", cfg.sde.n_paths), int,
+                         f"{source}: sde.n_paths"),
+        seed=_convert(sde.get("seed", cfg.sde.seed), int,
+                      f"{source}: sde.seed"))
+    checks = raw.get("checks", [])
+    if not (isinstance(checks, list)
+            and all(isinstance(name, str) for name in checks)):
+        raise InputError(f"{source}: checks: must be a list of check names")
+    cfg.checks = list(checks)
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise InputError(f"{source}: tolerances: must be an object")
+    cfg.tolerances = dict(tolerances)
     cfg.out_dir = raw.get("out_dir")
     return cfg

@@ -12,14 +12,19 @@ from .estimators import ConditionalMomentTable
 
 
 def export_ensemble_csv(path: str | Path, e: Ensemble) -> Path:
-    """Long-form CSV: one ``path_id, step, x`` row per sample."""
+    """Long-form CSV: one ``path_id, step, x`` row per sample, path-major.
+
+    ``x`` is written as ``repr(float)``, which ``float()`` reads back to the
+    stored double exactly.  Each path's rows are filled into one format
+    string, so the Python-level loop runs over paths, not samples.
+    """
     path = Path(path)
+    rows = "".join(f"{{0}},{j},{{{j + 1}!r}}\r\n"
+                   for j in range(e.n_steps + 1))
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "step", "x"])
+        fh.write("path_id,step,x\r\n")
         for k in range(e.n_paths):
-            for j in range(e.n_steps + 1):
-                w.writerow([k, j, repr(float(e.paths[k, j]))])
+            fh.write(rows.format(k, *e.paths[k].tolist()))
     return path
 
 

@@ -169,4 +169,5 @@ def test_criterion_11_correlation_bridge(ctx):
 
 def test_criterion_12_fp_schrodinger(ctx):
     _require_pass("12", check_fp_schrodinger_consistency(ctx),
-                  ("L1_quarter_1", "L1_quarter_4"))
+                  ("L1_quarter_4_nu=0.5", "L1_quarter_4_nu=1.0",
+                   "L1_quarter_4_nu=2.0"))

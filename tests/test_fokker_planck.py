@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nelsonlab import Grid1D, InputError, InstabilityError, diffusion_params
 from nelsonlab.fields import (analytic_oracle, drift_fields,
@@ -12,6 +13,64 @@ def _flat_drift(grid, nu):
     return DriftField(grid=grid, times=np.array([0.0]),
                       b=np.zeros((1, grid.n)), b_star=np.zeros((1, grid.n)),
                       params=diffusion_params("nu", nu), provenance="b=0")
+
+
+def _two_band_reference(df, rho0, dt, n_steps, store_every):
+    """Crank-Nicolson that builds both band sets of every step afresh and
+    solves by ``solve_banded``; the end bands of step j sit at t_j + dt."""
+    nu = df.params.nu_real
+    dx = df.grid.dx
+
+    def bands(t):
+        b = df.b_on_grid(t)
+        bf = 0.5 * (b[:-1] + b[1:])
+        c1 = 0.5 * bf / dx
+        c2 = nu / (dx * dx)
+        main = np.zeros(df.grid.n)
+        main[:-1] += -c1 - c2
+        main[1:] += c1 - c2
+        return main, -c1 + c2, c1 + c2
+
+    rho = rho0.copy()
+    out = [rho.copy()]
+    ab = np.zeros((3, df.grid.n))
+    t = 0.0
+    for j in range(n_steps):
+        m0, u0, l0 = bands(t)
+        m1, u1, l1 = bands(t + dt)
+        rhs = (1.0 + 0.5 * dt * m0) * rho
+        rhs[:-1] += 0.5 * dt * u0 * rho[1:]
+        rhs[1:] += 0.5 * dt * l0 * rho[:-1]
+        ab[0, 1:] = -0.5 * dt * u1
+        ab[1, :] = 1.0 - 0.5 * dt * m1
+        ab[2, :-1] = -0.5 * dt * l1
+        rho = solve_banded((1, 1), ab, rhs)
+        t = (j + 1) * dt
+        if (j + 1) % store_every == 0:
+            out.append(rho.copy())
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def coherent_packet_solution():
+    g = Grid1D(-8.0, 8.0, 1601)
+    ws0 = analytic_oracle("ho_coherent", {"x0": 1.0}, g, [0.0])
+    return solve_schrodinger(0.5 * g.x ** 2, ws0.psi[0], g, 1e-3, 1560,
+                             store_every=10)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+def test_carried_bands_match_two_band_reference(coherent_packet_solution, nu):
+    sol = coherent_packet_solution
+    g = sol.grid
+    df = drift_fields(sol, diffusion_params("nu", nu))
+    rho0 = np.exp(2 * sol.R[0])
+    rho0 /= g.trapezoid(rho0)
+    ev = evolve_density_fokker_planck(df, rho0, 1e-3, 1560, store_every=390)
+    ref = _two_band_reference(df, rho0, 1e-3, 1560, 390)
+    assert ev.rho.shape == ref.shape
+    assert np.max(np.abs(ev.rho - ref)) <= 1e-13 * np.max(ref)
+    assert np.max(np.abs(ev.masses() - ev.masses()[0])) < 1e-10
 
 
 def test_stationary_density_is_preserved():
@@ -70,6 +129,26 @@ def test_rejects_bad_density():
     bad[0] = -0.1
     with pytest.raises(InputError):
         evolve_density_fokker_planck(df, bad, 1e-3, 5)
+
+
+@pytest.mark.parametrize("n_steps", [0, 5])
+def test_rejects_non_finite_density(n_steps):
+    g = Grid1D(-8.0, 8.0, 801)
+    rho = ho_ground_density(g.x)
+    rho /= g.trapezoid(rho)
+    rho[400] = np.nan   # passes both the sign and the norm test
+    with pytest.raises(InputError, match="finite"):
+        evolve_density_fokker_planck(_flat_drift(g, 0.5), rho, 1e-3, n_steps)
+
+
+def test_nan_drift_node_reports_instability_at_first_step():
+    g = Grid1D(-8.0, 8.0, 801)
+    df = _flat_drift(g, 0.5)
+    df.b[0, 500] = np.nan
+    rho = ho_ground_density(g.x)
+    rho /= g.trapezoid(rho)
+    with pytest.raises(InstabilityError, match=r"t=0\.001;"):
+        evolve_density_fokker_planck(df, rho, 1e-3, 5)
 
 
 def test_sharp_spike_with_huge_step_reports_instability():

@@ -139,6 +139,20 @@ def test_config_from_dict_type_errors():
         config_from_dict({"sde": 42})
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"grid": {"n": "abc"}}, r"grid\.n: expected int, got 'abc'"),
+    ({"grid": {"x_max": [8.0]}}, r"grid\.x_max: expected float"),
+    ({"sde": {"seed": None}}, r"sde\.seed: expected int, got None"),
+    ({"tolerances": [1, 2]}, r"tolerances: must be an object"),
+    ({"checks": "equal_time_value"}, r"checks: must be a list"),
+    ({"checks": ["equal_time_value", 3]}, r"checks: must be a list"),
+], ids=["grid.n", "grid.x_max", "sde.seed", "tolerances", "checks_str",
+        "checks_item"])
+def test_config_from_dict_field_type_errors_name_the_field(raw, match):
+    with pytest.raises(InputError, match=match):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("raw, key", [
     ({"state": {"kind": "ho_ground"}}, "state"),
     ({"params": [{"kind": "nu", "value": 0.5}]}, "params"),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,3 +237,26 @@ def test_ensemble_io_roundtrip(tmp_path, grid801, ground, p_half):
     lines = csvpath.read_text().splitlines()
     assert lines[0] == "path_id,step,x"
     assert len(lines) == 1 + 50 * 6
+
+
+def test_ensemble_csv_round_trips_every_double(tmp_path, grid801, ground,
+                                               p_half):
+    df = drift_fields(ground, p_half)
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 37, seed=8)
+    e = simulate_ensemble(df, x0, p_half, 1e-3, 9, seed=8)
+    with export_ensemble_csv(tmp_path / "e.csv", e).open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["path_id", "step", "x"]
+    k, j = np.divmod(np.arange(e.n_paths * (e.n_steps + 1)), e.n_steps + 1)
+    assert [int(r[0]) for r in rows[1:]] == k.tolist()
+    assert [int(r[1]) for r in rows[1:]] == j.tolist()
+    assert [float(r[2]) for r in rows[1:]] == e.paths[k, j].tolist()
+    # the rows a per-sample csv.writer loop writes, byte for byte
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path_id", "step", "x"])
+        for kk in range(e.n_paths):
+            for jj in range(e.n_steps + 1):
+                w.writerow([kk, jj, repr(float(e.paths[kk, jj]))])
+    assert (tmp_path / "e.csv").read_bytes() == ref.read_bytes()

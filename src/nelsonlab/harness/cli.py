@@ -19,7 +19,9 @@ from ..sampler import (density_histogram, estimate_backward_drift,
                        estimate_forward_drift, export_ensemble_binary,
                        export_ensemble_csv, export_table_csv, sample_initial,
                        simulate_ensemble)
+from .checks import MONTE_CARLO_CHECKS
 from .config import ExperimentConfig, load_config
+from .report import INCONCLUSIVE
 from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
 
 
@@ -119,6 +121,12 @@ def cmd_verify(args) -> int:
     print(f"\n{counts['pass']} passed, {counts['fail']} failed, "
           f"{counts['fail_expected']} failed-as-documented, "
           f"{counts['inconclusive']} inconclusive")
+    # a record is named after its check, with an optional [member] suffix
+    if args.level == "full" and all(
+            r.status == INCONCLUSIVE for r in report.records
+            if r.name.split("[")[0] in MONTE_CARLO_CHECKS):
+        print(f"no Monte Carlo check was decided at --paths {args.paths}: "
+              "the statistical claims were not verified")
     out = _out_dir(args)
     report.write(out / f"verify_{args.level}.json")
     print(f"report: {out / f'verify_{args.level}.json'}")

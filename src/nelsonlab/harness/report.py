@@ -3,16 +3,17 @@
 Every record names the identity it verifies (a stable anchor string), the
 oracle its reference came from, the measured and reference values, the
 tolerance it was held to, and its outcome.  Outcomes are ``pass``,
-``fail``, or ``inconclusive`` (insufficient occupancy for a statistical
-assertion -- deliberately distinct from failure).  Records for checks
-that are known to be unattainable in exact arithmetic carry
-``known_unattainable = True`` and do not flip the aggregate status; the
-notes field holds the quantitative story.
+``fail``, or ``inconclusive`` (too few samples, or too much sampling
+noise, for a statistical assertion -- deliberately distinct from
+failure).  Records for checks that are known to be unattainable in exact
+arithmetic carry ``known_unattainable = True`` and do not flip the
+aggregate status; the notes field holds the quantitative story.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -69,7 +70,7 @@ class Report:
         return out
 
     def to_json(self, include_timestamp: bool = True) -> str:
-        records = [asdict(r) for r in self.records]
+        records = [_null_nonfinite(asdict(r)) for r in self.records]
         if not include_timestamp:
             for r in records:
                 r.pop("elapsed_s", None)   # timing is timestamp-class data
@@ -96,6 +97,16 @@ class Report:
             out.append(f"[{tag}] {r.name} ({r.anchor})"
                        + (f" -- {r.notes}" if r.notes and r.status != PASS else ""))
         return out
+
+
+def _null_nonfinite(obj):
+    """JSON has no NaN or infinity: a value a check could not measure (at a
+    starved path count, say) is written as null."""
+    if isinstance(obj, dict):
+        return {k: _null_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _jsonify(obj):

@@ -54,9 +54,9 @@ def verify_suite(level: str = "fast", cfg: ExperimentConfig | None = None
     """Run the built-in verification suite.
 
     ``fast`` covers the deterministic identity and solver checks (seconds);
-    ``full`` adds the seeded Monte Carlo checks (about a minute at the
-    default path count).  Statistical checks at starved path counts come
-    back inconclusive rather than failed.
+    ``full`` adds the seeded Monte Carlo checks (about 45 s at the default
+    path count).  Statistical checks at starved path counts come back
+    inconclusive rather than failed.
     """
     if level not in ("fast", "full"):
         raise InputError(f"level must be fast or full, got {level!r}")

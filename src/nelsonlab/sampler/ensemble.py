@@ -132,10 +132,10 @@ class _EulerMaruyama:
         elif n_workers < 1:
             raise InputError("n_workers must be >= 1")
         guard = df.max_abs_b() * dt
-        if guard >= 10.0 * df.grid.dx:
+        if not guard < 10.0 * df.grid.dx:     # a NaN drift node fails too
             raise InputError(
                 f"dt too large for this drift: max|b| dt = {guard:.3g} "
-                f"exceeds 10 dx = {10 * df.grid.dx:.3g}")
+                f"is not below 10 dx = {10 * df.grid.dx:.3g}")
         self.df = df
         self.dt = dt
         self.sigma = np.sqrt(2.0 * p.nu_real * dt)

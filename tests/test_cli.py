@@ -109,3 +109,28 @@ def test_cli_surfaces_errors(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sampled, says", [
+    ("inconclusive", True),
+    ("pass", False),
+])
+def test_verify_says_when_no_monte_carlo_check_was_decided(
+        sampled, says, tmp_path, capsys, monkeypatch):
+    from nelsonlab.harness import cli
+    from nelsonlab.harness.report import CheckRecord, Report
+
+    def starved_suite(level, cfg):
+        return Report(environment={}, records=[
+            CheckRecord(name="equal_time_value", anchor="a", status="pass"),
+            CheckRecord(name="stationary_variance[nu=0.5]", anchor="b",
+                        status=sampled),
+            CheckRecord(name="drift_recovery", anchor="c",
+                        status="inconclusive")])
+
+    monkeypatch.setattr(cli, "verify_suite", starved_suite)
+    rc = main(["verify", "--level", "full", "--paths", "10",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert ("no Monte Carlo check was decided at --paths 10" in out) == says

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from nelsonlab import InputError
-from nelsonlab.harness import (FULL_CHECKS, CheckContext, ExperimentConfig,
-                               Report, config_from_dict, emit_plots_data,
-                               load_config, run_experiment, verify_suite)
-from nelsonlab.harness.checks import (check_continued_two_time,
-                                      check_equal_time_value,
-                                      check_stationary_variance)
-from nelsonlab.harness.report import PASS, CheckRecord
+from nelsonlab.harness import (FAST_CHECKS, FULL_CHECKS, CheckContext,
+                               ExperimentConfig, Report, config_from_dict,
+                               emit_plots_data, load_config, run_experiment,
+                               verify_suite)
+from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status,
+                                      check_continued_two_time,
+                                      check_equal_time_value)
+from nelsonlab.harness.report import FAIL, INCONCLUSIVE, PASS, CheckRecord
+from nelsonlab.sampler import MIN_COUNT_ASSERT
 
 
 def small_cfg(**kw):
@@ -84,11 +86,45 @@ def test_report_body_is_deterministic():
     assert r1.to_json(include_timestamp=False) == r2.to_json(include_timestamp=False)
 
 
-def test_statistical_checks_go_inconclusive_at_tiny_n():
-    cfg = small_cfg(n_paths=10)
-    ctx = CheckContext(cfg)
-    recs = check_stationary_variance(ctx)
-    assert recs[0].status == "inconclusive"
+@pytest.mark.parametrize("dev, count, expected, min_count, status", [
+    (0.99, MIN_COUNT_ASSERT, 0.0, MIN_COUNT_ASSERT, PASS),
+    (1.0, MIN_COUNT_ASSERT, 0.0, MIN_COUNT_ASSERT, FAIL),
+    (float("nan"), 10 ** 6, 0.0, MIN_COUNT_ASSERT, FAIL),
+    (5.0, MIN_COUNT_ASSERT - 1, 0.0, MIN_COUNT_ASSERT, INCONCLUSIVE),
+    (5.0, 10 ** 6, 1.0, MIN_COUNT_ASSERT, INCONCLUSIVE),
+    (0.5, 10 ** 6, 0.99, MIN_COUNT_ASSERT, PASS),
+    (0.5, 49_999, 0.0, 50_000, INCONCLUSIVE),
+], ids=["below_limit", "at_limit_fails", "nan_fails", "low_count",
+        "noise_reaches_limit", "noise_below_limit", "caller_min_count"])
+def test_monte_carlo_status_rule(dev, count, expected, min_count, status):
+    assert _mc_status(dev, count, expected, min_count) == status
+
+
+def test_monte_carlo_checks_are_the_full_checks_that_sample():
+    assert MONTE_CARLO_CHECKS == (set(FULL_CHECKS) - set(FAST_CHECKS)
+                                  - {"determinism",
+                                     "fp_schrodinger_consistency"})
+    assert len(MONTE_CARLO_CHECKS) == 8
+
+
+@pytest.fixture(scope="module")
+def starved_contexts():
+    return {n: CheckContext(small_cfg(n_paths=n)) for n in (10, 1000)}
+
+
+@pytest.mark.parametrize("n_paths", [10, 1000])
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO_CHECKS))
+def test_monte_carlo_check_at_starved_path_count(name, n_paths,
+                                                 starved_contexts):
+    """A correct program is never red for want of samples: at 10 paths
+    every record is inconclusive, and at 1000 only a known-unattainable
+    record may fail."""
+    recs = FULL_CHECKS[name](starved_contexts[n_paths])
+    assert recs
+    for r in recs:
+        assert r.status != FAIL or r.known_unattainable, (r.name, r.measured)
+        if n_paths == 10:
+            assert r.status == INCONCLUSIVE, (r.name, r.status)
 
 
 def test_correlation_curve_columns(tmp_path):
@@ -119,6 +155,16 @@ def test_fast_suite_lines_and_counts():
 def test_verify_rejects_unknown_level():
     with pytest.raises(InputError):
         verify_suite("medium")
+
+
+def test_report_writes_unmeasured_values_as_null():
+    rec = CheckRecord(name="x", anchor="a", status=INCONCLUSIVE,
+                      measured={"dev": np.nan, "nested": {"z": np.inf},
+                                "count": 0})
+    text = Report(records=[rec], environment={}).to_json()
+    assert "NaN" not in text and "Infinity" not in text
+    measured = json.loads(text)["records"][0]["measured"]
+    assert measured == {"dev": None, "nested": {"z": None}, "count": 0}
 
 
 def test_known_unattainable_does_not_flip_aggregate():

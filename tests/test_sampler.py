@@ -129,14 +129,22 @@ def _nan_node_drift():
     ({1: -1.25}, {9: -0.25}, "path 9 at step 1"),
 ])
 def test_nonfinite_report_is_partition_independent(n_workers, late, early,
-                                                   expected):
+                                                   expected, monkeypatch):
     df = _nan_node_drift()
+    # let the NaN node past the up-front dt guard, so the per-step report runs
+    monkeypatch.setattr(df, "max_abs_b", lambda: 500.0)
     x0 = np.full(12, -5.0)
     for k, v in {**late, **early}.items():
         x0[k] = v
     with pytest.raises(NumericalBreakdownError, match=expected):
         simulate_ensemble(df, x0, df.params, 1e-3, 3, seed=1,
                           n_workers=n_workers)
+
+
+def test_nan_drift_node_is_rejected_before_any_step():
+    df = _nan_node_drift()
+    with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
+        simulate_ensemble(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
 
 
 def test_store_every_matches_dense_run(grid801, ground, p_half):

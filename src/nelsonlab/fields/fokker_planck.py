@@ -74,7 +74,8 @@ def evolve_density_fokker_planck(df: DriftField, rho0: np.ndarray, dt: float,
     Raises
     ------
     InputError
-        Non-finite, negative or non-normalized rho0, bad dt or n_steps.
+        Non-finite, negative or non-normalized rho0, bad dt, n_steps or
+        store_every.
     InstabilityError
         If any nodal density drops below -1e-6 or is NaN (suggests a
         smaller dt).
@@ -94,6 +95,8 @@ def evolve_density_fokker_planck(df: DriftField, rho0: np.ndarray, dt: float,
         raise InputError(f"rho0 is not normalized: integral = {norm:.8f}")
     if n_steps < 0:
         raise InputError("n_steps must be >= 0")
+    if store_every < 1:
+        raise InputError("store_every must be >= 1")
     if n_steps > 0 and not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
 

@@ -34,11 +34,10 @@ from ..fields.wave import WaveSolution
 from ..finitediff import gradient
 from ..grids import Grid1D
 from ..sampler import (MIN_COUNT_ASSERT, Ensemble, density_histogram,
-                       estimate_backward_drift, estimate_forward_drift,
-                       estimate_mean_acceleration,
+                       ensemble_steps, estimate_backward_drift,
+                       estimate_forward_drift, estimate_mean_acceleration,
                        estimate_quadratic_variation, histogram_l1_distance,
-                       reflect, sample_initial, simulate_ensemble)
-from ..sampler.ensemble import _EulerMaruyama
+                       sample_initial, simulate_ensemble)
 from .config import ExperimentConfig
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, digest
 
@@ -94,7 +93,12 @@ class CheckContext:
     def tol(self, name: str, default: float) -> float:
         return float(self.cfg.tolerances.get(name, default))
 
-    def record(self, name, anchor, status, **fields) -> CheckRecord:
+    def record(self, name, anchor, status, cause="", **fields) -> CheckRecord:
+        """``cause``: why a Monte Carlo record is inconclusive, as
+        ``_mc_status`` gives it; it leads the notes."""
+        if cause:
+            fields["notes"] = "; ".join(filter(None, (cause,
+                                                      fields.get("notes"))))
         return CheckRecord(name=name, anchor=anchor, status=status,
                            inputs_digest=digest(self.cfg.digest_payload()),
                            **fields)
@@ -105,15 +109,17 @@ def _status(value: float, tol: float) -> str:
 
 
 def _mc_status(dev: float, count: int, expected: float = 0.0,
-               min_count: int = MIN_COUNT_ASSERT) -> str:
-    """The one Monte Carlo rule.  ``dev``: the gate's worst deviation in
-    units of its limit (|z|/3 for 3-SE gates, value/tol for tolerance
-    gates); ``count``: the samples behind it; ``expected``: the deviation
-    noise alone gives a correct program, sqrt(2/pi) SE in the same units
-    (zero for 3-SE gates)."""
-    if count < min_count or expected >= 1.0:
-        return INCONCLUSIVE
-    return PASS if dev < 1.0 else FAIL
+               min_count: int = MIN_COUNT_ASSERT) -> tuple[str, str]:
+    """The one Monte Carlo rule: (status, why it is inconclusive or "").
+    ``dev``: the gate's worst deviation in units of its limit (|z|/3 for
+    3-SE gates, value/tol for tolerance gates); ``count``: the samples
+    behind it; ``expected``: the deviation noise alone gives a correct
+    program, sqrt(2/pi) SE in the same units (zero for 3-SE gates)."""
+    if count < min_count:
+        return INCONCLUSIVE, f"{count:.0f} samples, below {min_count}"
+    if expected >= 1.0:
+        return INCONCLUSIVE, f"noise alone is {expected:.3g} of the limit"
+    return PASS if dev < 1.0 else FAIL, ""
 
 
 def _worst(*devs) -> float:
@@ -823,8 +829,8 @@ def check_qvar_recovery(ctx: CheckContext):
     worst_r = max(v for k, v in devs.items() if k.startswith("richardson_rel"))
     return [ctx.record(
         "qvar_recovery", "quadratic-variation",
-        _mc_status(max(worst / tol, worst_r / tol_rich), count,
-                   np.sqrt(2 / np.pi) * noise),
+        *_mc_status(max(worst / tol, worst_r / tol_rich), count,
+                    np.sqrt(2 / np.pi) * noise),
         measured=devs, reference={"value": "2 nu",
                                   "richardson": "O(dt) bias removed"},
         tolerance=tol, oracle="defining variance of the noise; "
@@ -886,7 +892,7 @@ def check_drift_recovery(ctx: CheckContext):
     }
     return [ctx.record(
         "drift_recovery", "drift-definition",
-        _mc_status(_worst(dev_f, dev_b, dev_o), int(wsum.sum())),
+        *_mc_status(_worst(dev_f, dev_b, dev_o), int(wsum.sum())),
         measured={"usable_bins": int(use.sum()),
                   "max_forward_dev_over_3se": _worst(dev_f),
                   "max_backward_dev_over_3se": _worst(dev_b),
@@ -916,7 +922,7 @@ def check_initial_sampling(ctx: CheckContext):
     in_support = bool(np.all(np.abs(xs - grid.x[i0]) <= grid.dx))
     worst = max(dev_mean, dev_var) if empty and in_support else np.inf
     return [ctx.record(
-        "initial_sampling", "initial-law", _mc_status(worst, n),
+        "initial_sampling", "initial-law", *_mc_status(worst, n),
         measured={"mean_dev_over_3se": dev_mean, "var_dev_over_3se": dev_var,
                   "empty_ok": empty, "spike_support_ok": in_support},
         reference={"mean": 0.0, "variance": 0.5},
@@ -960,7 +966,7 @@ def check_stationary_variance(ctx: CheckContext):
         dev = abs(v - 0.5) / (3 * se)
         records.append(ctx.record(
             f"stationary_variance[nu={nu}]", "measurable-statistics",
-            _mc_status(dev, n),
+            *_mc_status(dev, n),
             measured={"nu": nu, "variance": v, "dev_over_3se": dev,
                       "max_dev_over_3se": dev},
             reference={"variance": 0.5}, tolerance=1.0, std_error=se,
@@ -973,7 +979,7 @@ def check_stationary_variance(ctx: CheckContext):
                             for d, se_d in zip(diffs, ses))
     records.append(ctx.record(
         "stationary_variance[pairwise]", "measurable-statistics",
-        _mc_status(pair, n),
+        *_mc_status(pair, n),
         measured={"pairwise_dev_over_3se": float(pair)},
         reference={"property": "identical across the family"},
         tolerance=1.0, std_error=float(pair_se),
@@ -1017,8 +1023,9 @@ def check_density_histogram_match(ctx: CheckContext):
     noise_l1 = np.sqrt(2 / np.pi) * l1_se
     return [ctx.record(
         "density_histogram_match", "density-law",
-        _mc_status(max(worst_l1 / tol, devs["free_packet_var_dev_over_3se"]),
-                   ef.n_paths, noise_l1 / tol),
+        *_mc_status(max(worst_l1 / tol,
+                        devs["free_packet_var_dev_over_3se"]),
+                    ef.n_paths, noise_l1 / tol),
         measured=devs,
         reference={"L1": f"< {tol} vs exp(2R) at t = 10 for each nu",
                    "free_packet": "variance follows the spreading law"},
@@ -1064,7 +1071,7 @@ def check_fk_bridge_real(ctx: CheckContext):
     rel_se = max(se / abs(mat) for _, _, se, mat, _ in rows)
     return [ctx.record(
         "fk_bridge_real", "path-correlation-formula",
-        _mc_status(worst / tol, e.n_paths, np.sqrt(2 / np.pi) * rel_se / tol),
+        *_mc_status(worst / tol, e.n_paths, np.sqrt(2 / np.pi) * rel_se / tol),
         measured=devs,
         reference={"autocovariance": "0.5 exp(-2 nu s)"},
         tolerance=tol,
@@ -1073,29 +1080,15 @@ def check_fk_bridge_real(ctx: CheckContext):
         notes="matrix element equals the exact autocovariance to O(dx^2)")]
 
 
-def _coherent_mean_curve(ctx, nu, dt, n_total, n_paths, seed, keep_steps):
-    """Streaming simulation keeping only snapshot rows and the mean curve.
-
-    Steps with the sampler's own sharded Euler-Maruyama step, so the noise,
-    the dt guard and the non-finite check are those of ``simulate_ensemble``.
-    """
+def _coherent_steps(ctx, dt, n_steps, n_paths, seed):
+    """``ensemble_steps`` of the displaced oscillator packet (x0 = 1) at
+    nu = 1/2, its drift tabulated a step past the last one."""
     grid = ctx.grid
-    times = np.linspace(0.0, (n_total + 1) * dt, 80)
+    times = np.linspace(0.0, (n_steps + 1) * dt, 80)
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
-    p = diffusion_params("nu", nu)
-    df = drift_fields(ws, p)
-    x = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
-    x = reflect(x, grid.x_min, grid.x_max)
-    means = np.empty(n_total + 1)
-    means[0] = x.mean()
-    kept = {}
-    with _EulerMaruyama(df, p, dt, n_paths, seed, n_workers=None) as em:
-        for j in range(n_total):
-            em.step(x, j)
-            means[j + 1] = x.mean()
-            if (j + 1) in keep_steps:
-                kept[j + 1] = x.copy()
-    return means, kept
+    p = diffusion_params("nu", 0.5)
+    x0 = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
+    return ensemble_steps(drift_fields(ws, p), x0, p, dt, n_steps, seed)
 
 
 def check_mean_acceleration_packet(ctx: CheckContext):
@@ -1118,9 +1111,9 @@ def check_mean_acceleration_packet(ctx: CheckContext):
     tau = stride * dt
     c1 = 2 * (1 - np.cos(tau)) / tau ** 2   # finite-stride factor on cos
     devs, worst = {}, np.nan
-    if _mc_status(worst, n_cfg, min_count=min_paths) != INCONCLUSIVE:
-        means, _ = _coherent_mean_curve(ctx, 0.5, dt, n_total, n_paths,
-                                        ctx.cfg.sde.seed + 2, keep_steps=())
+    if _mc_status(worst, n_cfg, min_count=min_paths)[0] != INCONCLUSIVE:
+        means = [x.mean() for x in _coherent_steps(
+            ctx, dt, n_total, n_paths, ctx.cfg.sde.seed + 2)]
         worst = 0.0
         for j0 in t_probe:
             t = j0 * dt
@@ -1135,14 +1128,14 @@ def check_mean_acceleration_packet(ctx: CheckContext):
             worst = max(worst, rel)
     return [ctx.record(
         "mean_acceleration_packet", "mean-acceleration",
-        _mc_status(worst / tol, n_cfg, min_count=min_paths), measured=devs,
+        *_mc_status(worst / tol, n_cfg, min_count=min_paths), measured=devs,
         reference={"packet": "d2<x>/dt2 = -<x> for the displaced oscillator "
                              "state at nu = hbar/2m"},
         tolerance=tol, oracle="classical center motion x0 cos(t)",
         notes=f"stride tau = {tau:g} trades the 4 nu / tau^3 estimator "
               f"variance against the finite-stride factor "
-              f"2(1-cos tau)/tau^2 = {c1:.4f} (divided out); "
-              f"n_paths = {n_paths}")]
+              f"2(1-cos tau)/tau^2 = {c1:.4f} (divided out)"
+              + (f"; n_paths = {n_paths}" if devs else ""))]
 
 
 def check_mean_acceleration_binned_literal(ctx: CheckContext):
@@ -1160,10 +1153,9 @@ def check_mean_acceleration_binned_literal(ctx: CheckContext):
     dt = 0.01
     n_paths = ctx.cfg.sde.n_paths
     j0 = 100
-    means, kept = _coherent_mean_curve(ctx, 0.5, dt, j0 + 1, n_paths,
-                                       ctx.cfg.sde.seed + 3,
-                                       keep_steps=(j0 - 1, j0, j0 + 1))
-    paths = np.stack([kept[j0 - 1], kept[j0], kept[j0 + 1]], axis=1)
+    steps = _coherent_steps(ctx, dt, j0 + 1, n_paths, ctx.cfg.sde.seed + 3)
+    paths = np.stack([x.copy() for j, x in enumerate(steps) if j >= j0 - 1],
+                     axis=1)
     e = Ensemble(paths=paths, dt=dt, t0=(j0 - 1) * dt,
                  seed=ctx.cfg.sde.seed + 3,
                  params=diffusion_params("nu", 0.5),
@@ -1180,7 +1172,7 @@ def check_mean_acceleration_binned_literal(ctx: CheckContext):
     pred = -(2.0 / dt) * (centers - xbar) + 0.0 * centers
     return [ctx.record(
         "mean_acceleration_binned_literal", "mean-acceleration",
-        _mc_status(worst / tol, int(tab.counts[use].sum())),
+        *_mc_status(worst / tol, int(tab.counts[use].sum())),
         known_unattainable=True,
         measured={"max_relative_dev": worst,
                   "sample_bin_values": {f"x={c:.2f}": float(v)

@@ -1,5 +1,6 @@
 """Path sampling and conditional-moment estimation."""
-from .ensemble import Ensemble, reflect, sample_initial, simulate_ensemble
+from .ensemble import (Ensemble, ensemble_steps, reflect, sample_initial,
+                       simulate_ensemble)
 from .estimators import (MIN_COUNT_ASSERT, MIN_COUNT_DEFAULT,
                          ConditionalMomentTable, default_bins,
                          density_histogram, estimate_backward_drift,
@@ -16,6 +17,7 @@ __all__ = [
     "Ensemble",
     "default_bins",
     "density_histogram",
+    "ensemble_steps",
     "estimate_backward_drift",
     "estimate_forward_drift",
     "estimate_mean_acceleration",

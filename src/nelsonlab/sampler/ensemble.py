@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,141 +110,134 @@ def _default_workers(n_paths: int) -> int:
     return max(1, min(cores, n_paths // MIN_SHARD_PATHS))
 
 
-class _EulerMaruyama:
-    """Explicit Euler-Maruyama steps of a position array, sharded by path.
+def _shard_step(df: DriftField, x: np.ndarray, j: int, dt: float,
+                sigma: float, seed: int, lo: int, hi: int) -> int | None:
+    """Advance paths [lo, hi) of ``x`` from step j to j + 1 in place; return
+    the lowest path index that went non-finite, or None.
 
-    ``step(x, j)`` advances every path of ``x`` in place from step j to
-    j + 1.  Path shards ``[lo, hi)`` step concurrently on threads (the noise
-    draws and the numpy/scipy kernels release the GIL); each shard skips
-    ahead to its own slice of the step's noise row, so ``x`` after a step
-    does not depend on the partition.  Use as a context manager so the
-    threads are released.
+    The shard draws its slice of step j's noise row by skip-ahead, so ``x``
+    after a step does not depend on the partition.  It is stepped in blocks
+    of at most ``BLOCK_PATHS`` paths so that the temporaries stay in cache.
     """
-
-    def __init__(self, df: DriftField, p: DiffusionParams, dt: float,
-                 n_paths: int, seed: int, n_workers: int | None):
-        if not p.is_real:
-            raise UnsupportedConfigError(
-                "sampling needs a real diffusion constant")
-        if not dt > 0:
-            raise InputError(f"dt must be positive, got {dt}")
-        if n_workers is None:
-            n_workers = _default_workers(n_paths)
-        elif n_workers < 1:
-            raise InputError("n_workers must be >= 1")
-        guard = df.max_abs_b() * dt
-        if not guard < 10.0 * df.grid.dx:     # a NaN drift node fails too
-            raise InputError(
-                f"dt too large for this drift: max|b| dt = {guard:.3g} "
-                f"is not below 10 dx = {10 * df.grid.dx:.3g}")
-        self.df = df
-        self.dt = dt
-        self.sigma = np.sqrt(2.0 * p.nu_real * dt)
-        self.seed = seed
-        self.n_paths = n_paths
-        bounds = np.linspace(0, n_paths, n_workers + 1).astype(int).tolist()
-        self.shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        self._pool = None
-
-    def __enter__(self) -> "_EulerMaruyama":
-        if len(self.shards) > 1:
-            self._pool = ThreadPoolExecutor(max_workers=len(self.shards))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def _shard_step(self, x: np.ndarray, j: int, lo: int,
-                    hi: int) -> int | None:
-        """Advance paths [lo, hi) of ``x`` one step in place; return the
-        lowest path index that went non-finite, or None.
-
-        The shard is stepped in blocks of at most ``BLOCK_PATHS`` paths so
-        that the step's temporaries stay in cache.
-        """
-        grid = self.df.grid
-        for a in range(lo, hi, BLOCK_PATHS):
-            end = min(a + BLOCK_PATHS, hi)
-            xs = x[a:end]
-            z = rng.step_normals(self.seed, j, self.n_paths, a, end)
-            b = self.df.b_at(j * self.dt, xs)
-            b *= self.dt
-            xs += b
-            z *= self.sigma
-            xs += z
-            finite = np.isfinite(xs)
-            if not finite.all():
-                return a + int(np.argmin(finite))
-            xs[...] = reflect(xs, grid.x_min, grid.x_max)
-        return None
-
-    def step(self, x: np.ndarray, j: int) -> None:
-        if self._pool is None:
-            bad = [self._shard_step(x, j, a, b) for a, b in self.shards]
-        else:
-            bad = list(self._pool.map(
-                lambda s: self._shard_step(x, j, *s), self.shards))
-        bad = [k for k in bad if k is not None]
-        if bad:
-            raise NumericalBreakdownError(
-                f"non-finite position for path {min(bad)} at step {j + 1}")
+    grid = df.grid
+    for a in range(lo, hi, BLOCK_PATHS):
+        end = min(a + BLOCK_PATHS, hi)
+        xs = x[a:end]
+        z = rng.step_normals(seed, j, x.size, a, end)
+        b = df.b_at(j * dt, xs)
+        b *= dt
+        xs += b
+        z *= sigma
+        xs += z
+        finite = np.isfinite(xs)
+        if not finite.all():
+            return a + int(np.argmin(finite))
+        xs[...] = reflect(xs, grid.x_min, grid.x_max)
+    return None
 
 
-def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
-                      dt: float, n_steps: int, seed: int, *,
-                      n_workers: int | None = None,
-                      store_every: int = 1) -> Ensemble:
-    """Integrate the ensemble with explicit Euler-Maruyama steps.
+def ensemble_steps(df: DriftField, init: np.ndarray, p: DiffusionParams,
+                   dt: float, n_steps: int, seed: int, *,
+                   n_workers: int | None = None) -> Iterator[np.ndarray]:
+    """Step the ensemble with explicit Euler-Maruyama; yield its positions.
 
     ``x_{j+1} = x_j + b(x_j, t_j) dt + dW_j`` with ``dW_j`` zero-mean
     Gaussian of variance ``2 nu dt``; the drift is linear interpolation of
     the field in x and t; reflecting walls at the grid ends keep paths in
-    the box.  The paths are split into ``n_workers`` contiguous shards that
-    step on as many threads; ``None`` (the default) uses the usable cores
-    but keeps every shard at least ``MIN_SHARD_PATHS`` paths.  The result
-    is bit-identical for every value: each shard draws its slice of the
-    step's noise row by counter skip-ahead.  ``store_every`` keeps every
-    k-th step (``n_steps`` must divide evenly); the stored matrix then
-    represents the process observed at spacing ``k dt``, with the
-    integration step recorded separately.  ``paths`` is column-major, so
-    each stored step is contiguous.
+    the box (``init`` is folded in first).  The generator yields the
+    positions at steps 0, 1, ..., ``n_steps`` as *one* array that each
+    step advances in place: copy what must outlive the next step.
+
+    The paths are split into ``n_workers`` contiguous shards that step on
+    as many threads; ``None`` (the default) uses the usable cores but keeps
+    every shard at least ``MIN_SHARD_PATHS`` paths, and one shard steps on
+    the calling thread.  The positions are bit-identical for every value:
+    each shard draws its slice of the step's noise row by counter
+    skip-ahead.  Every argument is checked when this is called, before any
+    step; the threads start at the first ``next()`` and are released when
+    the generator finishes, raises or is closed.
 
     Raises
     ------
     UnsupportedConfigError
         Continued-mode parameters.
     InputError
-        A non-positive ``dt`` or ``n_workers``, or a drift so large that
-        ``max|b| dt >= 10 dx`` (step would jump many cells).
+        ``init`` not 1-d, a non-positive ``dt`` or ``n_workers``, a negative
+        ``n_steps``, or a drift so large that ``max|b| dt >= 10 dx`` (a step
+        would jump many cells; a NaN drift node fails too).
     NumericalBreakdownError
-        Non-finite position, reported with the first step at which one
-        occurs and the lowest path index at that step.
+        Non-finite position: a non-finite ``init`` on the call, or, while
+        stepping, the first step at which one occurs and the lowest path
+        index at that step.
     """
+    if not p.is_real:
+        raise UnsupportedConfigError(
+            "sampling needs a real diffusion constant")
+    if not dt > 0:
+        raise InputError(f"dt must be positive, got {dt}")
     init = np.asarray(init, dtype=float)
-    em = _EulerMaruyama(df, p, dt, init.size, seed, n_workers)
     if init.ndim != 1:
         raise InputError("init must be a 1-d array of positions")
+    if n_workers is None:
+        n_workers = _default_workers(init.size)
+    elif n_workers < 1:
+        raise InputError("n_workers must be >= 1")
+    guard = df.max_abs_b() * dt
+    if not guard < 10.0 * df.grid.dx:     # a NaN drift node fails too
+        raise InputError(
+            f"dt too large for this drift: max|b| dt = {guard:.3g} "
+            f"is not below 10 dx = {10 * df.grid.dx:.3g}")
     bad0 = ~np.isfinite(init)
     if bad0.any():
         raise NumericalBreakdownError(
             f"non-finite position for path {int(np.argmax(bad0))} at step 0")
     if n_steps < 0:
         raise InputError("n_steps must be >= 0")
+    bounds = np.linspace(0, init.size, n_workers + 1).astype(int).tolist()
+    shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    sigma = np.sqrt(2.0 * p.nu_real * dt)
+
+    def steps():
+        x = reflect(init, df.grid.x_min, df.grid.x_max)
+        pool = ThreadPoolExecutor(len(shards)) if len(shards) > 1 else None
+        run = map if pool is None else pool.map
+        try:
+            yield x
+            for j in range(n_steps):
+                bad = [k for k in run(lambda s: _shard_step(
+                    df, x, j, dt, sigma, seed, *s), shards) if k is not None]
+                if bad:
+                    raise NumericalBreakdownError(
+                        f"non-finite position for path {min(bad)} "
+                        f"at step {j + 1}")
+                yield x
+        finally:
+            if pool is not None:
+                pool.shutdown()
+    return steps()
+
+
+def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
+                      dt: float, n_steps: int, seed: int, *,
+                      n_workers: int | None = None,
+                      store_every: int = 1) -> Ensemble:
+    """Store every ``store_every``-th array that ``ensemble_steps`` yields.
+
+    The other arguments, their checks and the errors are those of
+    ``ensemble_steps``; ``store_every`` must be >= 1 and divide ``n_steps``
+    (InputError).  The stored matrix represents the process observed at
+    spacing ``store_every * dt``, with the integration step recorded as
+    ``sde_dt``.  ``paths`` is column-major, so each stored step is
+    contiguous.
+    """
+    steps = ensemble_steps(df, init, p, dt, n_steps, seed,
+                           n_workers=n_workers)
     if store_every < 1 or (n_steps % store_every and n_steps > 0):
         raise InputError("store_every must be >= 1 and divide n_steps")
-
-    n_paths = init.size
-    lo, hi = df.grid.x_min, df.grid.x_max
-    paths = np.empty((n_paths, n_steps // store_every + 1), order="F")
-    x = reflect(init, lo, hi)
-    paths[:, 0] = x
-    with em:
-        for j in range(n_steps):
-            em.step(x, j)
-            if (j + 1) % store_every == 0:
-                paths[:, (j + 1) // store_every] = x
+    paths = np.empty((len(init), n_steps // store_every + 1), order="F")
+    for j, x in enumerate(steps):
+        if j % store_every == 0:
+            paths[:, j // store_every] = x
     return Ensemble(paths=paths, dt=dt * store_every, t0=0.0, seed=seed,
-                    params=p, provenance=df.provenance, x_min=lo, x_max=hi,
-                    sde_dt=dt)
+                    params=p, provenance=df.provenance, x_min=df.grid.x_min,
+                    x_max=df.grid.x_max, sde_dt=dt)

@@ -131,6 +131,16 @@ def test_rejects_bad_density():
         evolve_density_fokker_planck(df, bad, 1e-3, 5)
 
 
+@pytest.mark.parametrize("store_every", [0, -2])
+def test_rejects_store_every_below_one(store_every):
+    g = Grid1D(-8.0, 8.0, 801)
+    rho = ho_ground_density(g.x)
+    rho /= g.trapezoid(rho)
+    with pytest.raises(InputError, match="store_every"):
+        evolve_density_fokker_planck(_flat_drift(g, 0.5), rho, 1e-3, 4,
+                                     store_every=store_every)
+
+
 @pytest.mark.parametrize("n_steps", [0, 5])
 def test_rejects_non_finite_density(n_steps):
     g = Grid1D(-8.0, 8.0, 801)

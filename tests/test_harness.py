@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,9 @@ def test_report_body_is_deterministic():
 ], ids=["below_limit", "at_limit_fails", "nan_fails", "low_count",
         "noise_reaches_limit", "noise_below_limit", "caller_min_count"])
 def test_monte_carlo_status_rule(dev, count, expected, min_count, status):
-    assert _mc_status(dev, count, expected, min_count) == status
+    got, cause = _mc_status(dev, count, expected, min_count)
+    assert got == status
+    assert bool(cause) == (status == INCONCLUSIVE)
 
 
 def test_monte_carlo_checks_are_the_full_checks_that_sample():
@@ -125,6 +128,8 @@ def test_monte_carlo_check_at_starved_path_count(name, n_paths,
         assert r.status != FAIL or r.known_unattainable, (r.name, r.measured)
         if n_paths == 10:
             assert r.status == INCONCLUSIVE, (r.name, r.status)
+            assert re.match(r"\d+ samples, below \d+|noise alone is ",
+                            r.notes), (r.name, r.notes)
 
 
 def test_correlation_curve_columns(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from nelsonlab import (Grid1D, InputError, NumericalBreakdownError,
                        UnsupportedConfigError, diffusion_params,
                        continue_to_imaginary)
 from nelsonlab.fields import drift_fields, ho_ground_density
-from nelsonlab.sampler import (load_ensemble_binary, export_ensemble_binary,
-                               export_ensemble_csv, reflect, sample_initial,
-                               simulate_ensemble, step_normals,
-                               stream_normals)
+from nelsonlab.sampler import (ensemble_steps, load_ensemble_binary,
+                               export_ensemble_binary, export_ensemble_csv,
+                               reflect, sample_initial, simulate_ensemble,
+                               step_normals, stream_normals)
 from nelsonlab.fields.drift import DriftField
 
 
@@ -122,7 +123,7 @@ def _nan_node_drift():
                       params=diffusion_params("nu", 0.5), provenance="nan node")
 
 
-@pytest.mark.parametrize("n_workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("n_workers", [None, 1, 2, 3, 8])
 @pytest.mark.parametrize("late, early, expected", [
     # paths at -1.25 go bad at step 2, paths at -0.25 at step 1
     ({2: -1.25}, {5: -0.25, 10: -0.25}, "path 5 at step 1"),
@@ -139,12 +140,86 @@ def test_nonfinite_report_is_partition_independent(n_workers, late, early,
     with pytest.raises(NumericalBreakdownError, match=expected):
         simulate_ensemble(df, x0, df.params, 1e-3, 3, seed=1,
                           n_workers=n_workers)
+    steps = ensemble_steps(df, x0, df.params, 1e-3, 3, seed=1,
+                           n_workers=n_workers)
+    next(steps)                                      # step 0 is the input
+    with pytest.raises(NumericalBreakdownError, match=expected):
+        next(steps)
+
+
+@pytest.mark.parametrize("n_workers", [None, 1, 3, 8])
+def test_ensemble_steps_yield_the_stored_paths(grid801, ground, p_half,
+                                               n_workers):
+    """One array, advanced in place, whose snapshots are the paths that
+    simulate_ensemble stores; on two or more cores None makes two shards."""
+    df = drift_fields(ground, p_half)
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 40_000, seed=7)
+    x0[:200] = 7.99                       # reflect at the right wall
+    steps = ensemble_steps(df, x0, p_half, 5e-3, 6, seed=7,
+                           n_workers=n_workers)
+    snaps = [(id(x), x.copy()) for x in steps]
+    assert len({i for i, _ in snaps}) == 1
+    stacked = np.stack([x for _, x in snaps], axis=1)
+    e = simulate_ensemble(df, x0, p_half, 5e-3, 6, seed=7)
+    assert np.array_equal(stacked, e.paths)
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((np.zeros(5), "continued", 1e-3, 3), {}, UnsupportedConfigError),
+    ((np.zeros(5), "real", 0.0, 3), {}, InputError),
+    ((np.zeros(5), "real", -1e-3, 3), {}, InputError),
+    ((np.zeros((5, 2)), "real", 1e-3, 3), {}, InputError),
+    ((np.array([0.0, np.nan]), "real", 1e-3, 3), {}, NumericalBreakdownError),
+    ((np.zeros(5), "real", 1e-3, -1), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, 3), {"n_workers": 0}, InputError),
+    ((np.zeros(5), "real", 1.0, 3), {}, InputError),     # max|b| dt
+], ids=["continued", "dt_zero", "dt_negative", "init_2d", "init_nan",
+        "n_steps_negative", "n_workers_zero", "dt_guard"])
+def test_ensemble_steps_checks_arguments_on_the_call(grid801, ground, p_half,
+                                                     args, kwargs, error):
+    df = drift_fields(ground, p_half)
+    init, mode, dt, n_steps = args
+    p = {"real": p_half,
+         "continued": continue_to_imaginary(p_half, "minus")}[mode]
+    with pytest.raises(error):
+        ensemble_steps(df, init, p, dt, n_steps, 1, **kwargs)   # no next()
+
+
+@pytest.mark.parametrize("n_workers", [None, 3])
+def test_empty_ensemble_and_zero_steps(grid801, ground, p_half, n_workers):
+    df = drift_fields(ground, p_half)
+    empty = list(ensemble_steps(df, np.empty(0), p_half, 1e-3, 4, seed=1,
+                                n_workers=n_workers))
+    assert len(empty) == 5 and all(x.shape == (0,) for x in empty)
+    e = simulate_ensemble(df, np.empty(0), p_half, 1e-3, 4, seed=1,
+                          n_workers=n_workers)
+    assert e.paths.shape == (0, 5)
+    x0 = np.array([-9.0, 0.5, 8.25])
+    only = list(ensemble_steps(df, x0, p_half, 1e-3, 0, seed=1,
+                               n_workers=n_workers))
+    assert len(only) == 1
+    assert np.array_equal(only[0], reflect(x0, grid801.x_min, grid801.x_max))
+
+
+def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half):
+    df = drift_fields(ground, p_half)
+    baseline = set(threading.enumerate())
+    steps = ensemble_steps(df, np.zeros(3000), p_half, 1e-3, 10, seed=1,
+                           n_workers=3)
+    assert set(threading.enumerate()) == baseline   # no thread on the call
+    next(steps)
+    next(steps)
+    assert set(threading.enumerate()) - baseline
+    steps.close()
+    assert set(threading.enumerate()) - baseline == set()
 
 
 def test_nan_drift_node_is_rejected_before_any_step():
     df = _nan_node_drift()
     with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
         simulate_ensemble(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
+    with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
+        ensemble_steps(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
 
 
 def test_store_every_matches_dense_run(grid801, ground, p_half):

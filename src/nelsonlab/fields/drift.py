@@ -15,6 +15,7 @@ stays finite.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class DriftField:
             return 0, 0, 0.0
         if t >= times[-1]:
             return times.size - 1, times.size - 1, 0.0
-        i = int(np.searchsorted(times, t, side="right") - 1)
+        i = bisect_right(times, t) - 1
         w = (t - times[i]) / (times[i + 1] - times[i])
         return i, i + 1, w
 
@@ -61,17 +62,30 @@ class DriftField:
     def b_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """Forward drift at arbitrary positions (linear in x and t).
 
-        Uses direct index arithmetic on the uniform grid (clamped to the
-        box), which is considerably faster than a searched interpolation
-        in the sampler's hot loop.
+        Positions outside the box take the value at the nearest wall.  The
+        row at t becomes per-cell tables, slope ``d[i] = row[i+1] - row[i]``
+        and intercept ``a[i] = row[i] - i d[i]`` (padded with ``d[n-1] = 0``
+        and ``a[n-1] = row[n-1]``), so that in units ``u`` of the grid
+        spacing, clipped to ``[0, n-1]``, the drift is ``a[i] + d[i] u``
+        with ``i = int(u)``: one clip, one cast, two gathers and one
+        multiply-add per position.  This agrees with the blend
+        ``(1 - w) row[i] + w row[i+1]`` to rounding (about 1e-14 of
+        max|b|), not bit for bit.
         """
         row = self.b_on_grid(t)
-        grid = self.grid
-        u = (np.asarray(x, dtype=float) - grid.x_min) / grid.dx
-        u = np.clip(u, 0.0, grid.n - 1.0)
-        i = np.minimum(u.astype(np.intp), grid.n - 2)
-        w = u - i
-        return row[i] * (1.0 - w) + row[i + 1] * w
+        n = self.grid.n
+        d = np.empty_like(row)
+        np.subtract(row[1:], row[:-1], out=d[:-1])
+        d[-1] = 0.0
+        a = row - np.arange(n) * d
+        u = np.subtract(x, self.grid.x_min, out=np.empty(np.shape(x)))
+        u /= self.grid.dx
+        np.clip(u, 0.0, n - 1.0, out=u)
+        i = u.astype(np.intp)
+        b = d[i]
+        b *= u
+        b += a[i]
+        return b
 
     def max_abs_b(self) -> float:
         return float(np.max(np.abs(self.b)))

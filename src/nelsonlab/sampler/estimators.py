@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .ensemble import Ensemble
+from .ensemble import BLOCK_PATHS, Ensemble
 
 MIN_COUNT_DEFAULT = 50
 MIN_COUNT_ASSERT = 500
@@ -45,20 +45,63 @@ def _as_edges(e: Ensemble, bins) -> np.ndarray:
     if bins is None:
         return default_bins(e)
     if np.isscalar(bins):
+        if isinstance(bins, (bool, np.bool_)) or not isinstance(
+                bins, (int, np.integer)) or bins < 1:
+            raise InputError(f"a bin count must be an integer >= 1, got {bins!r}")
         return default_bins(e, int(bins))
     edges = np.asarray(bins, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InputError("bins must be increasing edges or a bin count")
+    if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+            or np.any(np.diff(edges) <= 0)):
+        raise InputError("bins must be finite increasing edges or a bin count")
     return edges
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Slot of each sample: ``np.digitize(x, edges)`` on slots 1 ... nb.
+
+    Samples outside the edges, NaN included, land in slot 0 or nb + 1.
+    Each block of ``BLOCK_PATHS`` samples guesses its slots from uniform
+    spacing, then moves every sample one slot towards its bracket, tested
+    against the real edges, until none moves: one round for uniform edges,
+    more for irregular ones, and exact for any finite increasing edges.
+    Slot k holds ``left[k] <= x < right[k]``.  The top slot's right end is
+    NaN, not +inf, so that +inf stays in slot nb + 1 rather than moving up
+    past it; NaN compares false with every edge and stays in slot 0.
+    """
+    nb = edges.size - 1
+    ext = np.concatenate(([-np.inf], edges, [np.nan]))
+    left, right = ext[:-1], ext[1:]
+    out = np.empty(x.shape, dtype=np.intp)
+    # a guess may overflow or be NaN; it is clamped before it is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = nb / (edges[-1] - edges[0])
+        for a in range(0, x.size, BLOCK_PATHS):
+            xs = x[a:a + BLOCK_PATHS]
+            g = np.subtract(xs, edges[0])
+            g *= scale
+            g += 1.0
+            np.fmax(g, 0.0, out=g)             # NaN -> slot 0
+            np.fmin(g, nb + 1.0, out=g)
+            k = out[a:a + BLOCK_PATHS]
+            k[...] = g
+            while True:
+                down = xs < left[k]
+                up = xs >= right[k]
+                if not (down.any() or up.any()):
+                    break
+                k -= down
+                k += up
+    return out
 
 
 def _bin_reduce(cond: np.ndarray, values: np.ndarray, edges: np.ndarray,
                 min_count: int, t_index: int, kind: str) -> ConditionalMomentTable:
-    # digitize puts samples below the first edge in slot 0 and those at or
-    # above the last edge (and NaN) in slot nb + 1; slicing them off after
-    # bincount leaves each bin's sum over the same samples in the same order
+    # _bin_index gives np.digitize's slots 1 ... nb and puts every other
+    # sample (outside the edges or NaN) in slot 0 or nb + 1; slicing those
+    # off after bincount leaves each bin's sum over the same samples in the
+    # same order
     nb = edges.size - 1
-    idx = np.digitize(cond, edges)
+    idx = _bin_index(cond, edges)
     inside = slice(1, nb + 1)
     counts = np.bincount(idx, minlength=nb + 2)[inside]
     sums = np.bincount(idx, weights=values, minlength=nb + 2)[inside]

@@ -3,7 +3,7 @@ import pytest
 
 from nelsonlab import Grid1D, UnsupportedConfigError, diffusion_params, continue_to_imaginary
 from nelsonlab.fields import WaveSolution, analytic_oracle, drift_fields
-from nelsonlab.fields.drift import log_density_gradient
+from nelsonlab.fields.drift import DriftField, log_density_gradient
 from nelsonlab.finitediff import gradient
 
 
@@ -81,3 +81,66 @@ def test_pointwise_interpolation_matches_linear(grid801, ground, p_half, rng):
     x = rng.uniform(-8, 8, 5000)
     ref = np.interp(x, grid801.x, df.b_on_grid(0.0))
     assert np.max(np.abs(df.b_at(0.0, x) - ref)) < 1e-12
+
+
+def _blend_b_at(df, t, x):
+    """The former formula: clip, cast, clamp the cell, two gathers, blend."""
+    row = df.b_on_grid(t)
+    grid = df.grid
+    u = (np.asarray(x, dtype=float) - grid.x_min) / grid.dx
+    u = np.clip(u, 0.0, grid.n - 1.0)
+    i = np.minimum(u.astype(np.intp), grid.n - 2)
+    w = u - i
+    return row[i] * (1.0 - w) + row[i + 1] * w
+
+
+@pytest.mark.parametrize("state, times", [
+    ("ho_ground", [0.0]),
+    ("ho_coherent", [0.0, 0.4, 0.9, 1.5]),
+])
+def test_slope_table_b_at_matches_blend(grid801, state, times, rng):
+    params = {"x0": 1.0} if state == "ho_coherent" else None
+    ws = analytic_oracle(state, params, grid801, times)
+    df = drift_fields(ws, diffusion_params("nu", 0.5))
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 20_000), grid801.x,
+                        [-8.0, 8.0, -1e9, 1e9, -np.inf, np.inf]])
+    limit = 1e-13 * np.max(np.abs(df.b))
+    for t in (-1.0, *times, 0.2, 1.1, 3.0):
+        assert np.max(np.abs(df.b_at(t, x) - _blend_b_at(df, t, x))) <= limit
+    # outside the box: the value at the nearest wall
+    assert df.b_at(0.0, np.array([-9.0]))[0] == df.b_on_grid(0.0)[0]
+    assert df.b_at(0.0, np.array([9.0]))[0] == df.b_on_grid(0.0)[-1]
+
+
+def test_b_at_keeps_the_shape_of_x(grid801, ground, p_half):
+    df = drift_fields(ground, p_half)
+    assert np.shape(df.b_at(0.0, 0.5)) == ()
+    assert df.b_at(0.0, np.zeros((3, 4))).shape == (3, 4)
+    assert df.b_at(0.0, np.empty(0)).shape == (0,)
+
+
+def _searched_b_on_grid(df, t):
+    """The former time bracket: np.searchsorted on one scalar."""
+    times = df.times
+    if df.static or t <= times[0]:
+        i, k, w = 0, 0, 0.0
+    elif t >= times[-1]:
+        i = k = times.size - 1
+        w = 0.0
+    else:
+        i = int(np.searchsorted(times, t, side="right") - 1)
+        k = i + 1
+        w = (t - times[i]) / (times[i + 1] - times[i])
+    return (1.0 - w) * df.b[i] + w * df.b[k]
+
+
+def test_b_on_grid_equals_the_searched_bracket(grid801, p_half, rng):
+    times = np.sort(rng.uniform(0.0, 3.0, 157))
+    b = rng.normal(size=(times.size, grid801.n))
+    df = DriftField(grid=grid801, times=times, b=b, b_star=-b, params=p_half)
+    mids = 0.5 * (times[1:] + times[:-1])
+    probes = np.concatenate([
+        times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+        mids, [-1.0, times[0] - 1e-12, times[-1] + 1e-12, 4.0]])
+    for t in probes:
+        assert np.array_equal(df.b_on_grid(t), _searched_b_on_grid(df, t))

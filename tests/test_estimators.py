@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nelsonlab import Grid1D, InputError, diffusion_params
 from nelsonlab.fields import drift_fields, ho_ground_density
@@ -10,6 +11,7 @@ from nelsonlab.sampler import (Ensemble, density_histogram,
                                estimate_quadratic_variation,
                                export_table_csv, histogram_l1_distance,
                                sample_initial, simulate_ensemble)
+from nelsonlab.sampler.estimators import ConditionalMomentTable, _bin_index
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,85 @@ def test_density_histogram_and_l1(ou):
 def test_bad_bins_rejected(ou):
     with pytest.raises(InputError):
         estimate_forward_drift(ou, 1, bins=np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("bins", [[0.0, np.nan, 1.0], [-np.inf, 0.0, np.inf],
+                                  0, 2.5, True, -3])
+@pytest.mark.parametrize("estimate", [estimate_forward_drift,
+                                      density_histogram])
+def test_bad_bin_edges_and_counts_rejected(ou, bins, estimate):
+    with pytest.raises(InputError):
+        estimate(ou, 1, bins=bins)
+
+
+def _digitize_bin_reduce(cond, values, edges, min_count, t_index, kind):
+    """The reference reduction: np.digitize, then bincount in sample order."""
+    nb = edges.size - 1
+    idx = np.digitize(cond, edges)
+    inside = slice(1, nb + 1)
+    counts = np.bincount(idx, minlength=nb + 2)[inside]
+    sums = np.bincount(idx, weights=values, minlength=nb + 2)[inside]
+    sq = np.bincount(idx, weights=values * values, minlength=nb + 2)[inside]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = sums / counts
+        var = np.maximum(sq / counts - mean * mean, 0.0)
+        sem = np.sqrt(var / np.maximum(counts - 1, 1))
+    usable = counts >= max(min_count, 2)
+    mean[~usable] = np.nan
+    sem[~usable] = np.nan
+    return ConditionalMomentTable(bin_edges=edges, counts=counts,
+                                  estimate=mean, std_error=sem,
+                                  usable=usable, t_index=t_index, kind=kind)
+
+
+@pytest.mark.parametrize("bins", [None, 24, np.arange(-3.0, 3.01, 0.25),
+                                  np.array([-2.0, -0.7, -0.1, 0.0, 0.05,
+                                            1.3, 4.0])])
+def test_tables_equal_the_digitize_reduction(ou, bins):
+    j, dt = 10, ou.dt
+    x0, x1, x2 = ou.paths[:, j - 1], ou.paths[:, j], ou.paths[:, j + 1]
+    cases = [
+        (estimate_forward_drift, (x2 - x1) / dt),
+        (estimate_quadratic_variation, (x2 - x1) * (x2 - x1) / dt),
+        (estimate_mean_acceleration, (x2 - 2.0 * x1 + x0) / dt ** 2),
+    ]
+    for estimate, values in cases:
+        tab = estimate(ou, j, bins=bins)
+        ref = _digitize_bin_reduce(x1, values, tab.bin_edges, 50, j, tab.kind)
+        assert np.array_equal(tab.counts, ref.counts)
+        assert np.array_equal(tab.usable, ref.usable)
+        assert np.array_equal(tab.estimate, ref.estimate, equal_nan=True)
+        assert np.array_equal(tab.std_error, ref.std_error, equal_nan=True)
+
+
+_EDGES = st.one_of(
+    st.builds(lambda lo, step, n: np.arange(lo, lo + n * step, step),
+              st.floats(-5.0, 5.0), st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7]),
+              st.integers(2, 40)),
+    st.builds(lambda lo, width, nb: np.linspace(lo, lo + width, nb + 1),
+              st.floats(-1e3, 1e3), st.floats(1e-6, 1e3), st.integers(1, 60)),
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30,
+             unique=True).map(lambda v: np.array(sorted(v))),
+).filter(lambda e: e.size >= 2 and np.all(np.diff(e) > 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDGES, st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                        max_size=50), st.integers(0, 2 ** 32 - 1))
+def test_bin_index_agrees_with_digitize(edges, extra, seed):
+    nb = edges.size - 1
+    spread = np.random.default_rng(seed).uniform(
+        edges[0] - 1.0, edges[-1] + 1.0, 200)
+    x = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [np.nan, np.inf, -np.inf], spread, extra])
+    for sample in (x, np.empty(0)):
+        got = _bin_index(sample, edges)
+        ref = np.digitize(sample, edges)
+        inside = (ref >= 1) & (ref <= nb)
+        assert got.shape == sample.shape
+        assert np.array_equal(got[inside], ref[inside])
+        assert np.all((got[~inside] == 0) | (got[~inside] == nb + 1))
 
 
 def test_table_csv(tmp_path, ou):

@@ -4,10 +4,10 @@ from .evolution import (correlation, heisenberg_operator, stationary_generator,
                         taylor_heisenberg, time_derivative_recursion,
                         two_time_position_correlation)
 from .operators import (AccelerationFields, OperatorMatrix,
-                        acceleration_function, averaging_matrix,
-                        closed_derivative_matrix, closed_laplacian_matrix,
-                        commutator, density_curvature, derivative_operator,
-                        gauge_map, hamiltonian, mapped_velocity_operator,
+                        acceleration_function, averaging_bands,
+                        closed_derivative_bands, closed_laplacian_bands,
+                        commutator, density_curvature, gauge_map,
+                        hamiltonian, mapped_velocity_operator,
                         momentum_operator, position_operator,
                         rho_term_coefficient, velocity_operator)
 from .spaces import SPACE_KINDS, WeightedSpace, build_space
@@ -18,15 +18,14 @@ __all__ = [
     "SPACE_KINDS",
     "WeightedSpace",
     "acceleration_function",
-    "averaging_matrix",
+    "averaging_bands",
     "build_space",
-    "closed_derivative_matrix",
-    "closed_laplacian_matrix",
+    "closed_derivative_bands",
+    "closed_laplacian_bands",
     "commutator",
     "continue_to_imaginary",
     "correlation",
     "density_curvature",
-    "derivative_operator",
     "gauge_map",
     "hamiltonian",
     "heisenberg_operator",

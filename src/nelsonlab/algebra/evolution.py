@@ -12,49 +12,44 @@ evolved position at finite time is either the Taylor sum of the recursion
 or, on the continued branches, the exact unitary conjugation by the
 eigendecomposition of the interior Hamiltonian.
 
-The interior Hamiltonian and the stationary generator are tridiagonal, so
-their eigensystems come from their two bands through the O(n^2) MRRR
-tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``), and two-time
-matrix elements apply the eigenvectors to state vectors rather than
-forming the evolved operator.
+Operators are held as their diagonals, so the recursion goes band in,
+band out.  The interior Hamiltonian and the stationary generator are
+tridiagonal, so their eigensystems come from their two bands through the
+O(n^2) MRRR tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``),
+and two-time matrix elements apply the eigenvectors to state vectors
+rather than forming the evolved operator.
 """
 from __future__ import annotations
 
 from math import factorial
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
 from ..params import DiffusionParams
-from .operators import OperatorMatrix, commutator
+from .operators import OperatorMatrix, _scaled, commutator
 from .spaces import WeightedSpace
 
 _STATE_NORM_TOL = 1e-6
 
 
-def _tridiagonal_eigh(m: np.ndarray, **options):
-    """Eigenvalues (ascending) and eigenvectors of a real symmetric
-    tridiagonal matrix held dense, from its diagonal and first
-    off-diagonal.
+def _interior_bands(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and first off-diagonal of H on the interior nodes.
 
-    ``options`` (``eigvals_only``, ``select``, ``select_range``) go to
-    ``scipy.linalg.eigh_tridiagonal``.
+    H must have no nonzero diagonal beyond the first and be real symmetric
+    on the interior, as ``hamiltonian`` builds it.
     """
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag), initial=0.0) > 0:
-            raise InputError("the matrix must be real symmetric")
-        m = m.real
-    lo, up = bandwidth(m)
-    if lo > 1 or up > 1:
-        raise InputError(f"the matrix must be tridiagonal, not of bandwidth "
-                         f"({lo}, {up})")
-    off = np.diagonal(m, 1)
-    if not np.array_equal(off, np.diagonal(m, -1)):
+    wide = [k for k, d in H.diagonals.items() if abs(k) > 1 and d.any()]
+    if wide:
+        raise InputError(f"the matrix must be tridiagonal; it has nonzero "
+                         f"diagonals out to offsets ({min(wide)}, {max(wide)})")
+    lower, diag, upper = (H.diagonal(k)[1:-1] for k in (-1, 0, 1))
+    if any(np.iscomplexobj(d) and d.imag.any() for d in (lower, diag, upper)) \
+            or not np.array_equal(lower, upper):
         raise InputError("the matrix must be real symmetric")
-    return _eigh_bands(np.diagonal(m), off, **options)
+    return diag.real, upper.real
 
 
 def _eigh_bands(diag: np.ndarray, off: np.ndarray, **options):
@@ -86,13 +81,11 @@ def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
         raise UnsupportedConfigError(
             "real-mode recursion is defined for stationary densities only")
     scale = 1.0 / (2.0 * p.m * p.nu)
-    out: list[OperatorMatrix] = []
-    current = X0.matrix.astype(complex)
+    out = [X0]
     for k in range(n_target):
-        current = scale * commutator(H.matrix, current)
-        out.append(OperatorMatrix(X0.space, current,
-                                  f"time_derivative^{k + 1}"))
-    return out
+        out.append(OperatorMatrix(X0.space, _scaled(
+            scale, commutator(H, out[-1]).diagonals), f"time_derivative^{k + 1}"))
+    return out[1:]
 
 
 def taylor_heisenberg(X: OperatorMatrix, H: OperatorMatrix, s: float,
@@ -105,11 +98,11 @@ def taylor_heisenberg(X: OperatorMatrix, H: OperatorMatrix, s: float,
     """
     if order < 0:
         raise InputError("order must be >= 0")
-    total = X.matrix.astype(complex).copy()
-    if order > 0:
-        derivs = time_derivative_recursion(X, H, p, order)
-        for k, Xk in enumerate(derivs, start=1):
-            total += Xk.matrix * (s ** k / factorial(k))
+    total = {k: d.astype(complex) for k, d in X.diagonals.items()}
+    derivs = time_derivative_recursion(X, H, p, order) if order > 0 else []
+    for k, Xk in enumerate(derivs, start=1):
+        for r, d in Xk.diagonals.items():
+            total[r] = total.get(r, 0) + d * (s ** k / factorial(k))
     return OperatorMatrix(X.space, total, f"taylor_evolved(s={s:g}, order={order})")
 
 
@@ -123,23 +116,25 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     rows pass through unchanged from X.
 
     The interior of H must be real symmetric tridiagonal and X diagonal,
-    as ``hamiltonian`` and ``position_operator`` build them.
+    as ``hamiltonian`` and ``position_operator`` build them.  X(s) is a
+    full matrix: it is formed dense and stored through ``from_dense``.
     """
     if p.is_real:
         raise UnsupportedConfigError(
             "exact conjugation is a continued-branch operation; use "
             "taylor_heisenberg or the stationary semigroup in real mode")
-    if bandwidth(X.matrix) != (0, 0):
+    if any(d.any() for k, d in X.diagonals.items() if k != 0):
         raise InputError("exact conjugation needs a diagonal position operator")
-    lam, U = _tridiagonal_eigh(H.matrix[1:-1, 1:-1])
+    x = X.diagonal(0)
+    lam, U = _eigh_bands(*_interior_bands(H))
     # minus branch: X(s) = L X L^H with L = U e^{i phi} U^T = e^{+iHs/hbar}
     phi = -p.sign * lam * s / p.hbar
     left = np.empty(U.shape, dtype=complex)
     left.real = (U * np.cos(phi)) @ U.T
     left.imag = (U * np.sin(phi)) @ U.T
-    out = X.matrix.astype(complex)
-    out[1:-1, 1:-1] = (left * np.diagonal(X.matrix)[1:-1]) @ left.conj()
-    return OperatorMatrix(X.space, out, f"heisenberg(s={s:g})")
+    out = np.diag(x.astype(complex))
+    out[1:-1, 1:-1] = (left * x[1:-1]) @ left.conj()
+    return OperatorMatrix.from_dense(X.space, out, f"heisenberg(s={s:g})")
 
 
 def correlation(state: np.ndarray, ops: list[OperatorMatrix],
@@ -160,14 +155,22 @@ def correlation(state: np.ndarray, ops: list[OperatorMatrix],
     for op in reversed(ops):
         if op.space.grid.n != space.grid.n:
             raise InputError("operator/state dimension mismatch")
-        vec = op.matrix @ vec
+        vec = op.apply(vec)
     return space.inner(state, vec)
 
 
-def _stationary_bands(ws: WaveSolution, p: DiffusionParams, t_index: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of ``stationary_generator``'s ``L``, and
-    theta, from the three-point hard-wall stencil on theta."""
+def stationary_generator(ws: WaveSolution, p: DiffusionParams,
+                         t_index: int = 0
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauge-image generator of the stationary diffusion on interior nodes.
+
+    Returns ``(diag, off, theta)``: the diagonal and the off-diagonal of
+    the symmetric tridiagonal ``L = nu (Lap_D - diag(Lap_D theta / theta))``
+    and ``theta = sqrt(rho)`` on the interior nodes.  The construction makes
+    ``L theta = 0`` exact, so ``exp(s L)`` is a stable contraction with
+    theta invariant.  This is the Hamiltonian of the recursion shifted by
+    the state's energy and divided by ``2 m nu``, up to O(dx^2).
+    """
     if not p.is_real:
         raise UnsupportedConfigError("the stationary semigroup is real-mode only")
     grid = ws.grid
@@ -179,22 +182,6 @@ def _stationary_bands(ws: WaveSolution, p: DiffusionParams, t_index: int
     diag = p.nu_real * (-2.0 * inv - q)
     off = np.full(theta.size - 1, p.nu_real * inv)
     return diag, off, theta
-
-
-def stationary_generator(ws: WaveSolution, p: DiffusionParams,
-                         t_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauge-image generator of the stationary diffusion on interior nodes.
-
-    Returns ``(L, theta)`` with ``L = nu (Lap_D - diag(Lap_D theta / theta))``
-    and ``theta = sqrt(rho)`` on the interior nodes: a symmetric matrix
-    whose construction makes ``L theta = 0`` exact, so ``exp(s L)`` is a
-    stable contraction with theta invariant.  This is the Hamiltonian of
-    the recursion shifted by the state's energy and divided by ``2 m nu``,
-    up to O(dx^2).
-    """
-    diag, off, theta = _stationary_bands(ws, p, t_index)
-    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    return L, theta
 
 
 def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
@@ -216,7 +203,7 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     grid = ws.grid
     xi = grid.x[1:-1]
     if p.is_real:
-        diag, off, theta = _stationary_bands(ws, p, t_index)
+        diag, off, theta = stationary_generator(ws, p, t_index)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
         lam, U = _eigh_bands(diag, off)
         v = xi * theta
@@ -228,7 +215,7 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     from .spaces import build_space
     space = build_space(grid, "L2")
     H = hamiltonian(None, p, V, space)
-    lam, U = _tridiagonal_eigh(H.matrix[1:-1, 1:-1])
+    lam, U = _eigh_bands(*_interior_bands(H))
     psi = np.exp(ws.R[t_index] + 1j * np.where(np.isnan(ws.S[t_index]), 0.0,
                                                ws.S[t_index]))
     psi = space.normalize(psi)

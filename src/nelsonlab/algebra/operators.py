@@ -1,9 +1,9 @@
 """Operator matrices on a grid: position, velocities, Hamiltonian.
 
-Every operator is stored as a dense ``n x n`` array, but every operator
-built here is diagonal or tridiagonal, so ``commutator`` reads the band of
-its narrower operand and forms the two products from a few diagonals
-instead of two dense matrix products.
+Every operator is stored as its diagonals.  Those built here are diagonal
+or tridiagonal and the recursion terms stay banded (order k has 2k + 1
+diagonals), so ``commutator`` forms its products diagonal by diagonal, band
+in and band out.  Only the exact Heisenberg conjugation is a full matrix.
 
 All differential operator matrices carry the hard-wall closure: exact
 centered stencils on interior rows, zero entries in the boundary rows and
@@ -27,9 +27,9 @@ matrix identities against A*, and second-order against the plain identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import bandwidth
 
 from ..errors import EmptyMaskError, InputError, UnsupportedConfigError
 from ..fields.drift import DriftField
@@ -39,159 +39,170 @@ from ..params import DiffusionParams
 from .spaces import WeightedSpace
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator with the space it acts on and a provenance label."""
+    """Operator held as its diagonals, with the space it acts on and a
+    provenance label.
+
+    ``diagonals[k]`` is diagonal ``k`` in ``np.diagonal``'s convention:
+    entry ``j`` is ``M[j, j + k]`` for ``k >= 0`` and ``M[j - k, j]`` for
+    ``k < 0``, so it holds ``n - |k|`` values.  Stored offsets are kept in
+    ascending order; offsets that are not stored are zero.
+    """
 
     space: WeightedSpace
-    matrix: np.ndarray
+    diagonals: dict[int, np.ndarray]
     label: str = ""
     meta: dict | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
+        if not isinstance(self.diagonals, dict):
+            raise InputError("diagonals must map offsets to arrays; build "
+                             "from a dense matrix with from_dense")
         n = self.space.grid.n
+        diags = {}
+        for k in sorted(self.diagonals):
+            if not isinstance(k, (int, np.integer)) or abs(k) >= n:
+                raise InputError(f"offset {k!r} is not an integer inside "
+                                 f"an {n}-node operator")
+            d = np.asarray(self.diagonals[k])
+            if d.shape != (n - abs(k),):
+                raise InputError(f"diagonal {k} has shape {d.shape}, not "
+                                 f"({n - abs(k)},)")
+            if not np.all(np.isfinite(d)):
+                raise InputError("operator entries must be finite")
+            diags[int(k)] = d
+        object.__setattr__(self, "diagonals", diags)
+
+    @classmethod
+    def from_dense(cls, space: WeightedSpace, m: np.ndarray,
+                   label: str = "") -> OperatorMatrix:
+        """The operator of the dense matrix ``m``: its main diagonal and
+        every other diagonal that has a nonzero entry."""
+        m = np.asarray(m)
+        n = space.grid.n
         if m.shape != (n, n):
-            raise InputError(f"operator shape {m.shape} does not match grid n={n}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("operator entries must be finite")
-        self.matrix = m
+            raise InputError(f"operator shape {m.shape} does not match "
+                             f"grid n={n}")
+        diags = {k: np.diagonal(m, k).copy() for k in range(1 - n, n)}
+        return cls(space, {k: d for k, d in diags.items()
+                           if k == 0 or d.any()}, label)
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        """Diagonal ``k``; zeros when it is not stored."""
+        d = self.diagonals.get(k)
+        return np.zeros(self.space.grid.n - abs(k)) if d is None else d
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense view, built from the diagonals on first use."""
+        n = self.space.grid.n
+        m = np.zeros((n, n), np.result_type(float, *self.diagonals.values()))
+        flat = m.reshape(-1)
+        for k, d in self.diagonals.items():
+            start = k if k >= 0 else -k * n
+            flat[start:start + d.size * (n + 1):n + 1] = d
+        m.flags.writeable = False
+        return m
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(f)
+        """``M f`` for a nodal field: each diagonal scales a shifted slice
+        of ``f``."""
+        f = np.asarray(f)
+        n = self.space.grid.n
+        if f.shape != (n,):
+            raise InputError(f"operand shape {f.shape} is not a nodal field "
+                             f"of n={n}")
+        out = np.zeros(n, np.result_type(f, *self.diagonals.values()))
+        for k, d in self.diagonals.items():
+            r, c = max(0, -k), max(0, k)
+            out[r:r + d.size] += d * f[c:c + d.size]
+        return out
 
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.space, self.matrix @ other.matrix,
-                                  f"({self.label} @ {other.label})")
-        return self.matrix @ other
-
-
-# The band kernel below costs about what the two dense complex products cost
-# once the narrow operand has about n/40 diagonals (measured at n = 512 and
-# 1025 against a wide operand), so it is used up to n/64.
-_BAND_RATIO = 64
-_ROW_BLOCK = 16
-
-
-def commutator(a: OperatorMatrix | np.ndarray,
-               b: OperatorMatrix | np.ndarray) -> np.ndarray:
-    """Matrix commutator [a, b] = ab - ba, as a dense array.
-
-    When the operand with fewer diagonals has at most ``n / 64`` of them,
-    both products are sums of that operand's diagonals scaling shifted rows
-    and columns of the other, restricted to the other's band: O(bands n^2)
-    work against a wide operand and far less against a banded one, instead
-    of two O(n^3) products.  Two wide operands take the plain
-    dense products.
-    """
-    ma = a.matrix if isinstance(a, OperatorMatrix) else np.asarray(a)
-    mb = b.matrix if isinstance(b, OperatorMatrix) else np.asarray(b)
-    if ma.ndim != 2 or ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
-        return ma @ mb - mb @ ma
-    try:
-        band_a, band_b = bandwidth(ma), bandwidth(mb)
-    except TypeError:  # a dtype bandwidth cannot scan, e.g. object
-        return ma @ mb - mb @ ma
-    if sum(band_a) <= sum(band_b):
-        narrow, wide, swap = (ma, band_a), (mb, band_b), False
-    else:
-        narrow, wide, swap = (mb, band_b), (ma, band_a), True
-    if (sum(narrow[1]) + 1) * _BAND_RATIO > ma.shape[0]:
-        return ma @ mb - mb @ ma
-    return _banded_commutator(narrow, wide, swap)
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        return self.apply(f)
 
 
-def _banded_commutator(narrow, wide, swap: bool) -> np.ndarray:
-    """``N W - W N`` (``W N - N W`` when ``swap``) for ``narrow = (N, (l, u))``
-    and ``wide = (W, (lw, uw))``, the operands with their lower and upper
-    bandwidths.
-
-    ``(N W)[i] = sum_k N[i, i+k] W[i+k]`` scales shifted rows of W and
-    ``(W N)[:, j] = sum_k W[:, j-k] N[j-k, j]`` scales shifted columns.  Row
-    blocks of the result are formed in turn over the columns the two bands
-    can reach, each product summed over k in ascending order as a dense
-    product sums its inner index.
-    """
-    (nm, (lo, up)), (w, (lw, uw)) = narrow, wide
-    n = w.shape[0]
-    dtype = np.result_type(nm, w)
-    out = np.zeros((n, n), dtype=dtype)
-    diags = [(k, np.diagonal(nm, k)) for k in range(-lo, up + 1)]
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(n, r0 + _ROW_BLOCK)
-        c0, c1 = max(0, r0 - lo - lw), min(n, r1 + up + uw)
-        nw = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
-        wn = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
-        for k, d in diags:
-            # N[i, i+k] is d[i] for k >= 0 and d[i+k] for k < 0
-            i0, i1 = max(r0, -k), min(r1, n - k)
-            if i0 < i1:
-                dk = d[i0:i1] if k >= 0 else d[i0 + k:i1 + k]
-                nw[i0 - r0:i1 - r0] += dk[:, None] * w[i0 + k:i1 + k, c0:c1]
-            # N[j-k, j] is d[j-k] for k >= 0 and d[j] for k < 0
-            if k >= 0 and max(c0, k) < c1:
-                j0 = max(c0, k)
-                wn[:, j0 - c0:] += w[r0:r1, j0 - k:c1 - k] * d[j0 - k:c1 - k]
-            elif k < 0 and c0 < min(c1, n + k):
-                j1 = min(c1, n + k)
-                wn[:, :j1 - c0] += w[r0:r1, c0 - k:j1 - k] * d[c0:j1]
-        if swap:
-            np.subtract(wn, nw, out=out[r0:r1, c0:c1])
-        else:
-            np.subtract(nw, wn, out=out[r0:r1, c0:c1])
+def _product(a: OperatorMatrix, b: OperatorMatrix) -> dict[int, np.ndarray]:
+    """Diagonals of ``a b``: ``(ab)[i, i+p+q] += a[i, i+p] b[i+p, i+p+q]``,
+    each sum taken over ``p`` in ascending order."""
+    n = a.space.grid.n
+    dtype = np.result_type(*a.diagonals.values(), *b.diagonals.values())
+    out: dict[int, np.ndarray] = {}
+    for p, da in a.diagonals.items():
+        for q, db in b.diagonals.items():
+            r = p + q
+            if abs(r) >= n:
+                continue
+            if r not in out:
+                out[r] = np.zeros(n - abs(r), dtype)
+            # rows i where a[i, i+p], b[i+p, i+r] and (ab)[i, i+r] all exist;
+            # diagonal k holds row i at index i - max(0, -k)
+            i0, i1 = max(0, -p, -r), min(n, n - p, n - r)
+            sa, sb, sr = max(0, -p), max(0, -q) - p, max(0, -r)
+            out[r][i0 - sr:i1 - sr] += da[i0 - sa:i1 - sa] * db[i0 - sb:i1 - sb]
     return out
 
 
-def _hard_wall_tridiagonal(n: int, lower: float, diag: float,
-                           upper: float) -> np.ndarray:
-    """Three-point stencil ``(lower, diag, upper)`` on the interior rows,
-    with the hard-wall closure: boundary rows and columns are zero."""
-    M = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    M[idx, idx - 1] = lower
-    M[idx, idx] = diag
-    M[idx, idx + 1] = upper
-    M[:, [0, -1]] = 0.0
-    return M
+def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """Commutator ``[a, b] = ab - ba``, formed diagonal by diagonal.
+
+    Each product diagonal is a sum over the pairs of stored diagonals whose
+    offsets add up to it, so the work is (diagonals of a) x (diagonals of b)
+    x n, and the result has the diagonals the two products can reach.
+    """
+    if a.space.grid.n != b.space.grid.n:
+        raise InputError("commutator operands act on different grids")
+    ab, ba = _product(a, b), _product(b, a)
+    return OperatorMatrix(a.space, {r: ab[r] - ba[r] for r in ab},
+                          f"[{a.label}, {b.label}]")
 
 
-def closed_derivative_matrix(n: int, dx: float) -> np.ndarray:
+def _scaled(c, bands: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Every diagonal multiplied by the scalar ``c``."""
+    return {k: c * d for k, d in bands.items()}
+
+
+def _hard_wall_bands(n: int, lower: float, diag: float,
+                     upper: float) -> dict[int, np.ndarray]:
+    """Diagonals of the three-point stencil ``(lower, diag, upper)`` on the
+    interior rows, with the hard-wall closure: boundary rows and columns
+    are zero."""
+    bands = {-1: np.zeros(n - 1), 0: np.zeros(n), 1: np.zeros(n - 1)}
+    for k, value in zip((-1, 0, 1), (lower, diag, upper)):
+        bands[k][1:-1] = value
+    return bands
+
+
+def closed_derivative_bands(n: int, dx: float) -> dict[int, np.ndarray]:
     """Centered first derivative with the hard-wall closure.
 
     Interior rows are the exact centered stencil; boundary rows and
     columns are zero, making the matrix exactly antisymmetric.
     """
     c = 0.5 / dx
-    return _hard_wall_tridiagonal(n, -c, 0.0, c)
+    return _hard_wall_bands(n, -c, 0.0, c)
 
 
-def closed_laplacian_matrix(n: int, dx: float) -> np.ndarray:
+def closed_laplacian_bands(n: int, dx: float) -> dict[int, np.ndarray]:
     """Centered second derivative with the hard-wall closure (symmetric)."""
     inv = 1.0 / (dx * dx)
-    return _hard_wall_tridiagonal(n, inv, -2.0 * inv, inv)
+    return _hard_wall_bands(n, inv, -2.0 * inv, inv)
 
 
-def averaging_matrix(n: int) -> np.ndarray:
+def averaging_bands(n: int) -> dict[int, np.ndarray]:
     """The discrete unit produced by centered-stencil commutators.
 
     Nearest-neighbor average on interior rows, with the hard-wall closure
     (no reach into boundary columns); zero boundary rows.  Equals
     ``[D, X]`` for the closed derivative exactly.
     """
-    return _hard_wall_tridiagonal(n, 0.5, 0.0, 0.5)
+    return _hard_wall_bands(n, 0.5, 0.0, 0.5)
 
 
 def position_operator(space: WeightedSpace) -> OperatorMatrix:
     """Multiplication by the node coordinate."""
-    return OperatorMatrix(space, np.diag(space.grid.x), "position")
-
-
-def derivative_operator(space: WeightedSpace) -> OperatorMatrix:
-    """Centered first derivative with the hard-wall closure."""
-    return OperatorMatrix(space, closed_derivative_matrix(space.grid.n,
-                                                          space.grid.dx),
-                          "d/dx")
+    return OperatorMatrix(space, {0: space.grid.x}, "position")
 
 
 def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace,
@@ -201,10 +212,10 @@ def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace,
         raise UnsupportedConfigError(
             "velocity_operator is a real-mode object; use "
             "mapped_velocity_operator on the continued branches")
-    b_row = df.b_on_grid(t)
-    mat = np.diag(b_row) + 2.0 * p.nu_real * closed_derivative_matrix(
-        space.grid.n, space.grid.dx)
-    return OperatorMatrix(space, mat, "velocity")
+    bands = _scaled(2.0 * p.nu_real,
+                    closed_derivative_bands(space.grid.n, space.grid.dx))
+    bands[0] = df.b_on_grid(t) + bands[0]
+    return OperatorMatrix(space, bands, "velocity")
 
 
 def mapped_velocity_operator(p: DiffusionParams, space: WeightedSpace
@@ -214,9 +225,8 @@ def mapped_velocity_operator(p: DiffusionParams, space: WeightedSpace
     On the continued branches this is ``+/- (i hbar / m) d/dx``, whose mass
     multiple is the momentum operator.
     """
-    D = closed_derivative_matrix(space.grid.n, space.grid.dx)
-    mat = (2.0 * p.nu) * D
-    return OperatorMatrix(space, mat, "mapped_velocity")
+    bands = closed_derivative_bands(space.grid.n, space.grid.dx)
+    return OperatorMatrix(space, _scaled(2.0 * p.nu, bands), "mapped_velocity")
 
 
 def momentum_operator(p: DiffusionParams, space: WeightedSpace) -> OperatorMatrix:
@@ -224,7 +234,7 @@ def momentum_operator(p: DiffusionParams, space: WeightedSpace) -> OperatorMatri
     if p.is_real:
         raise UnsupportedConfigError("momentum is a continued-branch object")
     op = mapped_velocity_operator(p, space)
-    return OperatorMatrix(space, p.m * op.matrix, "momentum")
+    return OperatorMatrix(space, _scaled(p.m, op.diagonals), "momentum")
 
 
 def gauge_map(f: np.ndarray, R: np.ndarray, S: np.ndarray,
@@ -349,7 +359,6 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
     grid = space.grid
     if V.shape != (grid.n,):
         raise InputError("V must be a nodal field on the grid")
-    Lap = closed_laplacian_matrix(grid.n, grid.dx)
     coeff = rho_term_coefficient(p)
     diag = np.zeros(grid.n)
     if p.is_real:
@@ -362,14 +371,15 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
                 "cannot be formed")
         q = np.where(qmask, q, 0.0)  # flat plateau outside the floor
         diag[1:-1] = (V - coeff.real * q)[1:-1]
-        mat = 2.0 * p.m * p.nu_real ** 2 * Lap + np.diag(diag)
+        kinetic = 2.0 * p.m * p.nu_real ** 2
         stationary = _is_stationary(ws)
     else:
         diag[1:-1] = V[1:-1]
-        mat = (-p.hbar ** 2 / (2.0 * p.m)) * Lap + np.diag(diag)
+        kinetic = -p.hbar ** 2 / (2.0 * p.m)
         stationary = True
-    return OperatorMatrix(space, mat,
-                          "hamiltonian",
+    bands = _scaled(kinetic, closed_laplacian_bands(grid.n, grid.dx))
+    bands[0] = bands[0] + diag
+    return OperatorMatrix(space, bands, "hamiltonian",
                           meta={"stationary": stationary, "mode": p.mode,
                                 "rho_coefficient": coeff})
 

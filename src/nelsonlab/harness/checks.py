@@ -15,15 +15,16 @@ same content, which must pass.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from ..algebra import (averaging_matrix, build_space, commutator, correlation,
-                       gauge_map, hamiltonian, heisenberg_operator,
-                       mapped_velocity_operator, momentum_operator,
-                       position_operator, rho_term_coefficient,
-                       taylor_heisenberg, time_derivative_recursion,
+from ..algebra import (OperatorMatrix, averaging_bands, build_space,
+                       commutator, correlation, gauge_map, hamiltonian,
+                       heisenberg_operator, mapped_velocity_operator,
+                       momentum_operator, position_operator,
+                       rho_term_coefficient, taylor_heisenberg,
+                       time_derivative_recursion,
                        two_time_position_correlation, velocity_operator,
                        acceleration_function)
-from ..algebra.evolution import _tridiagonal_eigh
 from ..errors import DomainError
 from ..fields import (analytic_oracle, decompose, diffusion_params,
                       continue_to_imaginary, drift_fields,
@@ -332,7 +333,7 @@ def check_commutator_exact(ctx: CheckContext):
     tol = ctx.tol("commutator_exact", 1e-12)
     grid = ctx.dyadic_grid
     ws = ctx.ho_ground(grid)
-    A = averaging_matrix(grid.n)
+    A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
     devs = {}
     for nu in (0.5, 1.0, 2.0):
         p = diffusion_params("nu", nu)
@@ -341,8 +342,9 @@ def check_commutator_exact(ctx: CheckContext):
         X = position_operator(space)
         vel = velocity_operator(df, p, space)
         C = commutator(vel, X)
-        devs[f"nu={nu}"] = float(np.max(np.abs((C - 2 * nu * A)[1:-1, :])))
-        devs[f"[X,X]_nu={nu}"] = float(np.max(np.abs(commutator(X, X))))
+        devs[f"nu={nu}"] = float(np.max(np.abs(
+            (C.matrix - 2 * nu * A)[1:-1, :])))
+        devs[f"[X,X]_nu={nu}"] = float(np.max(np.abs(commutator(X, X).matrix)))
     worst = float(max(devs.values()))
     return [ctx.record(
         "commutator_exact", "commutation-rules", _status(worst, tol),
@@ -396,7 +398,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
 def check_canonical_algebra(ctx: CheckContext):
     tol = ctx.tol("canonical_algebra", 1e-12)
     grid = ctx.dyadic_grid
-    A = averaging_matrix(grid.n)
+    A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
     devs = {}
     base = diffusion_params("nu", 0.5)
     for sign in ("minus", "plus"):
@@ -407,7 +409,7 @@ def check_canonical_algebra(ctx: CheckContext):
         want = 1j * pc.hbar if sign == "minus" else -1j * pc.hbar
         C = commutator(X, P)
         devs[f"[X,P]-{sign}"] = float(np.max(np.abs(
-            (C - want * A)[1:-1, :])))
+            (C.matrix - want * A)[1:-1, :])))
         coeff = rho_term_coefficient(pc)
         devs[f"rho_coefficient_{sign}"] = abs(coeff)
         # z * (S/z) = S: the fixed phase is branch independent
@@ -586,8 +588,8 @@ def check_hamiltonian_spectrum(ctx: CheckContext):
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
     H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
-    lam = _tridiagonal_eigh(H.matrix[1:-1, 1:-1], eigvals_only=True,
-                            select="i", select_range=(0, 1))
+    lam = eigh_tridiagonal(H.diagonal(0)[1:-1], H.diagonal(1)[1:-1],
+                           eigvals_only=True, select="i", select_range=(0, 1))
     err0 = abs(lam[0] - 0.5)
     err1 = abs(lam[1] - 1.5)
     return [ctx.record(
@@ -665,10 +667,10 @@ def check_heisenberg_closed_form(ctx: CheckContext):
     devs = {}
     for s in (0.1, 1.0):
         Xs = heisenberg_operator(X, H, s, pc)
-        model = X.matrix * np.cos(s) + P.matrix * np.sin(s)
+        gap_op = Xs.matrix - (X.matrix * np.cos(s) + P.matrix * np.sin(s))
         gap = 0.0
         for psi in _smooth_test_states(grid):
-            gap = max(gap, float(np.max(np.abs((Xs.matrix - model) @ psi))))
+            gap = max(gap, float(np.max(np.abs(gap_op @ psi))))
         devs[f"s={s}"] = gap
     worst = float(max(devs.values()))
     return [ctx.record(
@@ -701,9 +703,9 @@ def check_recursion_closed_forms(ctx: CheckContext):
     # oscillator: X^2 = -X in action
     Hh = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
     _, X2h = time_derivative_recursion(X, Hh, pc, 2)
-    devs["ho_X2_plus_X"] = max(
-        float(np.max(np.abs((X2h.matrix + X.matrix) @ psi)))
-        for psi in states)
+    X2h_plus_X = X2h.matrix + X.matrix
+    devs["ho_X2_plus_X"] = max(float(np.max(np.abs(X2h_plus_X @ psi)))
+                               for psi in states)
     # real mode, ground state: X^2 = multiplication by the acceleration field
     p = diffusion_params("nu", 0.5)
     ws = ctx.ho_ground(grid)

@@ -144,10 +144,15 @@ def test_equal_time_value_is_nu_independent(grid801):
         assert abs(v - 0.5) < 1e-6
 
 
+def _dense_generator(ws, p):
+    diag, off, theta = stationary_generator(ws, p)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), theta
+
+
 def test_stationary_generator_annihilates_sqrt_density(grid801):
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     p = diffusion_params("nu", 0.5)
-    L, theta = stationary_generator(ws, p)
+    L, theta = _dense_generator(ws, p)
     assert np.max(np.abs(L @ theta)) < 1e-12
     assert np.max(np.abs(L - L.T)) < 1e-12
 
@@ -155,7 +160,7 @@ def test_stationary_generator_annihilates_sqrt_density(grid801):
 def test_stationary_generator_matches_dense_laplacian(grid801):
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     p = diffusion_params("nu", 0.7)
-    L, theta = stationary_generator(ws, p)
+    L, theta = _dense_generator(ws, p)
     m, inv = grid801.n - 2, 1.0 / grid801.dx ** 2
     lap = (np.diag(np.full(m, -2.0 * inv)) + np.diag(np.full(m - 1, inv), 1)
            + np.diag(np.full(m - 1, inv), -1))
@@ -273,12 +278,13 @@ def test_heisenberg_needs_tridiagonal_h_and_diagonal_x():
     wide = H.matrix.copy()
     wide[5, 7] = wide[7, 5] = 0.1
     with pytest.raises(InputError, match="tridiagonal"):
-        heisenberg_operator(X, OperatorMatrix(sp, wide), 0.3, pc)
+        heisenberg_operator(X, OperatorMatrix.from_dense(sp, wide), 0.3, pc)
     skew = H.matrix.copy()
     skew[5, 6] += 0.1
     with pytest.raises(InputError, match="symmetric"):
-        heisenberg_operator(X, OperatorMatrix(sp, skew), 0.3, pc)
+        heisenberg_operator(X, OperatorMatrix.from_dense(sp, skew), 0.3, pc)
     smeared = X.matrix.copy()
     smeared[5, 6] = smeared[6, 5] = 0.1
     with pytest.raises(InputError, match="diagonal"):
-        heisenberg_operator(OperatorMatrix(sp, smeared), H, 0.3, pc)
+        heisenberg_operator(OperatorMatrix.from_dense(sp, smeared), H, 0.3,
+                            pc)

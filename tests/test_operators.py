@@ -1,11 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nelsonlab import (Grid1D, EmptyMaskError, UnsupportedConfigError,
-                       diffusion_params, continue_to_imaginary)
-from nelsonlab.algebra import (acceleration_function, averaging_matrix,
-                               build_space, commutator, density_curvature,
-                               gauge_map, hamiltonian,
+from nelsonlab import (Grid1D, EmptyMaskError, InputError,
+                       UnsupportedConfigError, diffusion_params,
+                       continue_to_imaginary)
+from nelsonlab.algebra import (OperatorMatrix, WeightedSpace,
+                               acceleration_function, averaging_bands,
+                               build_space, closed_derivative_bands,
+                               closed_laplacian_bands, commutator,
+                               density_curvature, gauge_map, hamiltonian,
                                mapped_velocity_operator, momentum_operator,
                                position_operator, rho_term_coefficient,
                                velocity_operator)
@@ -29,23 +35,21 @@ def test_position_operator_basics(setup, rng):
     # self-adjoint in any weighted space
     g = rng.standard_normal(grid.n)
     assert sp.inner(f, X.apply(g)) == pytest.approx(sp.inner(X.apply(f), g))
-    assert np.max(np.abs(commutator(X, X))) == 0.0
+    assert np.max(np.abs(commutator(X, X).matrix)) == 0.0
 
 
 def test_velocity_commutator_is_exactly_2nu_averaging(setup):
     grid, ground, _ = setup
-    A = averaging_matrix(grid.n)
+    sp = build_space(grid, "H_t", ground.rho(0))
+    A = OperatorMatrix(sp, averaging_bands(grid.n)).matrix
     for nu in (0.5, 1.0, 2.0):
         p = diffusion_params("nu", nu)
         df = drift_fields(ground, p)
-        sp = build_space(grid, "H_t", ground.rho(0))
         C = commutator(velocity_operator(df, p, sp), position_operator(sp))
-        assert np.max(np.abs((C - 2 * nu * A)[1:-1, :])) == 0.0
+        assert np.max(np.abs((C.matrix - 2 * nu * A)[1:-1, :])) == 0.0
 
 
 def test_closed_stencils_match_entrywise_reference():
-    from nelsonlab.algebra import (closed_derivative_matrix,
-                                   closed_laplacian_matrix)
     dx = 0.37
     for n in (3, 4, 17):
         ref = {k: np.zeros((n, n)) for k in ("D", "L", "A")}
@@ -55,9 +59,11 @@ def test_closed_stencils_match_entrywise_reference():
                     ref["D"][i, j] = w * (0.5 / dx)
                     ref["L"][i, j] = (-2.0 if w == 0.0 else 1.0) / (dx * dx)
                     ref["A"][i, j] = 0.0 if w == 0.0 else 0.5
-        assert np.array_equal(closed_derivative_matrix(n, dx), ref["D"])
-        assert np.array_equal(closed_laplacian_matrix(n, dx), ref["L"])
-        assert np.array_equal(averaging_matrix(n), ref["A"])
+        sp = build_space(Grid1D(0.0, 1.0, n), "L2")
+        for key, bands in (("D", closed_derivative_bands(n, dx)),
+                           ("L", closed_laplacian_bands(n, dx)),
+                           ("A", averaging_bands(n))):
+            assert np.array_equal(OperatorMatrix(sp, bands).matrix, ref[key])
 
 
 def test_velocity_on_constant_gives_drift(setup):
@@ -75,8 +81,7 @@ def test_mapped_velocity_and_momentum(setup):
     grid, _, p = setup
     sp = build_space(grid, "L2")
     mv = mapped_velocity_operator(p, sp)
-    from nelsonlab.algebra import closed_derivative_matrix
-    D = closed_derivative_matrix(grid.n, grid.dx)
+    D = OperatorMatrix(sp, closed_derivative_bands(grid.n, grid.dx)).matrix
     assert np.array_equal(mv.matrix, D)        # 2 nu = 1 at nu = 0.5
     pc = continue_to_imaginary(p, "minus")
     P = momentum_operator(pc, sp)
@@ -180,7 +185,7 @@ def test_hamiltonian_continued_spectrum(grid801):
 
 
 def _dense_commutator(a, b):
-    """The dense formula, kept as the reference for the band kernel."""
+    """The dense formula, kept as the reference for the band product."""
     return a @ b - b @ a
 
 
@@ -191,74 +196,139 @@ def _banded_random(rng, n, lower, upper, complex_entries=False):
     return np.triu(np.tril(m, upper), -lower)
 
 
-@pytest.fixture()
-def band_calls(monkeypatch):
-    """Count the commutators that took the band kernel."""
-    from nelsonlab.algebra import operators
-    calls = []
-    kernel = operators._banded_commutator
+def _space(n):
+    """Flat space on ``n`` nodes.  Band storage reads only ``n``, and a
+    Grid1D needs at least 3 nodes, so a stand-in grid carries n = 1, 2."""
+    grid = Grid1D(-1.0, 1.0, n) if n >= 3 else SimpleNamespace(n=n, dx=1.0)
+    return WeightedSpace(grid, np.ones(n))
 
-    def counted(*args):
-        calls.append(args[2])
-        return kernel(*args)
 
-    monkeypatch.setattr(operators, "_banded_commutator", counted)
-    return calls
+def _op(m):
+    return OperatorMatrix.from_dense(_space(m.shape[0]), m)
 
 
 @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 2), (2, 0), (0, 1)])
 @pytest.mark.parametrize("complex_narrow", [False, True])
-def test_banded_commutator_matches_dense_against_wide(rng, band_calls, bands,
+def test_banded_commutator_matches_dense_against_wide(rng, bands,
                                                       complex_narrow):
     n = 400
     narrow = _banded_random(rng, n, *bands, complex_entries=complex_narrow)
     wide = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for a, b in ((narrow, wide), (wide, narrow)):
         ref = _dense_commutator(a, b)
-        got = commutator(a, b)
+        got = commutator(_op(a), _op(b)).matrix
         assert got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert band_calls == [False, True]
 
 
 @pytest.mark.parametrize("bands_a, bands_b",
                          [((1, 1), (2, 2)), ((0, 0), (1, 1)),
                           ((2, 1), (0, 3))])
-def test_banded_commutator_matches_dense_for_two_banded(rng, band_calls,
-                                                        bands_a, bands_b):
+def test_banded_commutator_matches_dense_for_two_banded(rng, bands_a,
+                                                        bands_b):
     n = 333
     a = _banded_random(rng, n, *bands_a)
     b = _banded_random(rng, n, *bands_b, complex_entries=True)
     for x, y in ((a, b), (b, a)):
         ref = _dense_commutator(x, y)
-        got = commutator(x, y)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert len(band_calls) == 2
+        got = commutator(_op(x), _op(y))
+        reach = range(-bands_a[0] - bands_b[0], bands_a[1] + bands_b[1] + 1)
+        assert set(got.diagonals) == set(reach)
+        assert np.max(np.abs(got.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_commutator_of_two_wide_operands_is_the_dense_product(rng,
-                                                              band_calls):
-    n = 300
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert np.array_equal(commutator(a, b), _dense_commutator(a, b))
-    # a band wider than n / 64 diagonals also takes the dense products
-    c = _banded_random(rng, n, 3, 3)
-    assert np.array_equal(commutator(c, b), _dense_commutator(c, b))
-    # dtypes the band scan does not support keep the dense products
-    d = np.eye(3, dtype=object)
-    assert np.array_equal(commutator(d, d), np.zeros((3, 3)))
-    assert band_calls == []
-
-
-def test_banded_commutator_is_bit_identical_on_the_recursion(setup,
-                                                             band_calls):
+def test_banded_commutator_is_bit_identical_on_the_recursion(setup):
     grid, ground, p = setup
     sp = build_space(grid, "H_t", ground.rho(0))
     H = hamiltonian(ground, p, 0.5 * grid.x ** 2, sp)
-    current = position_operator(sp).matrix.astype(complex)
+    current = OperatorMatrix.from_dense(
+        sp, position_operator(sp).matrix.astype(complex))
     for _ in range(3):
         got = commutator(H, current)
-        assert np.array_equal(got, _dense_commutator(H.matrix, current))
+        assert np.array_equal(got.matrix,
+                              _dense_commutator(H.matrix, current.matrix))
         current = got
-    assert len(band_calls) == 3
+
+
+@st.composite
+def _banded_dense(draw, n=None):
+    """A dense n x n matrix whose nonzero diagonals are a drawn offset set,
+    sometimes with the corner offsets +/-(n - 1), real or complex."""
+    if n is None:
+        n = draw(st.integers(1, 40))
+    offsets = draw(st.sets(st.integers(1 - n, n - 1), max_size=6))
+    if draw(st.booleans()):
+        offsets |= {1 - n, n - 1}
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_entries = draw(st.booleans())
+    m = np.zeros((n, n), complex if complex_entries else float)
+    for k in offsets:
+        d = g.standard_normal(n - abs(k))
+        if complex_entries:
+            d = d + 1j * g.standard_normal(n - abs(k))
+        m += np.diag(d, k)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_banded_dense())
+def test_from_dense_round_trips(m):
+    op = _op(m)
+    got = op.matrix
+    assert got.dtype == m.dtype and np.array_equal(got, m)
+    assert set(op.diagonals) == {0} | {k for k in range(1 - m.shape[0],
+                                                        m.shape[0])
+                                       if np.diagonal(m, k).any()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_banded_dense(), st.booleans())
+def test_apply_matches_the_dense_product(m, complex_field):
+    n = m.shape[0]
+    g = np.random.default_rng(n)
+    f = g.standard_normal(n)
+    if complex_field:
+        f = f + 1j * g.standard_normal(n)
+    op = _op(m)
+    scale = np.max(np.abs(m) @ np.abs(f), initial=0.0)
+    assert np.max(np.abs(op.apply(f) - m @ f)) <= 1e-13 * scale
+    assert np.array_equal(op @ f, op.apply(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(_banded_dense(n), _banded_dense(n))))
+def test_commutator_matches_the_dense_formula(pair):
+    a, b = pair
+    ref = _dense_commutator(a, b)
+    got = commutator(_op(a), _op(b)).matrix
+    scale = np.max(np.abs(a) @ np.abs(b) + np.abs(b) @ np.abs(a))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_operator_rejects_malformed_diagonals():
+    sp = _space(5)
+    with pytest.raises(InputError, match="offset"):
+        OperatorMatrix(sp, {5: np.ones(1)})
+    with pytest.raises(InputError, match="offset"):
+        OperatorMatrix(sp, {-7: np.ones(1)})
+    with pytest.raises(InputError, match="shape"):
+        OperatorMatrix(sp, {1: np.ones(5)})
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.ones(4)
+        d[2] = bad
+        with pytest.raises(InputError, match="finite"):
+            OperatorMatrix(sp, {-1: d})
+    with pytest.raises(InputError, match="finite"):
+        OperatorMatrix.from_dense(sp, np.diag([1.0, np.nan, 0, 0, 0]))
+    with pytest.raises(InputError, match="shape"):
+        OperatorMatrix.from_dense(sp, np.eye(4))
+    with pytest.raises(InputError, match="from_dense"):
+        OperatorMatrix(sp, np.eye(5))
+
+
+def test_dense_view_is_read_only_and_cached():
+    op = _op(np.diag(np.arange(1.0, 6.0), 1))
+    with pytest.raises(ValueError):
+        op.matrix[0, 1] = 7.0
+    assert op.matrix is op.matrix

@@ -78,15 +78,22 @@ class OperatorMatrix:
     def from_dense(cls, space: WeightedSpace, m: np.ndarray,
                    label: str = "") -> OperatorMatrix:
         """The operator of the dense matrix ``m``: its main diagonal and
-        every other diagonal that has a nonzero entry."""
+        every other diagonal that has a nonzero entry.
+
+        ``m`` is copied once, read-only; that copy is the operator's
+        ``matrix`` and the stored diagonals are views of it."""
         m = np.asarray(m)
+        m = m.astype(np.result_type(float, m))
+        m.flags.writeable = False
         n = space.grid.n
         if m.shape != (n, n):
             raise InputError(f"operator shape {m.shape} does not match "
                              f"grid n={n}")
-        diags = {k: np.diagonal(m, k).copy() for k in range(1 - n, n)}
-        return cls(space, {k: d for k, d in diags.items()
-                           if k == 0 or d.any()}, label)
+        diags = {k: np.diagonal(m, k) for k in range(1 - n, n)}
+        op = cls(space, {k: d for k, d in diags.items()
+                         if k == 0 or d.any()}, label)
+        op.__dict__["matrix"] = m   # where cached_property keeps it
+        return op
 
     def diagonal(self, k: int = 0) -> np.ndarray:
         """Diagonal ``k``; zeros when it is not stored."""
@@ -95,7 +102,8 @@ class OperatorMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Read-only dense view, built from the diagonals on first use."""
+        """Read-only dense view, built from the diagonals on first use
+        (``from_dense`` sets it to its copy of the dense matrix)."""
         n = self.space.grid.n
         m = np.zeros((n, n), np.result_type(float, *self.diagonals.values()))
         flat = m.reshape(-1)

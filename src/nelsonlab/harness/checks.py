@@ -57,9 +57,10 @@ class CheckContext:
     def dyadic_grid(self) -> Grid1D:
         return Grid1D(-8.0, 8.0, 1025)
 
+    # the grid of every check that does not fix its own
     @property
     def grid(self) -> Grid1D:
-        return self.cfg.grid
+        return Grid1D(-8.0, 8.0, 801)
 
     def memo(self, key, builder):
         if key not in self.cache:
@@ -90,9 +91,6 @@ class CheckContext:
                                      store_every=store_every)
         return self.memo(("ou_ensemble", nu, dt, n_steps, store_every,
                           self.cfg.sde.n_paths, self.cfg.sde.seed), build)
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.cfg.tolerances.get(name, default))
 
     def record(self, name, anchor, status, cause="", **fields) -> CheckRecord:
         """``cause``: why a Monte Carlo record is inconclusive, as
@@ -134,7 +132,7 @@ def _worst(*devs) -> float:
 # --------------------------------------------------------------------------
 
 def check_family_parameterization(ctx: CheckContext):
-    tol = ctx.tol("family_parameterization", 1e-12)
+    tol = 1e-12
     devs = []
     p0 = diffusion_params("beta", 0.0)
     devs.append(abs(p0.nu - 0.5))          # nu = hbar/2m at beta = 0
@@ -166,7 +164,7 @@ def check_family_parameterization(ctx: CheckContext):
 
 
 def check_wave_decomposition(ctx: CheckContext):
-    tol = ctx.tol("wave_decomposition", 1e-8)
+    tol = 1e-8
     grid = ctx.grid
     ws = ctx.ho_ground(grid)
     R_exact = -grid.x ** 2 / 2 - 0.25 * np.log(np.pi)
@@ -196,7 +194,7 @@ def check_wave_decomposition(ctx: CheckContext):
 def check_schrodinger_stationary(ctx: CheckContext):
     # the sampled analytic state mixes O(dx^2) of higher discrete modes,
     # whose beating bounds the density drift; dx = 0.0025 puts it ~4e-7
-    tol = ctx.tol("schrodinger_stationary", 1e-6)
+    tol = 1e-6
     grid = Grid1D(-8.0, 8.0, 6401)
     ws0 = ctx.ho_ground(grid)
     V = 0.5 * grid.x ** 2
@@ -217,7 +215,7 @@ def check_schrodinger_stationary(ctx: CheckContext):
 
 
 def check_free_packet_spreading(ctx: CheckContext):
-    tol = ctx.tol("free_packet_spreading", 5e-3)
+    tol = 5e-3
     grid = Grid1D(-16.0, 16.0, 1601)
     ws = analytic_oracle("free_gaussian", {"sigma0": 1.0}, grid, [0.0])
     sol = solve_schrodinger(np.zeros(grid.n), ws.psi[0], grid, 1e-3, 1000,
@@ -234,7 +232,7 @@ def check_free_packet_spreading(ctx: CheckContext):
 
 
 def check_drift_closed_forms(ctx: CheckContext):
-    tol = ctx.tol("drift_closed_forms", 1e-10)
+    tol = 1e-10
     grid = ctx.grid
     ws = ctx.ho_ground(grid)
     # erode the mask so the closed forms are compared away from the clamp
@@ -281,7 +279,7 @@ def check_drift_closed_forms(ctx: CheckContext):
 def check_fokker_planck_forward(ctx: CheckContext):
     # stationarity residual of the flux scheme is O(dx^2); dx = 0.002
     # leaves ~6e-7 of L1 drift per unit time against the 1e-6 bound
-    tol = ctx.tol("fokker_planck_forward", 1e-6)
+    tol = 1e-6
     grid = Grid1D(-8.0, 8.0, 8001)
     nu = 0.5
     df = ctx.ou_drift(nu, grid)
@@ -330,7 +328,7 @@ def _random_fields(n, count, seed=7, complex_fields=False):
 
 def check_commutator_exact(ctx: CheckContext):
     """[velocity, X] = 2 nu A exactly (A = discrete averaging unit)."""
-    tol = ctx.tol("commutator_exact", 1e-12)
+    tol = 1e-12
     grid = ctx.dyadic_grid
     ws = ctx.ho_ground(grid)
     A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
@@ -365,7 +363,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
     statement is the companion check (residual against 2 nu A f, which is
     zero to machine precision; A f - f = (dx^2/2) f'' on smooth fields).
     """
-    tol = ctx.tol("commutator_pointwise_literal", 1e-12)
+    tol = 1e-12
     grid = Grid1D(-8.0, 8.0, 801)
     ws = ctx.ho_ground(grid)
     p = diffusion_params("nu", 0.5)
@@ -396,7 +394,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
 
 
 def check_canonical_algebra(ctx: CheckContext):
-    tol = ctx.tol("canonical_algebra", 1e-12)
+    tol = 1e-12
     grid = ctx.dyadic_grid
     A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
     devs = {}
@@ -436,7 +434,7 @@ def check_canonical_algebra(ctx: CheckContext):
 def check_canonical_pointwise_literal(ctx: CheckContext):
     """Literal ([X,P]f)_i = i hbar f_i on random fields; see the commutator
     twin for why this cannot hold in finite dimensions."""
-    tol = ctx.tol("canonical_pointwise_literal", 1e-12)
+    tol = 1e-12
     grid = Grid1D(-8.0, 8.0, 801)
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
@@ -463,7 +461,7 @@ def check_canonical_pointwise_literal(ctx: CheckContext):
 
 
 def check_tmap_unitarity(ctx: CheckContext):
-    tol = ctx.tol("tmap_unitarity", 1e-10)
+    tol = 1e-10
     grid = ctx.grid
     states = {
         "ho_ground(t=0.3)": analytic_oracle("ho_ground", None, grid, [0.3]),
@@ -508,7 +506,7 @@ def check_tmap_unitarity(ctx: CheckContext):
 
 
 def check_recursion_velocity(ctx: CheckContext):
-    tol = ctx.tol("recursion_velocity", 1e-12)
+    tol = 1e-12
     grid = ctx.dyadic_grid
     ws = ctx.ho_ground(grid)
     V = 0.5 * grid.x ** 2
@@ -541,7 +539,7 @@ def check_recursion_velocity(ctx: CheckContext):
 
 
 def check_acceleration_identity(ctx: CheckContext):
-    tol = ctx.tol("acceleration_identity", 5e-3)
+    tol = 5e-3
     ratio_min = 3.5
     floor = 1e-3
     results = {}
@@ -583,7 +581,7 @@ def check_acceleration_identity(ctx: CheckContext):
 
 
 def check_hamiltonian_spectrum(ctx: CheckContext):
-    tol = ctx.tol("hamiltonian_spectrum", 1e-4)
+    tol = 1e-4
     grid = ctx.grid
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
@@ -611,7 +609,7 @@ def check_heisenberg_taylor(ctx: CheckContext):
     comparison is made where it is mathematically meaningful, on grids
     whose full spectrum is order-resolvable at s = 0.1.
     """
-    tol = ctx.tol("heisenberg_taylor", 1e-8)
+    tol = 1e-8
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     devs = {}
     for n in (25, 31):
@@ -657,7 +655,7 @@ def check_heisenberg_closed_form(ctx: CheckContext):
     oscillator closure), so the gap is measured in action on normalized
     smooth packets supported away from the walls, where it is O(dx^2).
     """
-    tol = ctx.tol("heisenberg_closed_form", 5e-3)
+    tol = 5e-3
     grid = Grid1D(-8.0, 8.0, 801)
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
@@ -685,7 +683,7 @@ def check_heisenberg_closed_form(ctx: CheckContext):
 
 
 def check_recursion_closed_forms(ctx: CheckContext):
-    tol = ctx.tol("recursion_closed_forms", 5e-3)
+    tol = 5e-3
     grid = Grid1D(-8.0, 8.0, 801)
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
@@ -739,7 +737,7 @@ def check_equal_time_value(ctx: CheckContext):
     Neither state nor X carries nu or the branch sign, so each value is
     computed once and stands for every family member and both branches.
     """
-    tol = ctx.tol("equal_time_value", 1e-6)
+    tol = 1e-6
     grid = ctx.grid
     ws = ctx.ho_ground(grid)
     space = build_space(grid, "L2")
@@ -761,7 +759,7 @@ def check_equal_time_value(ctx: CheckContext):
 
 
 def check_continued_two_time(ctx: CheckContext):
-    tol = ctx.tol("continued_two_time", 5e-3)
+    tol = 5e-3
     grid = ctx.grid
     ws = ctx.ho_ground(grid)
     V = 0.5 * grid.x ** 2
@@ -810,8 +808,8 @@ def _pooled_qvar(ctx, nu, dt, n_steps, j_lo, j_hi):
 
 
 def check_qvar_recovery(ctx: CheckContext):
-    tol = ctx.tol("qvar_recovery", 0.02)
-    tol_rich = ctx.tol("qvar_richardson", 0.005)
+    tol = 0.02
+    tol_rich = 0.005
     devs = {}
     count, noise = np.inf, 0.0       # noise: worst SE in units of its limit
     for nu in (0.5, 1.0):
@@ -990,7 +988,7 @@ def check_stationary_variance(ctx: CheckContext):
 
 
 def check_density_histogram_match(ctx: CheckContext):
-    tol = ctx.tol("density_histogram_match", 0.02)
+    tol = 0.02
     edges = np.arange(-4.0, 4.001, 0.2)
     centers = 0.5 * (edges[:-1] + edges[1:])
     devs = {}
@@ -1038,7 +1036,7 @@ def check_density_histogram_match(ctx: CheckContext):
 
 def check_fk_bridge_real(ctx: CheckContext):
     """Monte Carlo two-time product vs the semigroup matrix element."""
-    tol = ctx.tol("fk_bridge_real", 0.02)
+    tol = 0.02
     nu = 0.5
     dt = 2e-3
     stride = 25                      # stored spacing 0.05
@@ -1102,7 +1100,7 @@ def check_mean_acceleration_packet(ctx: CheckContext):
     the packet, which for the displaced oscillator state at nu = hbar/2m
     is minus the packet center.
     """
-    tol = ctx.tol("mean_acceleration_packet", 0.05)
+    tol = 0.05
     n_cfg = ctx.cfg.sde.n_paths
     min_paths = 50_000  # below this the 200k-path run is not worth starting
     dt = 0.01
@@ -1151,7 +1149,7 @@ def check_mean_acceleration_binned_literal(ctx: CheckContext):
     per-sample variance grows like 4 nu / dt^3.  The packet-mean check
     next to this one is the convergent unconditional form.
     """
-    tol = ctx.tol("mean_acceleration_binned", 0.05)
+    tol = 0.05
     dt = 0.01
     n_paths = ctx.cfg.sde.n_paths
     j0 = 100
@@ -1196,7 +1194,7 @@ def check_fp_schrodinger_consistency(ctx: CheckContext):
     One wave solve serves every family member: the density of each
     ``nu`` must track the same exp(2R(t)).
     """
-    tol = ctx.tol("fp_schrodinger_consistency", 1e-3)
+    tol = 1e-3
     grid = Grid1D(-8.0, 8.0, 1601)
     nus = (0.5, 1.0, 2.0)
     wc = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, [0.0])

@@ -21,7 +21,7 @@ from ..sampler import (density_histogram, estimate_backward_drift,
                        simulate_ensemble)
 from .checks import MONTE_CARLO_CHECKS
 from .config import ExperimentConfig, load_config
-from .report import INCONCLUSIVE
+from .report import INCONCLUSIVE, CheckRecord, Report
 from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
 
 
@@ -110,17 +110,22 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = ExperimentConfig()
-    cfg.sde.seed = args.seed
-    cfg.sde.n_paths = args.paths
-    report = verify_suite(args.level, cfg)
+def _print_report(report: Report):
+    """One line per record, then the status counts."""
     for line in report.lines():
         print(line)
     counts = report.counts()
     print(f"\n{counts['pass']} passed, {counts['fail']} failed, "
           f"{counts['fail_expected']} failed-as-documented, "
           f"{counts['inconclusive']} inconclusive")
+
+
+def cmd_verify(args) -> int:
+    cfg = ExperimentConfig()
+    cfg.sde.seed = args.seed
+    cfg.sde.n_paths = args.paths
+    report = verify_suite(args.level, cfg)
+    _print_report(report)
     # a record is named after its check, with an optional [member] suffix
     if args.level == "full" and all(
             r.status == INCONCLUSIVE for r in report.records
@@ -161,18 +166,14 @@ def cmd_report(args) -> int:
     if args.config:
         cfg = load_config(args.config)
         report = run_experiment(cfg, out_dir=args.out)
-        for line in report.lines():
-            print(line)
+        _print_report(report)
         return 0 if report.passed else 1
     raw = json.loads(Path(args.path).read_text())
     print(f"schema {raw.get('schema_version')}, created {raw.get('created_at')}")
-    for rec in raw.get("records", []):
-        status = rec["status"].upper()
-        if rec.get("known_unattainable") and rec["status"] == "fail":
-            status = "FAIL (expected)"
-        print(f"[{status}] {rec['name']} ({rec['anchor']})")
-    summary = raw.get("summary", {})
-    print(f"\nsummary: {summary}")
+    _print_report(Report(
+        records=[CheckRecord(**rec) for rec in raw.get("records", [])],
+        environment=raw.get("environment", {}),
+        created_at=raw.get("created_at", "")))
     return 0
 
 

@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import InputError
-from ..grids import Grid1D
 
-_KEYS = {"grid", "sde", "checks", "tolerances", "out_dir"}
-_GRID_KEYS = {"x_min", "x_max", "n"}
+_KEYS = {"sde", "checks", "out_dir"}
 _SDE_KEYS = {"n_paths", "seed"}
 
 
@@ -27,42 +25,26 @@ class SdeConfig:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a reproducible run depends on.
+    """Everything a reproducible run depends on: the sampler's seed and path
+    count, and the checks to run.
 
-    ``checks`` names must exist in the check registry; ``tolerances``
-    optionally overrides a check's default tolerance by name.
+    ``checks`` names must exist in the check registry.  Each check fixes
+    its own grid and tolerance, so neither is a setting.
     """
 
-    grid_x_min: float = -8.0
-    grid_x_max: float = 8.0
-    grid_n: int = 801
     sde: SdeConfig = field(default_factory=SdeConfig)
     checks: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
 
     def validate(self, known_checks: set[str] | None = None):
-        Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n)  # raises if bad
         self.sde.validate()
-        for name, tol in self.tolerances.items():
-            if not (isinstance(tol, (int, float)) and tol > 0):
-                raise InputError(f"tolerances.{name}: must be positive")
         if known_checks is not None:
             for name in self.checks:
                 if name not in known_checks:
                     raise InputError(f"checks: unknown check {name!r}")
 
-    @property
-    def grid(self) -> Grid1D:
-        return Grid1D(self.grid_x_min, self.grid_x_max, self.grid_n)
-
     def digest_payload(self) -> dict:
-        return {
-            "grid": {"x_min": self.grid_x_min, "x_max": self.grid_x_max,
-                     "n": self.grid_n},
-            "sde": {"n_paths": self.sde.n_paths, "seed": self.sde.seed},
-            "tolerances": self.tolerances,
-        }
+        return {"sde": {"n_paths": self.sde.n_paths, "seed": self.sde.seed}}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -105,12 +87,6 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         raise InputError(f"{source}: top level must be an object")
     _reject_unknown(raw, _KEYS, source)
     cfg = ExperimentConfig()
-    grid = _section(raw, "grid", _GRID_KEYS, source)
-    cfg.grid_x_min = _convert(grid.get("x_min", cfg.grid_x_min), float,
-                              f"{source}: grid.x_min")
-    cfg.grid_x_max = _convert(grid.get("x_max", cfg.grid_x_max), float,
-                              f"{source}: grid.x_max")
-    cfg.grid_n = _convert(grid.get("n", cfg.grid_n), int, f"{source}: grid.n")
     sde = _section(raw, "sde", _SDE_KEYS, source)
     cfg.sde = SdeConfig(
         n_paths=_convert(sde.get("n_paths", cfg.sde.n_paths), int,
@@ -122,9 +98,5 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
             and all(isinstance(name, str) for name in checks)):
         raise InputError(f"{source}: checks: must be a list of check names")
     cfg.checks = list(checks)
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise InputError(f"{source}: tolerances: must be an object")
-    cfg.tolerances = dict(tolerances)
     cfg.out_dir = raw.get("out_dir")
     return cfg

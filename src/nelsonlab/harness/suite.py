@@ -23,8 +23,6 @@ def _environment(cfg: ExperimentConfig) -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "seed": cfg.sde.seed,
-        "grid": {"x_min": cfg.grid_x_min, "x_max": cfg.grid_x_max,
-                 "n": cfg.grid_n},
         "n_paths": cfg.sde.n_paths,
     }
 

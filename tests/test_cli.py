@@ -91,6 +91,25 @@ def test_sample_and_report(tmp_path, capsys):
     assert "equal_time_value" in out
 
 
+def test_report_path_prints_what_verify_prints(tmp_path, capsys):
+    """A stored report is summarized by the same record lines and counts
+    that the run which wrote it printed."""
+    from nelsonlab.harness.report import CheckRecord, Report
+
+    report = Report(environment={}, records=[
+        CheckRecord(name="a", anchor="x", status="pass"),
+        CheckRecord(name="b", anchor="y", status="fail",
+                    known_unattainable=True, notes="as stated"),
+        CheckRecord(name="c[nu=1]", anchor="z", status="inconclusive",
+                    notes="10 samples, below 500", elapsed_s=0.5)])
+    report.write(tmp_path / "r.json")
+    rc = main(["report", "--path", str(tmp_path / "r.json")])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == report.lines() + [
+        "", "1 passed, 0 failed, 1 failed-as-documented, 1 inconclusive"]
+
+
 def test_solve_exports_densities(tmp_path):
     rc = main(["solve", "--state", "ho_coherent", "--x0", "1.0",
                "--grid-n", "401", "--dt", "0.002", "--steps", "100",

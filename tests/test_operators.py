@@ -146,6 +146,22 @@ def test_acceleration_fields_ground_state(setup):
             diffusion_params("nu", 0.5), "minus"), V)
 
 
+def test_acceleration_fields_time_dependent_converge_at_second_order():
+    """The moving coherent packet reaches the ``db/dt`` branch: the drift
+    and potential forms close at O(dx^2) for every family member."""
+    times = np.linspace(0.4, 0.6, 21)
+    for nu in (0.5, 1.0, 2.0):
+        gaps = []
+        for n in (801, 1601):
+            grid = Grid1D(-8.0, 8.0, n)
+            ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
+            acc = acceleration_function(ws, diffusion_params("nu", nu),
+                                        0.5 * grid.x ** 2, t_index=10,
+                                        compare_floor=1e-3)
+            gaps.append(acc.max_gap())
+        assert gaps[0] / gaps[1] >= 3.5, (nu, gaps)
+
+
 def test_acceleration_mask_too_small():
     grid = Grid1D(-8.0, 8.0, 801)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
@@ -279,6 +295,11 @@ def test_from_dense_round_trips(m):
     assert set(op.diagonals) == {0} | {k for k in range(1 - m.shape[0],
                                                         m.shape[0])
                                        if np.diagonal(m, k).any()}
+    # one read-only copy: the cached matrix, with the diagonals its views
+    assert got is not m and not got.flags.writeable
+    assert all(np.shares_memory(d, got) for d in op.diagonals.values())
+    rebuilt = OperatorMatrix(op.space, dict(op.diagonals)).matrix
+    assert rebuilt.dtype == got.dtype and np.array_equal(rebuilt, got)
 
 
 @settings(max_examples=200, deadline=None)

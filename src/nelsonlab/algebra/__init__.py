@@ -1,7 +1,8 @@
 """Operator algebra on weighted grid spaces and its continuation."""
 from ..params import continue_to_imaginary
-from .evolution import (correlation, heisenberg_operator, stationary_generator,
-                        taylor_heisenberg, time_derivative_recursion,
+from .evolution import (correlation, heisenberg_action, heisenberg_operator,
+                        stationary_generator, taylor_heisenberg,
+                        time_derivative_recursion,
                         two_time_position_correlation)
 from .operators import (AccelerationFields, OperatorMatrix,
                         acceleration_function, averaging_bands,
@@ -28,6 +29,7 @@ __all__ = [
     "density_curvature",
     "gauge_map",
     "hamiltonian",
+    "heisenberg_action",
     "heisenberg_operator",
     "mapped_velocity_operator",
     "momentum_operator",

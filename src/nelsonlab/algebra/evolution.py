@@ -15,12 +15,16 @@ eigendecomposition of the interior Hamiltonian.
 Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
 tridiagonal, so their eigensystems come from their two bands through the
-O(n^2) MRRR tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``),
-and two-time matrix elements apply the eigenvectors to state vectors
-rather than forming the evolved operator.
+O(n^2) MRRR tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``).
+The exact conjugation acts on states: ``heisenberg_action`` applies the
+eigenvectors to state vectors, O(n^2) per state and lag after one
+eigensolve per call, and the continued two-time elements go through it.
+Only ``heisenberg_operator`` forms the full evolved matrix, for the checks
+that test a dense X(s) itself.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import factorial
 
 import numpy as np
@@ -29,8 +33,9 @@ from scipy.linalg import eigh_tridiagonal
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
 from ..params import DiffusionParams
-from .operators import OperatorMatrix, _scaled, commutator
-from .spaces import WeightedSpace
+from .operators import (OperatorMatrix, _scaled, commutator, hamiltonian,
+                        position_operator)
+from .spaces import WeightedSpace, build_space
 
 _STATE_NORM_TOL = 1e-6
 
@@ -61,9 +66,38 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray, **options):
 
 
 def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """``v @ U`` for complex ``v`` and real ``U``, without a complex copy
-    of ``U``."""
-    return v.real @ U + 1j * (v.imag @ U)
+    """``v @ U`` for complex rows ``v`` and real ``U``: one real product of
+    the real and imaginary parts stacked into one contiguous array, without
+    a complex copy of ``U``."""
+    k = v.shape[0]
+    parts = np.concatenate((v.real, v.imag)) @ U
+    out = np.empty(parts[:k].shape, complex)
+    out.real, out.imag = parts[:k], parts[k:]
+    return out
+
+
+def _lags(s: float | Sequence[float]) -> np.ndarray:
+    """``s`` as a float array: a scalar or a 1-D sequence of lags."""
+    lags = np.asarray(s, dtype=float)
+    if lags.ndim > 1:
+        raise InputError("s must be a scalar or a 1-D sequence of lags")
+    return lags
+
+
+def _conjugation_eigensystem(X: OperatorMatrix, H: OperatorMatrix,
+                             p: DiffusionParams):
+    """``(lam, U)`` of the interior of H, after the checks the exact
+    conjugation needs: a continued branch, a diagonal X and an H that is
+    real symmetric tridiagonal on the interior."""
+    if p.is_real:
+        raise UnsupportedConfigError(
+            "exact conjugation is a continued-branch operation; use "
+            "taylor_heisenberg or the stationary semigroup in real mode")
+    if X.space.grid.n != H.space.grid.n:
+        raise InputError("X and H act on different grids")
+    if any(d.any() for k, d in X.diagonals.items() if k != 0):
+        raise InputError("exact conjugation needs a diagonal position operator")
+    return _eigh_bands(*_interior_bands(H))
 
 
 def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
@@ -108,7 +142,7 @@ def taylor_heisenberg(X: OperatorMatrix, H: OperatorMatrix, s: float,
 
 def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
                         p: DiffusionParams) -> OperatorMatrix:
-    """Exact evolved position on a continued branch.
+    """Exact evolved position on a continued branch, as a full matrix.
 
     ``X(s) = exp(-/+ i H s / hbar) X exp(+/- i H s / hbar)`` (minus branch
     gives the standard convention), realized by the eigendecomposition of
@@ -118,15 +152,11 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     The interior of H must be real symmetric tridiagonal and X diagonal,
     as ``hamiltonian`` and ``position_operator`` build them.  X(s) is a
     full matrix: it is formed dense and stored through ``from_dense``.
+    Where only its action on states is needed, ``heisenberg_action``
+    gives it in O(n^2) per state.
     """
-    if p.is_real:
-        raise UnsupportedConfigError(
-            "exact conjugation is a continued-branch operation; use "
-            "taylor_heisenberg or the stationary semigroup in real mode")
-    if any(d.any() for k, d in X.diagonals.items() if k != 0):
-        raise InputError("exact conjugation needs a diagonal position operator")
+    lam, U = _conjugation_eigensystem(X, H, p)
     x = X.diagonal(0)
-    lam, U = _eigh_bands(*_interior_bands(H))
     # minus branch: X(s) = L X L^H with L = U e^{i phi} U^T = e^{+iHs/hbar}
     phi = -p.sign * lam * s / p.hbar
     left = np.empty(U.shape, dtype=complex)
@@ -135,6 +165,42 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     out = np.diag(x.astype(complex))
     out[1:-1, 1:-1] = (left * x[1:-1]) @ left.conj()
     return OperatorMatrix.from_dense(X.space, out, f"heisenberg(s={s:g})")
+
+
+def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,
+                      s: float | Sequence[float], p: DiffusionParams,
+                      states: np.ndarray | Sequence[np.ndarray]
+                      ) -> np.ndarray:
+    """``X(s) psi`` of ``heisenberg_operator`` for each state, without
+    forming X(s).
+
+    On the interior ``X(s) = L x L^H`` with ``L = U e^{i phi} U^T``, so
+    ``X(s) psi`` there is ``L (x . L^H psi)``: four products by the
+    eigenvector matrix U, O(n^2) per state and lag.  The boundary rows are
+    those of X.  H is diagonalized once per call.
+
+    ``states`` holds nodal fields as rows, shape ``(k, n)``.  ``s`` is a
+    scalar or a 1-D sequence of lags; the result has shape ``(k, n)`` for a
+    scalar and ``(len(s), k, n)`` for a sequence, and its element ``j`` is
+    the scalar call at ``s[j]`` bit for bit.
+    """
+    lam, U = _conjugation_eigensystem(X, H, p)
+    lags = _lags(s)
+    states = np.asarray(states)
+    n = X.space.grid.n
+    if states.ndim != 2 or states.shape[1] != n:
+        raise InputError(f"states must be rows of nodal fields of n={n}; "
+                         f"got shape {states.shape}")
+    x = X.diagonal(0)
+    coeffs = _real_right_matmul(states[:, 1:-1], U)       # (U^T psi)^T
+    out = np.empty((lags.size, *states.shape), complex)
+    out[:, :, [0, -1]] = x[[0, -1]] * states[:, [0, -1]]
+    for j, lag in enumerate(lags.ravel()):
+        phase = np.exp(1j * p.sign * lam * lag / p.hbar)   # e^{-i phi}
+        w = x[1:-1] * _real_right_matmul(coeffs * phase, U.T)
+        out[j, :, 1:-1] = _real_right_matmul(
+            _real_right_matmul(w, U) * phase.conj(), U.T)
+    return out[0] if lags.ndim == 0 else out
 
 
 def correlation(state: np.ndarray, ops: list[OperatorMatrix],
@@ -185,8 +251,9 @@ def stationary_generator(ws: WaveSolution, p: DiffusionParams,
 
 
 def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
-                                  s: float, V: np.ndarray | None = None,
-                                  t_index: int = 0) -> complex:
+                                  s: float | Sequence[float],
+                                  V: np.ndarray | None = None,
+                                  t_index: int = 0) -> complex | np.ndarray:
     """Stationary-state matrix element of the lag-s position pair.
 
     Real mode: ``(X theta, exp(s L) X theta)`` with the stationary
@@ -196,35 +263,31 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     Ornstein-Uhlenbeck process.
 
     Continued branches: ``(psi, X(s) X psi)`` in the flat space with
-    ``psi = exp(R + iS)`` and the exact conjugation for ``X(s)`` (needs
+    ``psi = exp(R + iS)`` and ``heisenberg_action`` for ``X(s)`` (needs
     the potential ``V``); the minus branch reproduces the standard
     quantum two-point function.
+
+    ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
+    lags, which gives a complex array, one eigensolve for all of them.
     """
     grid = ws.grid
-    xi = grid.x[1:-1]
+    lags = _lags(s)
     if p.is_real:
         diag, off, theta = stationary_generator(ws, p, t_index)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
         lam, U = _eigh_bands(diag, off)
-        v = xi * theta
-        w = U.T @ v
-        return complex(np.sum(w * np.exp(lam * s) * w) * grid.dx)
-    if V is None:
-        raise InputError("continued-mode correlation needs the potential V")
-    from .operators import hamiltonian
-    from .spaces import build_space
-    space = build_space(grid, "L2")
-    H = hamiltonian(None, p, V, space)
-    lam, U = _eigh_bands(*_interior_bands(H))
-    psi = np.exp(ws.R[t_index] + 1j * np.where(np.isnan(ws.S[t_index]), 0.0,
-                                               ws.S[t_index]))
-    psi = space.normalize(psi)
-    x = grid.x
-    # On the interior X(s) = L x L^H with L = U e^{i phi} U^T (see
-    # heisenberg_operator), so (psi, X(s) X psi) there is
-    # (L^H psi, x L^H x psi); the boundary rows of X(s) are those of X.
-    phase = np.exp(1j * p.sign * lam * s / p.hbar)
-    pair = np.stack([psi, x * psi])[:, 1:-1]
-    a, b = _real_right_matmul(_real_right_matmul(pair, U) * phase, U.T)
-    ends = np.abs(psi[[0, -1]]) ** 2 * x[[0, -1]] ** 2
-    return complex((np.sum(np.conj(a) * xi * b) + np.sum(ends)) * grid.dx)
+        w = U.T @ (grid.x[1:-1] * theta)
+        vals = np.array([np.sum(w * np.exp(lam * lag) * w) * grid.dx
+                         for lag in lags.ravel()], dtype=complex)
+    else:
+        if V is None:
+            raise InputError("continued-mode correlation needs the potential V")
+        space = build_space(grid, "L2")
+        psi = np.exp(ws.R[t_index] + 1j * np.where(
+            np.isnan(ws.S[t_index]), 0.0, ws.S[t_index]))
+        psi = space.normalize(psi)
+        X = position_operator(space)
+        evolved = heisenberg_action(X, hamiltonian(None, p, V, space),
+                                    lags.ravel(), p, [X.apply(psi)])
+        vals = np.sum(np.conj(psi) * evolved[:, 0], axis=-1) * grid.dx
+    return complex(vals[0]) if lags.ndim == 0 else vals

@@ -3,7 +3,9 @@
 Every operator is stored as its diagonals.  Those built here are diagonal
 or tridiagonal and the recursion terms stay banded (order k has 2k + 1
 diagonals), so ``commutator`` forms its products diagonal by diagonal, band
-in and band out.  Only the exact Heisenberg conjugation is a full matrix.
+in and band out.  The exact Heisenberg conjugation is applied to states
+(``evolution.heisenberg_action``); only ``heisenberg_operator``, kept for
+the checks of a dense X(s), stores a full matrix, through ``from_dense``.
 
 All differential operator matrices carry the hard-wall closure: exact
 centered stencils on interior rows, zero entries in the boundary rows and
@@ -81,7 +83,9 @@ class OperatorMatrix:
         every other diagonal that has a nonzero entry.
 
         ``m`` is copied once, read-only; that copy is the operator's
-        ``matrix`` and the stored diagonals are views of it."""
+        ``matrix`` and the stored diagonals are views of it.  The copy is
+        checked once and its nonzero diagonals found in one pass, so the
+        per-diagonal checks of the constructor are not repeated."""
         m = np.asarray(m)
         m = m.astype(np.result_type(float, m))
         m.flags.writeable = False
@@ -89,10 +93,22 @@ class OperatorMatrix:
         if m.shape != (n, n):
             raise InputError(f"operator shape {m.shape} does not match "
                              f"grid n={n}")
-        diags = {k: np.diagonal(m, k) for k in range(1 - n, n)}
-        op = cls(space, {k: d for k, d in diags.items()
-                         if k == 0 or d.any()}, label)
-        op.__dict__["matrix"] = m   # where cached_property keeps it
+        if not np.isfinite(m).all():
+            raise InputError("operator entries must be finite")
+        # Row i of the column-reversed matrix, laid in rows of width 2n
+        # and read back in rows of width 2n - 1, lands shifted right by i:
+        # entry (i, j) goes to column n - 1 - (j - i), so column c holds
+        # diagonal n - 1 - c.
+        skew = np.zeros((n, 2 * n), bool)
+        skew[:, :n] = m[:, ::-1] != 0
+        nonzero = skew.reshape(-1)[:n * (2 * n - 1)].reshape(
+            n, 2 * n - 1).any(axis=0)
+        offsets = sorted({0, *(n - 1 - np.flatnonzero(nonzero)).tolist()})
+        op = object.__new__(cls)
+        # the fields as the constructor would set them, and the copy where
+        # cached_property keeps ``matrix``
+        op.__dict__.update(space=space, label=label, meta=None, matrix=m,
+                           diagonals={k: np.diagonal(m, k) for k in offsets})
         return op
 
     def diagonal(self, k: int = 0) -> np.ndarray:

@@ -19,7 +19,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from ..algebra import (OperatorMatrix, averaging_bands, build_space,
                        commutator, correlation, gauge_map, hamiltonian,
-                       heisenberg_operator, mapped_velocity_operator,
+                       heisenberg_action, heisenberg_operator,
+                       mapped_velocity_operator,
                        momentum_operator, position_operator,
                        rho_term_coefficient, taylor_heisenberg,
                        time_derivative_recursion,
@@ -662,14 +663,14 @@ def check_heisenberg_closed_form(ctx: CheckContext):
     H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
     X = position_operator(space)
     P = momentum_operator(pc, space)
+    states = _smooth_test_states(grid)
+    lags = (0.1, 1.0)
+    evolved = heisenberg_action(X, H, lags, pc, states)
     devs = {}
-    for s in (0.1, 1.0):
-        Xs = heisenberg_operator(X, H, s, pc)
-        gap_op = Xs.matrix - (X.matrix * np.cos(s) + P.matrix * np.sin(s))
-        gap = 0.0
-        for psi in _smooth_test_states(grid):
-            gap = max(gap, float(np.max(np.abs(gap_op @ psi))))
-        devs[f"s={s}"] = gap
+    for s, moved in zip(lags, evolved):
+        devs[f"s={s}"] = max(float(np.max(np.abs(
+            got - (X.apply(psi) * np.cos(s) + P.apply(psi) * np.sin(s)))))
+            for got, psi in zip(moved, states))
     worst = float(max(devs.values()))
     return [ctx.record(
         "heisenberg_closed_form", "exponential-evolution",
@@ -680,6 +681,18 @@ def check_heisenberg_closed_form(ctx: CheckContext):
         notes="measured in action on 6 normalized Gaussian packets; raw "
               "entrywise max-norm is dominated by wall states and the "
               "delta-prime kernel of P (O(10) at any dx)")]
+
+
+def _interior_row_gap(a: OperatorMatrix, b: OperatorMatrix) -> float:
+    """Largest entry of ``|a - b|`` off the two boundary rows, read from
+    the diagonals.  Diagonal k >= 0 starts in row 0 and k <= 0 ends in
+    row n - 1, so those entries are dropped."""
+    gap = 0.0
+    for k in a.diagonals.keys() | b.diagonals.keys():
+        d = a.diagonal(k) - b.diagonal(k)
+        gap = max(gap, float(np.max(np.abs(d[(k >= 0):d.size - (k <= 0)]),
+                                     initial=0.0)))
+    return gap
 
 
 def check_recursion_closed_forms(ctx: CheckContext):
@@ -694,16 +707,15 @@ def check_recursion_closed_forms(ctx: CheckContext):
     X = position_operator(space)
     X1, X2 = time_derivative_recursion(X, H0, pc, 2)
     P = momentum_operator(pc, space)
-    devs["free_X1_vs_P/m"] = float(np.max(np.abs(
-        (X1.matrix - P.matrix / pc.m)[1:-1, :])))
-    devs["free_X2"] = max(float(np.max(np.abs(X2.matrix @ psi)))
+    devs["free_X1_vs_P/m"] = _interior_row_gap(X1, OperatorMatrix(
+        space, {k: d / pc.m for k, d in P.diagonals.items()}))
+    devs["free_X2"] = max(float(np.max(np.abs(X2.apply(psi))))
                           for psi in states)
     # oscillator: X^2 = -X in action
     Hh = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
     _, X2h = time_derivative_recursion(X, Hh, pc, 2)
-    X2h_plus_X = X2h.matrix + X.matrix
-    devs["ho_X2_plus_X"] = max(float(np.max(np.abs(X2h_plus_X @ psi)))
-                               for psi in states)
+    devs["ho_X2_plus_X"] = max(float(np.max(np.abs(
+        X2h.apply(psi) + X.apply(psi)))) for psi in states)
     # real mode, ground state: X^2 = multiplication by the acceleration field
     p = diffusion_params("nu", 0.5)
     ws = ctx.ho_ground(grid)
@@ -715,7 +727,7 @@ def check_recursion_closed_forms(ctx: CheckContext):
     mult = np.where(acc.mask, acc.from_drift, 0.0)
     gap = 0.0
     for psi in states:
-        lhs = (X2r.matrix @ psi)[acc.mask]
+        lhs = X2r.apply(psi)[acc.mask]
         rhs = (mult * psi)[acc.mask]
         gap = max(gap, float(np.max(np.abs(lhs - rhs))))
     devs["real_X2_vs_acceleration"] = gap
@@ -765,13 +777,14 @@ def check_continued_two_time(ctx: CheckContext):
     V = 0.5 * grid.x ** 2
     pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     pp = continue_to_imaginary(diffusion_params("nu", 0.5), "plus")
+    lags = (0.25, 0.5, 1.0)
     devs = {}
     curve = []
-    for s in (0.25, 0.5, 1.0):
-        cm = two_time_position_correlation(ws, pm, s, V)
+    for s, cm, cp in zip(lags, two_time_position_correlation(ws, pm, lags, V),
+                         two_time_position_correlation(ws, pp, lags, V)):
+        cm, cp = complex(cm), complex(cp)
         ref = 0.5 * np.exp(-1j * s)
         devs[f"s={s}"] = abs(cm - ref)
-        cp = two_time_position_correlation(ws, pp, s, V)
         devs[f"branch_conjugacy_s={s}"] = abs(cp - np.conj(cm))
         curve.append((s, cm))
     worst = float(max(devs.values()))
@@ -1045,9 +1058,11 @@ def check_fk_bridge_real(ctx: CheckContext):
     ws = ctx.ho_ground(ctx.grid)
     p = diffusion_params("nu", nu)
     base_idx = [int(round(t / dt_stored)) for t in np.arange(0.5, 1.91, 0.1)]
+    lags = (0.25, 0.5, 1.0)
+    mats = two_time_position_correlation(ws, p, lags).real
     rows = []
     devs = {}
-    for s in (0.25, 0.5, 1.0):
+    for s, mat in zip(lags, mats.tolist()):
         lag = int(round(s / dt_stored))
         prods = np.concatenate([
             e.positions(j) * e.positions(j + lag) for j in base_idx])
@@ -1055,7 +1070,6 @@ def check_fk_bridge_real(ctx: CheckContext):
         # SE of the per-path means: paths are independent, base times not
         per_path = prods.reshape(len(base_idx), e.n_paths).mean(axis=0)
         se = float(per_path.std() / np.sqrt(e.n_paths))
-        mat = two_time_position_correlation(ws, p, s).real
         rel = abs(mc - mat) / abs(mat)
         devs[f"mc_s={s}"] = mc
         devs[f"matrix_s={s}"] = mat

@@ -149,10 +149,9 @@ def cmd_correlate(args) -> int:
     else:
         p = continue_to_imaginary(_params(args), args.mode)
     s_values = [float(s) for s in args.s.split(",")]
-    rows = []
-    for s in s_values:
-        c = two_time_position_correlation(ws, p, s, V)
-        rows.append((s, c))
+    rows = list(zip(s_values, map(complex, two_time_position_correlation(
+        ws, p, s_values, V))))
+    for s, c in rows:
         print(f"s = {s:g}: matrix element = {c.real:+.6f} {c.imag:+.6f}i")
     with (out / "correlation_curve.csv").open("w") as fh:
         fh.write("s,matrix_element_re,matrix_element_im\n")

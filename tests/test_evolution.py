@@ -4,7 +4,7 @@ import pytest
 from nelsonlab import (Grid1D, InputError, UnsupportedConfigError,
                        diffusion_params, continue_to_imaginary)
 from nelsonlab.algebra import (OperatorMatrix, build_space, correlation,
-                               hamiltonian,
+                               hamiltonian, heisenberg_action,
                                heisenberg_operator, mapped_velocity_operator,
                                momentum_operator, position_operator,
                                stationary_generator, taylor_heisenberg,
@@ -288,3 +288,96 @@ def test_heisenberg_needs_tridiagonal_h_and_diagonal_x():
     with pytest.raises(InputError, match="diagonal"):
         heisenberg_operator(OperatorMatrix.from_dense(sp, smeared), H, 0.3,
                             pc)
+    # the state action shares these checks
+    states = np.ones((1, grid.n))
+    with pytest.raises(InputError, match="tridiagonal"):
+        heisenberg_action(X, OperatorMatrix.from_dense(sp, wide), 0.3, pc,
+                          states)
+    with pytest.raises(InputError, match="diagonal"):
+        heisenberg_action(OperatorMatrix.from_dense(sp, smeared), H, 0.3, pc,
+                          states)
+
+
+@pytest.fixture(scope="module")
+def small():
+    grid = Grid1D(-8.0, 8.0, 201)
+    sp = build_space(grid, "L2")
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((3, grid.n)) \
+        + 1j * rng.standard_normal((3, grid.n))
+    return grid, sp, position_operator(sp), states
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_heisenberg_action_equals_dense_conjugation(small, sign):
+    """Boundary rows included: the states do not vanish at the walls."""
+    grid, sp, X, states = small
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    for s in (0.3, 1.7):
+        got = heisenberg_action(X, H, s, pc, states)
+        ref = heisenberg_operator(X, H, s, pc).matrix @ states.T
+        assert got.shape == states.shape
+        assert np.max(np.abs(got - ref.T)) < 1e-12
+
+
+def test_heisenberg_action_at_zero_lag_is_position(small):
+    grid, sp, X, states = small
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    got = heisenberg_action(X, H, 0.0, pc, states)
+    assert np.max(np.abs(got - grid.x * states)) < 1e-12
+
+
+def test_lag_sequences_match_scalar_calls_bit_for_bit(small, grid801):
+    grid, sp, X, states = small
+    lags = [0.0, 0.25, 1.0, 2.5]
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "plus")
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    seq = heisenberg_action(X, H, lags, pc, states)
+    assert seq.shape == (len(lags), *states.shape)
+    for j, s in enumerate(lags):
+        assert np.array_equal(seq[j], heisenberg_action(X, H, s, pc, states))
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    V = 0.5 * grid801.x ** 2
+    for p in (diffusion_params("nu", 0.7), pc):
+        seq = two_time_position_correlation(ws, p, lags, V)
+        assert seq.shape == (len(lags),)
+        for j, s in enumerate(lags):
+            one = two_time_position_correlation(ws, p, s, V)
+            assert type(one) is complex and one == seq[j]
+
+
+def test_heisenberg_action_contracts(small):
+    grid, sp, X, states = small
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    with pytest.raises(UnsupportedConfigError):
+        heisenberg_action(X, H, 0.1, diffusion_params("nu", 0.5), states)
+    other = position_operator(build_space(Grid1D(-8.0, 8.0, 101), "L2"))
+    with pytest.raises(InputError, match="grids"):
+        heisenberg_action(other, H, 0.1, pc, states[:, :101])
+    for bad in (states[:, :-1], states[0], states[None]):
+        with pytest.raises(InputError, match="states"):
+            heisenberg_action(X, H, 0.1, pc, bad)
+    with pytest.raises(InputError, match="lags"):
+        heisenberg_action(X, H, [[0.1]], pc, states)
+
+
+def test_closed_form_checks_build_no_dense_evolved_operator(monkeypatch):
+    """heisenberg_closed_form and continued_two_time pass on the state
+    action alone: the dense conjugation and from_dense are never called."""
+    from nelsonlab.algebra import evolution
+    from nelsonlab.harness import checks
+    from nelsonlab.harness.config import ExperimentConfig
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense X(s) formed")
+
+    for owner in (evolution, checks):
+        monkeypatch.setattr(owner, "heisenberg_operator", forbidden)
+    monkeypatch.setattr(OperatorMatrix, "from_dense", forbidden)
+    ctx = checks.CheckContext(ExperimentConfig())
+    for check in (checks.check_heisenberg_closed_form,
+                  checks.check_continued_two_time):
+        assert [r.status for r in check(ctx)] == ["pass"]

@@ -10,9 +10,10 @@ the checks of a dense X(s), stores a full matrix, through ``from_dense``.
 All differential operator matrices carry the hard-wall closure: exact
 centered stencils on interior rows, zero entries in the boundary rows and
 columns (states vanish at the walls, so boundary values neither evolve
-nor feed back).  Identity assertions are made on interior rows; repeated
-commutators additionally develop finite-section artifacts in an
-``O(order)``-node corner layer, which tests exclude.
+nor feed back).  The closure zeroes the boundary rows on both sides of the
+exact identities below, so their gaps are measured on every row; repeated
+commutators develop finite-section artifacts in an ``O(order)``-node
+corner layer, which tests exclude.
 
 A note on the discrete commutation rules.  With ``X = diag(x)`` and the
 centered derivative ``D``, the product rule on a uniform grid gives

@@ -4,7 +4,9 @@ Each check returns one or more CheckRecords.  ``fast`` checks are
 deterministic identity/solver checks (seconds total); ``full`` adds the
 seeded Monte Carlo checks (about 45 s at the default path count).  Every
 Monte Carlo status comes from one rule, ``_mc_status``: too few samples, or
-noise alone reaching the gate's limit, is inconclusive, never red.
+noise alone reaching the gate's limit, is inconclusive, never red.  Operator
+identities are compared on their stored diagonals, every row included
+(``_gap``); Monte Carlo SEs come from ``_pooled`` and ``_path_se``.
 
 Three checks assert statements that cannot hold on any finite grid or at
 any finite path count (see their docstrings); they are registered with
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ..algebra import (OperatorMatrix, averaging_bands, build_space,
+from ..algebra import (averaging_bands, build_space,
                        commutator, correlation, gauge_map, hamiltonian,
                        heisenberg_action, heisenberg_operator,
                        mapped_velocity_operator,
@@ -126,6 +128,32 @@ def _worst(*devs) -> float:
     """Largest entry of the arrays; NaN if one is NaN or all are empty."""
     flat = np.concatenate([np.ravel(d) for d in devs])
     return float(flat.max()) if flat.size else np.nan
+
+
+def _gap(a: dict, b: dict) -> float:
+    """Largest ``|a - b|`` entry, on every row, of two operators given as
+    their diagonals (an offset missing from one is zero there)."""
+    return _worst(*(np.abs(a.get(k, 0.0) - b.get(k, 0.0))
+                    for k in a.keys() | b.keys()))
+
+
+def _pooled(tables, uses, axis):
+    """Count-weighted estimate, SE (tables independent) and sample count
+    of binned tables over their usable bins: per bin with ``axis=0``, over
+    all with ``axis=None``; NaN estimate and SE where the count is 0."""
+    use = np.array(uses)
+    w = np.where(use, [t.counts for t in tables], 0)
+    est = np.where(use, [t.estimate for t in tables], 0.0)
+    se = np.where(use, [t.std_error for t in tables], 0.0)
+    count = np.sum(w, axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.sum(est * w, axis) / count,
+                np.sqrt(np.sum((se * w) ** 2, axis)) / count, count)
+
+
+def _path_se(values: np.ndarray):
+    """SE of the mean of a statistic taken once per independent path."""
+    return values.std() / np.sqrt(values.size)
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +360,7 @@ def check_commutator_exact(ctx: CheckContext):
     tol = 1e-12
     grid = ctx.dyadic_grid
     ws = ctx.ho_ground(grid)
-    A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
+    A = averaging_bands(grid.n)
     devs = {}
     for nu in (0.5, 1.0, 2.0):
         p = diffusion_params("nu", nu)
@@ -340,10 +368,9 @@ def check_commutator_exact(ctx: CheckContext):
         space = build_space(grid, "H_t", ws.rho(0))
         X = position_operator(space)
         vel = velocity_operator(df, p, space)
-        C = commutator(vel, X)
-        devs[f"nu={nu}"] = float(np.max(np.abs(
-            (C.matrix - 2 * nu * A)[1:-1, :])))
-        devs[f"[X,X]_nu={nu}"] = float(np.max(np.abs(commutator(X, X).matrix)))
+        devs[f"nu={nu}"] = _gap(commutator(vel, X).diagonals,
+                                {k: 2 * nu * d for k, d in A.items()})
+        devs[f"[X,X]_nu={nu}"] = _gap(commutator(X, X).diagonals, {})
     worst = float(max(devs.values()))
     return [ctx.record(
         "commutator_exact", "commutation-rules", _status(worst, tol),
@@ -365,7 +392,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
     zero to machine precision; A f - f = (dx^2/2) f'' on smooth fields).
     """
     tol = 1e-12
-    grid = Grid1D(-8.0, 8.0, 801)
+    grid = ctx.grid
     ws = ctx.ho_ground(grid)
     p = diffusion_params("nu", 0.5)
     df = ctx.ou_drift(0.5, grid)
@@ -373,10 +400,8 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
     X = position_operator(space)
     vel = velocity_operator(df, p, space)
     C = commutator(vel, X)
-    worst = 0.0
-    for f in _random_fields(grid.n, 20):
-        r = (C @ f - 2 * p.nu_real * f)[1:-1]
-        worst = max(worst, float(np.max(np.abs(r))))
+    worst = max(float(np.max(np.abs((C @ f - 2 * p.nu_real * f)[1:-1])))
+                for f in _random_fields(grid.n, 20))
     smooth = np.exp(-grid.x ** 2 / 4) * np.sin(2 * grid.x)
     smooth_resid = float(np.max(np.abs((C @ smooth
                                         - 2 * p.nu_real * smooth)[1:-1])))
@@ -397,7 +422,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
 def check_canonical_algebra(ctx: CheckContext):
     tol = 1e-12
     grid = ctx.dyadic_grid
-    A = OperatorMatrix(build_space(grid, "L2"), averaging_bands(grid.n)).matrix
+    A = averaging_bands(grid.n)
     devs = {}
     base = diffusion_params("nu", 0.5)
     for sign in ("minus", "plus"):
@@ -406,9 +431,8 @@ def check_canonical_algebra(ctx: CheckContext):
         X = position_operator(space)
         P = momentum_operator(pc, space)
         want = 1j * pc.hbar if sign == "minus" else -1j * pc.hbar
-        C = commutator(X, P)
-        devs[f"[X,P]-{sign}"] = float(np.max(np.abs(
-            (C.matrix - want * A)[1:-1, :])))
+        devs[f"[X,P]-{sign}"] = _gap(commutator(X, P).diagonals,
+                                     {k: want * d for k, d in A.items()})
         coeff = rho_term_coefficient(pc)
         devs[f"rho_coefficient_{sign}"] = abs(coeff)
         # z * (S/z) = S: the fixed phase is branch independent
@@ -416,11 +440,11 @@ def check_canonical_algebra(ctx: CheckContext):
         devs[f"phase_invariant_{sign}"] = float(np.max(np.abs(
             pc.z * (S / pc.z) - S)))
         mv = mapped_velocity_operator(pc, space)
-        devs[f"P=m*mapped_{sign}"] = float(np.max(np.abs(
-            P.matrix - pc.m * mv.matrix)))
+        devs[f"P=m*mapped_{sign}"] = _gap(P.diagonals, {
+            k: pc.m * d for k, d in mv.diagonals.items()})
         # momentum is exactly hermitian in the flat space
-        devs[f"P_hermitian_{sign}"] = float(np.max(np.abs(
-            P.matrix - P.matrix.conj().T)))
+        devs[f"P_hermitian_{sign}"] = _gap(P.diagonals, {
+            -k: d.conj() for k, d in P.diagonals.items()})
     worst = float(max(devs.values()))
     return [ctx.record(
         "canonical_algebra", "continuation-algebra", _status(worst, tol),
@@ -436,16 +460,14 @@ def check_canonical_pointwise_literal(ctx: CheckContext):
     """Literal ([X,P]f)_i = i hbar f_i on random fields; see the commutator
     twin for why this cannot hold in finite dimensions."""
     tol = 1e-12
-    grid = Grid1D(-8.0, 8.0, 801)
+    grid = ctx.grid
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
     X = position_operator(space)
     P = momentum_operator(pc, space)
     C = commutator(X, P)
-    worst = 0.0
-    for f in _random_fields(grid.n, 20, complex_fields=True):
-        r = (C @ f - 1j * pc.hbar * f)[1:-1]
-        worst = max(worst, float(np.max(np.abs(r))))
+    worst = max(float(np.max(np.abs((C @ f - 1j * pc.hbar * f)[1:-1])))
+                for f in _random_fields(grid.n, 20, complex_fields=True))
     coeff = abs(rho_term_coefficient(pc))
     return [ctx.record(
         "canonical_pointwise_literal", "continuation-algebra",
@@ -519,8 +541,7 @@ def check_recursion_velocity(ctx: CheckContext):
         X = position_operator(space)
         X1 = time_derivative_recursion(X, H, p, 1)[0]
         mv = mapped_velocity_operator(p, space)
-        devs[f"nu={nu}"] = float(np.max(np.abs(
-            (X1.matrix - mv.matrix)[1:-1, :])))
+        devs[f"nu={nu}"] = _gap(X1.diagonals, mv.diagonals)
     for sign in ("minus", "plus"):
         pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
         space = build_space(grid, "L2")
@@ -528,7 +549,7 @@ def check_recursion_velocity(ctx: CheckContext):
         Xc = position_operator(space)
         X1 = time_derivative_recursion(Xc, Hc, pc, 1)[0]
         mv = mapped_velocity_operator(pc, space)
-        devs[sign] = float(np.max(np.abs((X1.matrix - mv.matrix)[1:-1, :])))
+        devs[sign] = _gap(X1.diagonals, mv.diagonals)
     worst = float(max(devs.values()))
     return [ctx.record(
         "recursion_velocity", "hamiltonian-recursion", _status(worst, tol),
@@ -561,7 +582,7 @@ def check_acceleration_identity(ctx: CheckContext):
         worst = max(worst, gaps[801])
         worst_ratio = min(worst_ratio, ratio)
     # closed-form spot value at nu = 0.5: acceleration(x) = x
-    grid = Grid1D(-8.0, 8.0, 801)
+    grid = ctx.grid
     ws = ctx.ho_ground(grid)
     acc = acceleration_function(ws, diffusion_params("nu", 0.5),
                                 0.5 * grid.x ** 2, compare_floor=floor)
@@ -620,12 +641,12 @@ def check_heisenberg_taylor(ctx: CheckContext):
         X = position_operator(space)
         T10 = taylor_heisenberg(X, H, 0.1, 10, pc)
         E = heisenberg_operator(X, H, 0.1, pc)
-        devs[f"n={n}"] = float(np.max(np.abs(T10.matrix - E.matrix)))
+        devs[f"n={n}"] = _gap(T10.diagonals, E.diagonals)
         if n == 25:
             z = taylor_heisenberg(X, H, 0.0, 0, pc)
-            devs["order0_is_X"] = float(np.max(np.abs(z.matrix - X.matrix)))
+            devs["order0_is_X"] = _gap(z.diagonals, X.diagonals)
             e0 = heisenberg_operator(X, H, 0.0, pc)
-            devs["s=0_is_X"] = float(np.max(np.abs(e0.matrix - X.matrix)))
+            devs["s=0_is_X"] = _gap(e0.diagonals, X.diagonals)
     worst = float(max(devs.values()))
     return [ctx.record(
         "heisenberg_taylor", "taylor-evolution", _status(worst, tol),
@@ -657,7 +678,7 @@ def check_heisenberg_closed_form(ctx: CheckContext):
     smooth packets supported away from the walls, where it is O(dx^2).
     """
     tol = 5e-3
-    grid = Grid1D(-8.0, 8.0, 801)
+    grid = ctx.grid
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
     H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
@@ -683,21 +704,9 @@ def check_heisenberg_closed_form(ctx: CheckContext):
               "delta-prime kernel of P (O(10) at any dx)")]
 
 
-def _interior_row_gap(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Largest entry of ``|a - b|`` off the two boundary rows, read from
-    the diagonals.  Diagonal k >= 0 starts in row 0 and k <= 0 ends in
-    row n - 1, so those entries are dropped."""
-    gap = 0.0
-    for k in a.diagonals.keys() | b.diagonals.keys():
-        d = a.diagonal(k) - b.diagonal(k)
-        gap = max(gap, float(np.max(np.abs(d[(k >= 0):d.size - (k <= 0)]),
-                                     initial=0.0)))
-    return gap
-
-
 def check_recursion_closed_forms(ctx: CheckContext):
     tol = 5e-3
-    grid = Grid1D(-8.0, 8.0, 801)
+    grid = ctx.grid
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
     states = _smooth_test_states(grid)
@@ -707,8 +716,8 @@ def check_recursion_closed_forms(ctx: CheckContext):
     X = position_operator(space)
     X1, X2 = time_derivative_recursion(X, H0, pc, 2)
     P = momentum_operator(pc, space)
-    devs["free_X1_vs_P/m"] = _interior_row_gap(X1, OperatorMatrix(
-        space, {k: d / pc.m for k, d in P.diagonals.items()}))
+    devs["free_X1_vs_P/m"] = _gap(X1.diagonals, {
+        k: d / pc.m for k, d in P.diagonals.items()})
     devs["free_X2"] = max(float(np.max(np.abs(X2.apply(psi))))
                           for psi in states)
     # oscillator: X^2 = -X in action
@@ -725,12 +734,8 @@ def check_recursion_closed_forms(ctx: CheckContext):
     _, X2r = time_derivative_recursion(Xr, Hr, p, 2)
     acc = acceleration_function(ws, p, 0.5 * grid.x ** 2, compare_floor=1e-3)
     mult = np.where(acc.mask, acc.from_drift, 0.0)
-    gap = 0.0
-    for psi in states:
-        lhs = X2r.apply(psi)[acc.mask]
-        rhs = (mult * psi)[acc.mask]
-        gap = max(gap, float(np.max(np.abs(lhs - rhs))))
-    devs["real_X2_vs_acceleration"] = gap
+    devs["real_X2_vs_acceleration"] = max(float(np.max(np.abs(
+        X2r.apply(psi) - mult * psi)[acc.mask])) for psi in states)
     worst = float(max(devs.values()))
     return [ctx.record(
         "recursion_closed_forms", "hamiltonian-recursion",
@@ -810,14 +815,9 @@ def check_continued_two_time(ctx: CheckContext):
 def _pooled_qvar(ctx, nu, dt, n_steps, j_lo, j_hi):
     """Pooled estimate over usable bins, its SE (steps independent), count."""
     e = ctx.ou_ensemble(nu, dt, n_steps)
-    num, var, den = 0.0, 0.0, 0
-    for j in range(j_lo, j_hi):
-        tab = estimate_quadratic_variation(e, j, bins=32)
-        use = tab.counts >= MIN_COUNT_ASSERT
-        num += float(np.sum(tab.estimate[use] * tab.counts[use]))
-        var += float(np.sum((tab.std_error[use] * tab.counts[use]) ** 2))
-        den += int(tab.counts[use].sum())
-    return (num / den if den else np.nan), np.sqrt(var) / max(den, 1), den
+    tabs = [estimate_quadratic_variation(e, j, bins=32)
+            for j in range(j_lo, j_hi)]
+    return _pooled(tabs, [t.counts >= MIN_COUNT_ASSERT for t in tabs], None)
 
 
 def check_qvar_recovery(ctx: CheckContext):
@@ -858,26 +858,18 @@ def check_drift_recovery(ctx: CheckContext):
     e = ctx.ou_ensemble(nu, dt, 40)
     edges = np.arange(-3.4, 3.401, 0.4)
     slices = (10, 20, 30)
-    fwd_sum, bwd_sum, wsum, var_f, var_b, hists = np.zeros((6, edges.size - 1))
-    counts = np.zeros(edges.size - 1, dtype=int)
-    for j in slices:
-        f = estimate_forward_drift(e, j, bins=edges, min_count=MIN_COUNT_ASSERT)
-        b = estimate_backward_drift(e, j, bins=edges, min_count=MIN_COUNT_ASSERT)
-        use = f.usable & b.usable
-        fwd_sum[use] += f.estimate[use] * f.counts[use]
-        bwd_sum[use] += b.estimate[use] * b.counts[use]
-        var_f[use] += (f.std_error[use] * f.counts[use]) ** 2
-        var_b[use] += (b.std_error[use] * b.counts[use]) ** 2
-        wsum[use] += f.counts[use]
-        counts += f.counts
-        _, dens, _ = density_histogram(e, j, bins=edges)
-        hists += dens / len(slices)
+    kw = dict(bins=edges, min_count=MIN_COUNT_ASSERT)
+    fs = [estimate_forward_drift(e, j, **kw) for j in slices]
+    bs = [estimate_backward_drift(e, j, **kw) for j in slices]
+    uses = [f.usable & b.usable for f, b in zip(fs, bs)]
+    fwd, se_f, wsum = _pooled(fs, uses, 0)
+    bwd, se_b, _ = _pooled(bs, uses, 0)
+    counts = sum(f.counts for f in fs)
+    hists = sum(density_histogram(e, j, bins=edges)[1] / len(slices)
+                for j in slices)
     use = wsum > 0
     centers = 0.5 * (edges[:-1] + edges[1:])
-    fwd = fwd_sum[use] / wsum[use]
-    bwd = bwd_sum[use] / wsum[use]
-    se_f = np.sqrt(var_f[use]) / wsum[use]
-    se_b = np.sqrt(var_b[use]) / wsum[use]
+    fwd, bwd, se_f, se_b = fwd[use], bwd[use], se_f[use], se_b[use]
     x = centers[use]
     dev_f = np.abs(fwd - (-2 * nu * x)) / (3 * se_f)
     dev_b = np.abs(bwd - (+2 * nu * x)) / (3 * se_b)
@@ -986,10 +978,9 @@ def check_stationary_variance(ctx: CheckContext):
             oracle="stationary variance hbar / 2 m omega = nu / gamma"))
     diffs = [sq_dev[a] - sq_dev[b]
              for a, b in ((0.5, 1.0), (1.0, 2.0), (0.5, 2.0))]
-    ses = [d.std() / np.sqrt(n) for d in diffs]
     with np.errstate(divide="ignore", invalid="ignore"):  # no spread at n <= 2
-        pair, pair_se = max((abs(d.mean()) / (3 * se_d), se_d)
-                            for d, se_d in zip(diffs, ses))
+        pair, pair_se = max((abs(d.mean()) / (3 * se_d), se_d) for d, se_d
+                            in zip(diffs, map(_path_se, diffs)))
     records.append(ctx.record(
         "stationary_variance[pairwise]", "measurable-statistics",
         *_mc_status(pair, n),
@@ -1068,8 +1059,8 @@ def check_fk_bridge_real(ctx: CheckContext):
             e.positions(j) * e.positions(j + lag) for j in base_idx])
         mc = float(prods.mean())
         # SE of the per-path means: paths are independent, base times not
-        per_path = prods.reshape(len(base_idx), e.n_paths).mean(axis=0)
-        se = float(per_path.std() / np.sqrt(e.n_paths))
+        se = float(_path_se(prods.reshape(len(base_idx),
+                                          e.n_paths).mean(axis=0)))
         rel = abs(mc - mat) / abs(mat)
         devs[f"mc_s={s}"] = mc
         devs[f"matrix_s={s}"] = mat
@@ -1124,25 +1115,31 @@ def check_mean_acceleration_packet(ctx: CheckContext):
     n_total = max(t_probe) + stride
     tau = stride * dt
     c1 = 2 * (1 - np.cos(tau)) / tau ** 2   # finite-stride factor on cos
-    devs, worst = {}, np.nan
+    devs, ses, worst = {}, [], np.nan
     if _mc_status(worst, n_cfg, min_count=min_paths)[0] != INCONCLUSIVE:
-        means = [x.mean() for x in _coherent_steps(
-            ctx, dt, n_total, n_paths, ctx.cfg.sde.seed + 2)]
+        probes = [j for j in t_probe if abs(np.cos(j * dt)) >= 0.4]
+        keep = {j + k for j in probes for k in (-stride, 0, stride)}
+        kept = {j: x.copy() for j, x in enumerate(_coherent_steps(
+            ctx, dt, n_total, n_paths, ctx.cfg.sde.seed + 2)) if j in keep}
         worst = 0.0
-        for j0 in t_probe:
+        for j0 in probes:
             t = j0 * dt
             xbar = np.cos(t)
-            if abs(xbar) < 0.4:
-                continue
-            acc = (means[j0 + stride] - 2 * means[j0]
-                   + means[j0 - stride]) / tau ** 2
+            up, mid, down = (kept[j0 + k] for k in (stride, 0, -stride))
+            acc = (up.mean() - 2 * mid.mean() + down.mean()) / tau ** 2
             rel = abs(acc / c1 - (-xbar)) / abs(xbar)
             devs[f"t={t:.2f}"] = rel
             devs[f"raw_t={t:.2f}"] = abs(acc - (-xbar)) / abs(xbar)
             worst = max(worst, rel)
+            # SE of rel from the per-path second differences
+            ses.append(float(_path_se(up - 2 * mid + down)
+                             / (tau ** 2 * c1 * abs(xbar))))
     return [ctx.record(
         "mean_acceleration_packet", "mean-acceleration",
-        *_mc_status(worst / tol, n_cfg, min_count=min_paths), measured=devs,
+        *_mc_status(worst / tol, n_cfg,
+                    np.sqrt(2 / np.pi) * max(ses, default=0.0) / tol,
+                    min_count=min_paths),
+        measured=devs, std_error=max(ses, default=None),
         reference={"packet": "d2<x>/dt2 = -<x> for the displaced oscillator "
                              "state at nu = hbar/2m"},
         tolerance=tol, oracle="classical center motion x0 cos(t)",

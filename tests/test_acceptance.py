@@ -7,9 +7,12 @@ marked strict-xfail, with the quantitative analysis in the check's notes
 and the exact/convergent companion assertions kept green right next to
 them (see also the commutator/averaging discussion in the algebra module).
 """
+import numpy as np
 import pytest
 
-from nelsonlab.harness import ExperimentConfig
+from nelsonlab.algebra import OperatorMatrix
+import nelsonlab.harness.checks as checks
+from nelsonlab.harness import ExperimentConfig, verify_suite
 from nelsonlab.harness.checks import (CheckContext,
                                       check_acceleration_identity,
                                       check_canonical_algebra,
@@ -26,10 +29,11 @@ from nelsonlab.harness.checks import (CheckContext,
                                       check_mean_acceleration_binned_literal,
                                       check_mean_acceleration_packet,
                                       check_qvar_recovery,
+                                      check_recursion_closed_forms,
                                       check_recursion_velocity,
                                       check_stationary_variance,
                                       check_tmap_unitarity)
-from nelsonlab.harness.report import PASS
+from nelsonlab.harness.report import FAIL, PASS
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,68 @@ def test_criterion_12_fp_schrodinger(ctx):
     _require_pass("12", check_fp_schrodinger_consistency(ctx),
                   ("L1_quarter_4_nu=0.5", "L1_quarter_4_nu=1.0",
                    "L1_quarter_4_nu=2.0"))
+
+
+# power of the exact operator identities ------------------------------------
+
+def _bumped(bands, row, by):
+    """``bands`` with ``by`` added to the main-diagonal entry of ``row``."""
+    main = np.array(bands[0])
+    main[row] += by
+    return {**bands, 0: main}
+
+
+@pytest.mark.parametrize("row", [400, 0], ids=["interior", "boundary"])
+@pytest.mark.parametrize("check, builder, by", [
+    (check_commutator_exact, "averaging_bands", 1e-9),
+    (check_canonical_algebra, "averaging_bands", 1e-9),
+    (check_canonical_algebra, "momentum_operator", 1e-9),
+    (check_canonical_algebra, "mapped_velocity_operator", 1e-9),
+    (check_recursion_velocity, "mapped_velocity_operator", 1e-9),
+    # its tolerance is 5e-3, so a 1e-9 bump is within it
+    (check_recursion_closed_forms, "momentum_operator", 1e-2),
+], ids=["commutator_exact", "canonical_algebra-A", "canonical_algebra-P",
+        "canonical_algebra-mv", "recursion_velocity", "recursion_closed_forms"])
+def test_identity_check_sees_one_changed_entry(check, builder, by, row,
+                                               monkeypatch):
+    """One entry of a reference operator changed, in an interior row or
+    in a boundary row, turns the identity check red."""
+    build = getattr(checks, builder)
+
+    def changed(*args):
+        out = build(*args)
+        if isinstance(out, dict):
+            return _bumped(out, row, by)
+        return OperatorMatrix(out.space, _bumped(out.diagonals, row, by),
+                              out.label)
+
+    monkeypatch.setattr(checks, builder, changed)
+    recs = check(CheckContext(ExperimentConfig()))
+    assert [r.status for r in recs] == [FAIL], recs[0].measured
+
+
+def test_heisenberg_taylor_sees_a_changed_diagonal(monkeypatch):
+    exact = checks.heisenberg_operator
+
+    def changed(X, H, s, p):
+        E = exact(X, H, s, p)
+        return OperatorMatrix(E.space, {**E.diagonals,
+                                        0: E.diagonal(0) + 1e-6}, E.label)
+
+    monkeypatch.setattr(checks, "heisenberg_operator", changed)
+    recs = check_heisenberg_taylor(CheckContext(ExperimentConfig()))
+    assert [r.status for r in recs] == [FAIL], recs[0].measured
+
+
+def test_fast_suite_reads_no_dense_view(monkeypatch):
+    """Every fast check compares operators on their diagonals: with the
+    dense view unavailable the suite runs and keeps its statuses."""
+    def no_dense(self):
+        raise AssertionError("a dense operator view was read")
+
+    monkeypatch.setattr(OperatorMatrix, "matrix", property(no_dense))
+    report = verify_suite("fast")
+    for r in report.records:
+        assert r.status == (FAIL if r.known_unattainable else PASS), r.name
+    assert report.counts() == {"pass": 17, "fail": 0, "inconclusive": 0,
+                               "fail_expected": 2}

@@ -1,5 +1,7 @@
 import json
 import re
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from nelsonlab.harness import (FAST_CHECKS, FULL_CHECKS, CheckContext,
                                ExperimentConfig, Report, config_from_dict,
                                emit_plots_data, load_config, run_experiment,
                                verify_suite)
-from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status,
+from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status, _pooled,
                                       check_continued_two_time,
                                       check_equal_time_value)
 from nelsonlab.harness.report import FAIL, INCONCLUSIVE, PASS, CheckRecord
@@ -214,3 +216,54 @@ def test_config_from_dict_field_type_errors_name_the_field(raw, match):
 def test_config_from_dict_rejects_unknown_keys(raw, key):
     with pytest.raises(InputError, match=rf"\b{key}: unknown key"):
         config_from_dict(raw)
+
+
+def _tables(rng, n_tables, n_bins):
+    """Binned tables with NaN estimates and SEs in the sparse bins."""
+    out = []
+    for _ in range(n_tables):
+        counts = rng.integers(0, 3 * MIN_COUNT_ASSERT, n_bins)
+        usable = counts >= MIN_COUNT_ASSERT
+        est, se = rng.standard_normal((2, n_bins))
+        out.append(SimpleNamespace(counts=counts, usable=usable,
+                                   estimate=np.where(usable, est, np.nan),
+                                   std_error=np.where(usable, abs(se), np.nan)))
+    return out
+
+
+def test_pooled_per_bin_matches_hand_accumulation(rng):
+    tabs = _tables(rng, 3, 17)
+    num, var, wsum = np.zeros((3, 17))
+    for t in tabs:
+        use = t.usable
+        num[use] += t.estimate[use] * t.counts[use]
+        var[use] += (t.std_error[use] * t.counts[use]) ** 2
+        wsum[use] += t.counts[use]
+    est, se, count = _pooled(tabs, [t.usable for t in tabs], 0)
+    use = wsum > 0
+    assert np.array_equal(count, wsum)
+    assert np.array_equal(est[use], num[use] / wsum[use])
+    assert np.array_equal(se[use], np.sqrt(var[use]) / wsum[use])
+    assert np.isnan(est[~use]).all() and np.isnan(se[~use]).all()
+
+
+def test_pooled_over_all_bins_matches_loop(rng):
+    tabs = _tables(rng, 30, 32)
+    num, var, den = 0.0, 0.0, 0
+    for t in tabs:
+        use = t.counts >= MIN_COUNT_ASSERT
+        num += float(np.sum(t.estimate[use] * t.counts[use]))
+        var += float(np.sum((t.std_error[use] * t.counts[use]) ** 2))
+        den += int(t.counts[use].sum())
+    est, se, count = _pooled(tabs, [t.usable for t in tabs], None)
+    assert count == den
+    assert est == pytest.approx(num / den, rel=1e-14, abs=0.0)
+    assert se == pytest.approx(np.sqrt(var) / den, rel=1e-14, abs=0.0)
+
+
+def test_pooled_without_usable_bins_is_nan(rng):
+    tabs = _tables(rng, 4, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se, count = _pooled(tabs, [np.zeros(8, bool)] * 4, None)
+    assert count == 0 and np.isnan(est) and np.isnan(se)

@@ -705,7 +705,7 @@ def check_heisenberg_closed_form(ctx: CheckContext):
 
 
 def check_recursion_closed_forms(ctx: CheckContext):
-    tol = 5e-3
+    tol = 5e-3    # the O(dx^2) action gaps; X^1 = P/m is exact, to 1e-10
     grid = ctx.grid
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     space = build_space(grid, "L2")
@@ -736,15 +736,17 @@ def check_recursion_closed_forms(ctx: CheckContext):
     mult = np.where(acc.mask, acc.from_drift, 0.0)
     devs["real_X2_vs_acceleration"] = max(float(np.max(np.abs(
         X2r.apply(psi) - mult * psi)[acc.mask])) for psi in states)
-    worst = float(max(devs.values()))
+    worst = max(v for k, v in devs.items() if k != "free_X1_vs_P/m")
     return [ctx.record(
         "recursion_closed_forms", "hamiltonian-recursion",
-        _status(worst, tol), measured=devs,
-        reference={"free": "X^2 = 0", "oscillator": "X^2 = -X",
+        _status(max(devs["free_X1_vs_P/m"] / 1e-10, worst / tol), 1.0),
+        measured=devs,
+        reference={"free": "X^1 = P/m, X^2 = 0", "oscillator": "X^2 = -X",
                    "real ground state": "X^2 = multiplication by the "
                                         "acceleration field"},
         tolerance=tol, oracle="commutator closed forms, in action on "
-                              "smooth trapped states")]
+                              "smooth trapped states",
+        notes="X^1 = P/m is an exact identity, held to 1e-10")]
 
 
 def check_equal_time_value(ctx: CheckContext):

@@ -193,8 +193,7 @@ def _bumped(bands, row, by):
     (check_canonical_algebra, "momentum_operator", 1e-9),
     (check_canonical_algebra, "mapped_velocity_operator", 1e-9),
     (check_recursion_velocity, "mapped_velocity_operator", 1e-9),
-    # its tolerance is 5e-3, so a 1e-9 bump is within it
-    (check_recursion_closed_forms, "momentum_operator", 1e-2),
+    (check_recursion_closed_forms, "momentum_operator", 1e-9),
 ], ids=["commutator_exact", "canonical_algebra-A", "canonical_algebra-P",
         "canonical_algebra-mv", "recursion_velocity", "recursion_closed_forms"])
 def test_identity_check_sees_one_changed_entry(check, builder, by, row,

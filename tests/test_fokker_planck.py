@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from nelsonlab import Grid1D, InputError, InstabilityError, diffusion_params
 from nelsonlab.fields import (analytic_oracle, drift_fields,
@@ -59,11 +59,22 @@ def coherent_packet_solution():
                              store_every=10)
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
-def test_carried_bands_match_two_band_reference(coherent_packet_solution, nu):
+def _packet_drift(sol, drift):
+    """The packet's drift at nu = ``drift``, or a static OU or flat drift."""
+    if drift == "ou_ground":
+        ws = analytic_oracle("ho_ground", None, sol.grid, [0.0])
+        return drift_fields(ws, diffusion_params("nu", 0.5))
+    if drift == "flat":
+        return _flat_drift(sol.grid, 0.5)
+    return drift_fields(sol, diffusion_params("nu", drift))
+
+
+@pytest.mark.parametrize("drift", [0.5, 1.0, 2.0, "ou_ground", "flat"])
+def test_carried_bands_match_two_band_reference(coherent_packet_solution,
+                                                drift):
     sol = coherent_packet_solution
     g = sol.grid
-    df = drift_fields(sol, diffusion_params("nu", nu))
+    df = _packet_drift(sol, drift)
     rho0 = np.exp(2 * sol.R[0])
     rho0 /= g.trapezoid(rho0)
     ev = evolve_density_fokker_planck(df, rho0, 1e-3, 1560, store_every=390)
@@ -71,6 +82,25 @@ def test_carried_bands_match_two_band_reference(coherent_packet_solution, nu):
     assert ev.rho.shape == ref.shape
     assert np.max(np.abs(ev.rho - ref)) <= 1e-13 * np.max(ref)
     assert np.max(np.abs(ev.masses() - ev.masses()[0])) < 1e-10
+
+
+@pytest.mark.parametrize("drift, counts", [
+    ("flat", (1, 5, 0)), ("ou_ground", (1, 5, 0)), (0.5, (0, 0, 5))])
+def test_static_drift_is_factored_once(coherent_packet_solution, drift,
+                                       counts, monkeypatch):
+    """A static drift's step matrix is factored once and then only solved;
+    a time-dependent one is solved afresh by ``dgtsv`` at every step."""
+    calls = {"dgttrf": 0, "dgttrs": 0, "dgtsv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _routine=getattr(lapack, name), **kw):
+            calls[_name] += 1
+            return _routine(*args, **kw)
+        monkeypatch.setattr(lapack, name, counted)
+    sol = coherent_packet_solution
+    rho0 = np.exp(2 * sol.R[0])
+    rho0 /= sol.grid.trapezoid(rho0)
+    evolve_density_fokker_planck(_packet_drift(sol, drift), rho0, 1e-3, 5)
+    assert tuple(calls.values()) == counts, calls
 
 
 def test_stationary_density_is_preserved():

@@ -16,11 +16,14 @@ Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
 tridiagonal, so their eigensystems come from their two bands through the
 O(n^2) MRRR tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``).
-The exact conjugation acts on states: ``heisenberg_action`` applies the
-eigenvectors to state vectors, O(n^2) per state and lag after one
-eigensolve per call, and the continued two-time elements go through it.
-Only ``heisenberg_operator`` forms the full evolved matrix, for the checks
-that test a dense X(s) itself.
+Every eigensystem comes from ``_eigh_bands``, which keeps the last one it
+computed: both continued branches and the dense and state forms of the
+conjugation share one Hamiltonian, so consecutive calls on it diagonalize
+it once.  The exact conjugation acts on states: ``heisenberg_action``
+applies the eigenvectors to state vectors, O(n^2) per state and lag, and
+the continued two-time elements go through it.  Only
+``heisenberg_operator`` forms the full evolved matrix, for the checks that
+test a dense X(s) itself.
 """
 from __future__ import annotations
 
@@ -57,12 +60,32 @@ def _interior_bands(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     return diag.real, upper.real
 
 
-def _eigh_bands(diag: np.ndarray, off: np.ndarray, **options):
-    """``eigh_tridiagonal`` on the two bands of a real symmetric matrix."""
+# (key, result) of the last solve: one entry, replaced by one assignment
+_last_eigensystem: tuple | None = None
+
+
+def _eigh_bands(diag: np.ndarray, off: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, U)`` of ``eigh_tridiagonal`` on the two bands of a real
+    symmetric matrix.
+
+    The last eigensystem is kept, keyed on the exact bytes of both bands,
+    so a repeat call on the same matrix returns it without a new solve; the
+    solver is deterministic, so the result is the one a fresh solve gives.
+    The returned arrays are read-only.
+    """
+    global _last_eigensystem
+    key = (diag.dtype.str, diag.tobytes(), off.dtype.str, off.tobytes())
+    last = _last_eigensystem
+    if last is not None and last[0] == key:
+        return last[1]
     try:
-        return eigh_tridiagonal(diag, off, **options)
+        lam, U = eigh_tridiagonal(diag, off)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalBreakdownError("eigendecomposition failed") from exc
+    lam.flags.writeable = U.flags.writeable = False
+    _last_eigensystem = (key, (lam, U))
+    return lam, U
 
 
 def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -77,10 +100,12 @@ def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def _lags(s: float | Sequence[float]) -> np.ndarray:
-    """``s`` as a float array: a scalar or a 1-D sequence of lags."""
+    """``s`` as a float array: a scalar or a 1-D sequence of finite lags."""
     lags = np.asarray(s, dtype=float)
     if lags.ndim > 1:
         raise InputError("s must be a scalar or a 1-D sequence of lags")
+    if not np.isfinite(lags).all():
+        raise InputError(f"lags must be finite; got {lags.tolist()}")
     return lags
 
 
@@ -177,7 +202,8 @@ def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,
     On the interior ``X(s) = L x L^H`` with ``L = U e^{i phi} U^T``, so
     ``X(s) psi`` there is ``L (x . L^H psi)``: four products by the
     eigenvector matrix U, O(n^2) per state and lag.  The boundary rows are
-    those of X.  H is diagonalized once per call.
+    those of X.  H is diagonalized at most once per call, and not at all
+    when the previous eigensolve was of the same interior bands.
 
     ``states`` holds nodal fields as rows, shape ``(k, n)``.  ``s`` is a
     scalar or a 1-D sequence of lags; the result has shape ``(k, n)`` for a
@@ -268,11 +294,18 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     quantum two-point function.
 
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
-    lags, which gives a complex array, one eigensolve for all of them.
+    finite lags, which gives a complex array, one eigensolve for all of
+    them.  The real branch takes only ``s >= 0``, where its semigroup is a
+    contraction; the unitary continued branches take any sign.  Both
+    continued branches share one Hamiltonian, so a minus call and a plus
+    call in a row diagonalize it once.
     """
     grid = ws.grid
     lags = _lags(s)
     if p.is_real:
+        if (lags < 0).any():
+            raise InputError("the stationary semigroup exp(sL) is a "
+                             f"contraction only for s >= 0; got {lags.tolist()}")
         diag, off, theta = stationary_generator(ws, p, t_index)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
         lam, U = _eigh_bands(diag, off)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NelsonlabError
+from ..errors import InputError, NelsonlabError
 from ..fields import (analytic_oracle, diffusion_params, continue_to_imaginary,
                       drift_fields, export_snapshots, ho_ground_density,
                       solve_schrodinger)
@@ -148,7 +148,11 @@ def cmd_correlate(args) -> int:
         p = _params(args)
     else:
         p = continue_to_imaginary(_params(args), args.mode)
-    s_values = [float(s) for s in args.s.split(",")]
+    try:
+        s_values = [float(s) for s in args.s.split(",")]
+    except ValueError:
+        raise InputError("--s must be comma-separated lag times; "
+                         f"got {args.s!r}") from None
     rows = list(zip(s_values, map(complex, two_time_position_correlation(
         ws, p, s_values, V))))
     for s, c in rows:

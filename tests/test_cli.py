@@ -153,3 +153,18 @@ def test_verify_says_when_no_monte_carlo_check_was_decided(
     assert rc == 0
     out = capsys.readouterr().out
     assert ("no Monte Carlo check was decided at --paths 10" in out) == says
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlate", "--s", "0.5,,"], "comma-separated"),
+    (["correlate", "--s", "0.5,abc"], "comma-separated"),
+    (["correlate", "--mode", "real", "--s=-1"], "s >= 0"),
+    (["correlate", "--mode", "real", "--s=-1,nan"], "finite"),
+    (["correlate", "--mode", "minus", "--s=inf"], "finite"),
+])
+def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
+    rc = main(argv + ["--grid-n", "201", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "correlation_curve.csv").exists()

@@ -381,3 +381,168 @@ def test_closed_form_checks_build_no_dense_evolved_operator(monkeypatch):
     for check in (checks.check_heisenberg_closed_form,
                   checks.check_continued_two_time):
         assert [r.status for r in check(ctx)] == ["pass"]
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Counts eigensolves; starts from an empty held eigensystem."""
+    from scipy import linalg
+
+    from nelsonlab.algebra import evolution
+    calls = []
+
+    def counted(diag, off):
+        calls.append(diag.size)
+        return linalg.eigh_tridiagonal(diag, off)
+
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(evolution, "_last_eigensystem", None)
+    return calls
+
+
+def _fresh(H):
+    from scipy import linalg
+
+    from nelsonlab.algebra.evolution import _interior_bands
+    return linalg.eigh_tridiagonal(*_interior_bands(H))
+
+
+def test_conjugation_paths_share_one_eigensolve(solves):
+    """The dense and state conjugations and both continued two-time
+    branches on one grid and V diagonalize H once, and every result equals
+    the one from fresh solves bit for bit."""
+    from nelsonlab.algebra import evolution
+    grid = Grid1D(-8.0, 8.0, 201)
+    ws = analytic_oracle("ho_ground", None, grid, [0.0])
+    V = 0.5 * grid.x ** 2
+    sp = build_space(grid, "L2")
+    X = position_operator(sp)
+    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    pp = continue_to_imaginary(pm, "plus")
+    H = hamiltonian(None, pm, V, sp)
+    calls = (lambda: heisenberg_operator(X, H, 0.3, pm).matrix,
+             lambda: heisenberg_action(X, H, [0.3, 1.0], pm,
+                                       [X.apply(ws.R[0])]),
+             lambda: two_time_position_correlation(ws, pm, [0.25, 1.0], V),
+             lambda: two_time_position_correlation(ws, pp, [0.25, 1.0], V))
+    shared = [call() for call in calls]
+    assert solves == [grid.n - 2]
+    lam, U = evolution._eigh_bands(*evolution._interior_bands(H))
+    ref_lam, ref_U = _fresh(H)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
+    assert solves == [grid.n - 2]
+    for call, got in zip(calls, shared):
+        evolution._last_eigensystem = None
+        assert np.array_equal(got, call())
+    assert len(solves) == 5
+
+
+def test_one_ulp_change_in_v_is_a_new_eigensolve(solves):
+    grid = Grid1D(-8.0, 8.0, 201)
+    sp = build_space(grid, "L2")
+    X = position_operator(sp)
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    V = 0.5 * grid.x ** 2
+    bumped = V.copy()
+    bumped[151] = np.nextafter(bumped[151], np.inf)
+    H, Hb = (hamiltonian(None, pc, v, sp) for v in (V, bumped))
+    assert not np.array_equal(H.diagonal(0), Hb.diagonal(0))
+    states = [X.apply(np.exp(-grid.x ** 2))]
+    heisenberg_action(X, H, 0.5, pc, states)
+    got = heisenberg_action(X, Hb, 0.5, pc, states)
+    assert len(solves) == 2
+    from nelsonlab.algebra import evolution
+    evolution._last_eigensystem = None
+    assert np.array_equal(got, heisenberg_action(X, Hb, 0.5, pc, states))
+
+
+def test_alternating_hamiltonians_match_fresh_solves(solves):
+    from nelsonlab.algebra.evolution import _eigh_bands, _interior_bands
+    grid = Grid1D(-8.0, 8.0, 201)
+    sp = build_space(grid, "L2")
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    A = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    B = hamiltonian(None, pc, 0.25 * grid.x ** 2, sp)
+    for H in (A, B, A):
+        lam, U = _eigh_bands(*_interior_bands(H))
+        ref_lam, ref_U = _fresh(H)
+        assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
+    assert len(solves) == 3
+
+
+def test_held_eigensystem_is_read_only(solves):
+    from nelsonlab.algebra.evolution import _eigh_bands
+    lam, U = _eigh_bands(np.arange(5.0), np.ones(4))
+    assert not lam.flags.writeable and not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 1.0
+    again = _eigh_bands(np.arange(5.0), np.ones(4))
+    assert again[0] is lam and again[1] is U and len(solves) == 1
+
+
+def test_held_eigensystem_is_keyed_on_both_bands(solves):
+    from nelsonlab.algebra.evolution import _eigh_bands
+    diag, off = np.arange(5.0), np.ones(4)
+    for bands in ((diag, off), (diag, 2.0 * off), (diag + 1.0, 2.0 * off),
+                  (diag + 1.0, 2.0 * off)):
+        _eigh_bands(*bands)
+    assert len(solves) == 3
+
+
+def test_threads_on_different_grids_get_their_serial_results():
+    from concurrent.futures import ThreadPoolExecutor
+    lags = [0.25, 1.0]
+    jobs = []
+    for n, p in ((201, continue_to_imaginary(diffusion_params("nu", 0.5),
+                                             "minus")),
+                 (241, diffusion_params("nu", 0.7))):
+        grid = Grid1D(-8.0, 8.0, n)
+        jobs.append((analytic_oracle("ho_ground", None, grid, [0.0]), p,
+                     0.5 * grid.x ** 2))
+    serial = [two_time_position_correlation(ws, p, lags, V)
+              for ws, p, V in jobs]
+
+    def repeat(job):
+        return [two_time_position_correlation(job[0], job[1], lags, job[2])
+                for _ in range(20)]
+
+    with ThreadPoolExecutor(2) as pool:
+        for runs, ref in zip(pool.map(repeat, jobs), serial):
+            assert all(np.array_equal(r, ref) for r in runs)
+
+
+def test_fast_suite_makes_three_conjugation_eigensolves_per_run(solves):
+    """Heisenberg Taylor (n = 25 and 31) and the n = 801 Hamiltonian shared
+    by the closed-form and continued two-time checks: three solves, and as
+    many again on a second run, so nothing is reused across runs."""
+    from nelsonlab.harness.suite import verify_suite
+    verify_suite("fast")
+    assert solves == [23, 29, 799]
+    verify_suite("fast")
+    assert solves == [23, 29, 799] * 2
+
+
+def test_lags_must_be_finite(small, grid801):
+    grid, sp, X, states = small
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    V = 0.5 * grid801.x ** 2
+    for bad in (np.nan, np.inf, [0.5, -np.inf]):
+        with pytest.raises(InputError, match="finite"):
+            heisenberg_action(X, H, bad, pc, states)
+        for p in (diffusion_params("nu", 0.5), pc):
+            with pytest.raises(InputError, match="finite"):
+                two_time_position_correlation(ws, p, bad, V)
+
+
+def test_real_two_time_rejects_negative_lags(grid801):
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 0.5)
+    for bad in (-1.0, [0.5, -1e-3]):
+        with pytest.raises(InputError, match="s >= 0"):
+            two_time_position_correlation(ws, p, bad)
+    # the unitary continued branch is defined for either sign
+    pc = continue_to_imaginary(p, "minus")
+    got = two_time_position_correlation(ws, pc, -1.0, 0.5 * grid801.x ** 2)
+    assert abs(got - 0.5 * np.exp(1j)) < 5e-3

@@ -14,8 +14,12 @@ eigendecomposition of the interior Hamiltonian.
 
 Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
-tridiagonal, so their eigensystems come from their two bands through the
-O(n^2) MRRR tridiagonal eigensolver (``scipy.linalg.eigh_tridiagonal``).
+tridiagonal, so their eigensystems come from their two bands through
+``scipy.linalg.eigh_tridiagonal``.  Its default driver, in scipy 1.17.1,
+is LAPACK ``stevd`` (divide and conquer) for the full spectrum that every
+call here asks for, and ``stebz`` (bisection) with ``stein`` (inverse
+iteration) for a window of it; the choice in older scipy releases down
+to the 1.13 floor has not been checked.
 Every eigensystem comes from ``_eigh_bands``, which keeps the last one it
 computed: both continued branches and the dense and state forms of the
 conjugation share one Hamiltonian, so consecutive calls on it diagonalize
@@ -35,7 +39,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
-from ..params import DiffusionParams
+from ..params import HBAR, MASS, DiffusionParams
 from .operators import (OperatorMatrix, _scaled, commutator, hamiltonian,
                         position_operator)
 from .spaces import WeightedSpace, build_space
@@ -139,7 +143,7 @@ def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
     if p.is_real and H.meta is not None and not H.meta.get("stationary", True):
         raise UnsupportedConfigError(
             "real-mode recursion is defined for stationary densities only")
-    scale = 1.0 / (2.0 * p.m * p.nu)
+    scale = 1.0 / (2.0 * MASS * p.nu)
     out = [X0]
     for k in range(n_target):
         out.append(OperatorMatrix(X0.space, _scaled(
@@ -183,7 +187,7 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     lam, U = _conjugation_eigensystem(X, H, p)
     x = X.diagonal(0)
     # minus branch: X(s) = L X L^H with L = U e^{i phi} U^T = e^{+iHs/hbar}
-    phi = -p.sign * lam * s / p.hbar
+    phi = -p.sign * lam * s / HBAR
     left = np.empty(U.shape, dtype=complex)
     left.real = (U * np.cos(phi)) @ U.T
     left.imag = (U * np.sin(phi)) @ U.T
@@ -222,7 +226,7 @@ def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,
     out = np.empty((lags.size, *states.shape), complex)
     out[:, :, [0, -1]] = x[[0, -1]] * states[:, [0, -1]]
     for j, lag in enumerate(lags.ravel()):
-        phase = np.exp(1j * p.sign * lam * lag / p.hbar)   # e^{-i phi}
+        phase = np.exp(1j * p.sign * lam * lag / HBAR)   # e^{-i phi}
         w = x[1:-1] * _real_right_matmul(coeffs * phase, U.T)
         out[j, :, 1:-1] = _real_right_matmul(
             _real_right_matmul(w, U) * phase.conj(), U.T)
@@ -251,22 +255,22 @@ def correlation(state: np.ndarray, ops: list[OperatorMatrix],
     return space.inner(state, vec)
 
 
-def stationary_generator(ws: WaveSolution, p: DiffusionParams,
-                         t_index: int = 0
+def stationary_generator(ws: WaveSolution, p: DiffusionParams
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge-image generator of the stationary diffusion on interior nodes.
 
     Returns ``(diag, off, theta)``: the diagonal and the off-diagonal of
     the symmetric tridiagonal ``L = nu (Lap_D - diag(Lap_D theta / theta))``
-    and ``theta = sqrt(rho)`` on the interior nodes.  The construction makes
-    ``L theta = 0`` exact, so ``exp(s L)`` is a stable contraction with
-    theta invariant.  This is the Hamiltonian of the recursion shifted by
-    the state's energy and divided by ``2 m nu``, up to O(dx^2).
+    and ``theta = sqrt(rho)`` on the interior nodes, from the first stored
+    time of the stationary state.  The construction makes ``L theta = 0``
+    exact, so ``exp(s L)`` is a stable contraction with theta invariant.
+    This is the Hamiltonian of the recursion shifted by the state's energy
+    and divided by ``2 m nu``, up to O(dx^2).
     """
     if not p.is_real:
         raise UnsupportedConfigError("the stationary semigroup is real-mode only")
     grid = ws.grid
-    theta = np.exp(ws.R[t_index])[1:-1]
+    theta = np.exp(ws.R[0])[1:-1]
     inv = 1.0 / (grid.dx * grid.dx)
     padded = np.concatenate(([0.0], theta, [0.0]))
     lap_theta = (inv * padded[:-2] + inv * padded[2:]) + (-2.0 * inv) * theta
@@ -278,8 +282,8 @@ def stationary_generator(ws: WaveSolution, p: DiffusionParams,
 
 def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
                                   s: float | Sequence[float],
-                                  V: np.ndarray | None = None,
-                                  t_index: int = 0) -> complex | np.ndarray:
+                                  V: np.ndarray | None = None
+                                  ) -> complex | np.ndarray:
     """Stationary-state matrix element of the lag-s position pair.
 
     Real mode: ``(X theta, exp(s L) X theta)`` with the stationary
@@ -289,9 +293,9 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     Ornstein-Uhlenbeck process.
 
     Continued branches: ``(psi, X(s) X psi)`` in the flat space with
-    ``psi = exp(R + iS)`` and ``heisenberg_action`` for ``X(s)`` (needs
-    the potential ``V``); the minus branch reproduces the standard
-    quantum two-point function.
+    ``psi = exp(R + iS)`` at the first stored time and ``heisenberg_action``
+    for ``X(s)`` (needs the potential ``V``); the minus branch reproduces
+    the standard quantum two-point function.
 
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
     finite lags, which gives a complex array, one eigensolve for all of
@@ -306,7 +310,7 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
         if (lags < 0).any():
             raise InputError("the stationary semigroup exp(sL) is a "
                              f"contraction only for s >= 0; got {lags.tolist()}")
-        diag, off, theta = stationary_generator(ws, p, t_index)
+        diag, off, theta = stationary_generator(ws, p)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
         lam, U = _eigh_bands(diag, off)
         w = U.T @ (grid.x[1:-1] * theta)
@@ -316,8 +320,8 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
         if V is None:
             raise InputError("continued-mode correlation needs the potential V")
         space = build_space(grid, "L2")
-        psi = np.exp(ws.R[t_index] + 1j * np.where(
-            np.isnan(ws.S[t_index]), 0.0, ws.S[t_index]))
+        psi = np.exp(ws.R[0] + 1j * np.where(
+            np.isnan(ws.S[0]), 0.0, ws.S[0]))
         psi = space.normalize(psi)
         X = position_operator(space)
         evolved = heisenberg_action(X, hamiltonian(None, p, V, space),

@@ -38,7 +38,7 @@ from ..errors import EmptyMaskError, InputError, UnsupportedConfigError
 from ..fields.drift import DriftField
 from ..fields.wave import WaveSolution
 from ..finitediff import gradient, laplacian
-from ..params import DiffusionParams
+from ..params import HBAR, MASS, DiffusionParams
 from .spaces import WeightedSpace
 
 
@@ -259,7 +259,7 @@ def momentum_operator(p: DiffusionParams, space: WeightedSpace) -> OperatorMatri
     if p.is_real:
         raise UnsupportedConfigError("momentum is a continued-branch object")
     op = mapped_velocity_operator(p, space)
-    return OperatorMatrix(space, _scaled(p.m, op.diagonals), "momentum")
+    return OperatorMatrix(space, _scaled(MASS, op.diagonals), "momentum")
 
 
 def gauge_map(f: np.ndarray, R: np.ndarray, S: np.ndarray,
@@ -275,21 +275,17 @@ def gauge_map(f: np.ndarray, R: np.ndarray, S: np.ndarray,
     return factor * np.asarray(f)
 
 
-def density_curvature(ws: WaveSolution, j: int = 0,
-                      floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def density_curvature(ws: WaveSolution, j: int = 0
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """(Lap sqrt(rho)) / sqrt(rho) on the full grid, plus the usable mask.
 
     Computed from ``exp(R)`` with centered stencils on the full grid; the
-    mask marks where the density is above the solution's floor so callers
-    can restrict assertions to trustworthy nodes.
+    mask is the solution's phase mask at ``j`` (density above its floor),
+    so callers can restrict assertions to trustworthy nodes.
     """
     sq = np.exp(ws.R[j])
     q = laplacian(sq, ws.grid.dx) / sq
-    mask = ws.mask[j]
-    if floor > 0:
-        rho = np.exp(2.0 * ws.R[j])
-        mask = rho > floor * rho.max()
-    return q, mask
+    return q, ws.mask[j]
 
 
 @dataclass
@@ -356,26 +352,27 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n,):
         raise InputError("V must be a nodal field on the grid")
-    coeff = p.hbar ** 2 / (2.0 * p.m) + 2.0 * p.m * nu ** 2
+    coeff = HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * nu ** 2
     q, _ = density_curvature(ws, t_index)
-    a_pot = (-gradient(V, grid.dx) + gradient(coeff * q, grid.dx)) / p.m
+    a_pot = (-gradient(V, grid.dx) + gradient(coeff * q, grid.dx)) / MASS
     return AccelerationFields(grid_x=grid.x, from_drift=a_drift,
                               from_potential=a_pot, mask=mask)
 
 
 def rho_term_coefficient(p: DiffusionParams) -> complex:
     """``hbar^2/2m + 2 m nu^2``; exactly zero on the continued branches."""
-    return p.hbar ** 2 / (2.0 * p.m) + 2.0 * p.m * p.nu ** 2
+    return HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * p.nu ** 2
 
 
 def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
-                space: WeightedSpace, *, t_index: int = 0) -> OperatorMatrix:
+                space: WeightedSpace) -> OperatorMatrix:
     """Generator of the time-derivative recursion.
 
     Real mode: ``2 m nu^2 Lap + V - (hbar^2/2m + 2 m nu^2) (Lap sqrt(rho))/sqrt(rho)``
-    built from the stored density (which must exist).  Continued mode: the
-    density term's coefficient vanishes identically and the matrix is the
-    standard ``-(hbar^2/2m) Lap + V`` -- no wave solution needed.
+    built from the first stored density (which must exist).  Continued
+    mode: the density term's coefficient vanishes identically and the
+    matrix is the standard ``-(hbar^2/2m) Lap + V`` -- no wave solution
+    needed.
 
     The matrix is tagged stationary when the stored density is static;
     the real-mode recursion requires that tag.
@@ -389,18 +386,18 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
     if p.is_real:
         if ws is None:
             raise InputError("real-mode Hamiltonian needs the wave solution")
-        q, qmask = density_curvature(ws, t_index)
+        q, qmask = density_curvature(ws)
         if qmask.sum() < 5:
             raise EmptyMaskError(
                 "density floor violated almost everywhere; the density term "
                 "cannot be formed")
         q = np.where(qmask, q, 0.0)  # flat plateau outside the floor
         diag[1:-1] = (V - coeff.real * q)[1:-1]
-        kinetic = 2.0 * p.m * p.nu_real ** 2
+        kinetic = 2.0 * MASS * p.nu_real ** 2
         stationary = _is_stationary(ws)
     else:
         diag[1:-1] = V[1:-1]
-        kinetic = -p.hbar ** 2 / (2.0 * p.m)
+        kinetic = -HBAR ** 2 / (2.0 * MASS)
         stationary = True
     bands = _scaled(kinetic, closed_laplacian_bands(grid.n, grid.dx))
     bands[0] = bands[0] + diag

@@ -21,6 +21,9 @@ from ..params import DiffusionParams, phase_scale
 
 SPACE_KINDS = ("H_t", "I_t", "L2")
 
+# lifts density values that underflowed to zero, and nothing else
+_DENSITY_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -52,8 +55,7 @@ class WeightedSpace:
 
 
 def build_space(grid: Grid1D, kind: str, field: np.ndarray | None = None,
-                p: DiffusionParams | None = None,
-                floor: float = 1e-300) -> WeightedSpace:
+                p: DiffusionParams | None = None) -> WeightedSpace:
     """Construct one of the three canonical spaces.
 
     ``kind='H_t'``: ``field`` is the density rho(x, t).
@@ -73,7 +75,7 @@ def build_space(grid: Grid1D, kind: str, field: np.ndarray | None = None,
         f = field.astype(float)
         if f.min() < 0:
             raise InputError("density weight must be nonnegative")
-        w = np.maximum(f, floor)   # floor lifts underflow zeros only
+        w = np.maximum(f, _DENSITY_FLOOR)
         if not np.all(w > 0):
             raise InputError("density weight must be positive after flooring")
         return WeightedSpace(grid, w, kind)

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import UnsupportedConfigError
 from ..finitediff import gradient, masked_gradient
 from ..grids import Grid1D
-from ..params import DiffusionParams
+from ..params import HBAR, MASS, DiffusionParams
 from .wave import WaveSolution
 
 DEFAULT_B_CAP = 1e3
@@ -109,7 +109,7 @@ def drift_fields(ws: WaveSolution, p: DiffusionParams,
     for j in range(nt):
         dR = gradient(ws.R[j], dx)
         dS = masked_gradient(ws.S[j], dx, ws.mask[j], fill=0.0)
-        fwd = 2.0 * nu * dR + (p.hbar / p.m) * dS
+        fwd = 2.0 * nu * dR + (HBAR / MASS) * dS
         bwd = fwd - 4.0 * nu * dR  # same dR array: osmotic identity exact
         out = ~ws.mask[j]
         fwd[out] = np.clip(fwd[out], -b_cap, b_cap)

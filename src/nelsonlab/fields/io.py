@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..grids import Grid1D
-from ..params import DiffusionParams
+from ..params import HBAR, MASS, DiffusionParams
 
 
 def export_field_csv(path: str | Path, grid: Grid1D, values: np.ndarray,
@@ -36,7 +36,7 @@ def export_field_csv(path: str | Path, grid: Grid1D, values: np.ndarray,
     }
     if params is not None:
         meta["params"] = {
-            "m": params.m, "hbar": params.hbar, "mode": params.mode,
+            "m": MASS, "hbar": HBAR, "mode": params.mode,
             "nu": [params.nu.real, params.nu.imag],
             "z": [params.z.real, params.z.imag],
             "beta": params.beta,

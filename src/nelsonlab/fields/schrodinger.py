@@ -14,16 +14,16 @@ import numpy as np
 
 from ..errors import InputError, NumericalBreakdownError
 from ..grids import Grid1D
+from ..params import HBAR, MASS
 from .stepping import crank_nicolson
-from .wave import DEFAULT_RHO_FLOOR, WaveSolution
+from .wave import WaveSolution
 
 _NORM_TOL = 1e-6
 
 
 def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
-                      dt: float, n_steps: int, *, m: float = 1.0,
-                      hbar: float = 1.0, store_every: int = 1,
-                      rho_floor: float = DEFAULT_RHO_FLOOR) -> WaveSolution:
+                      dt: float, n_steps: int, *,
+                      store_every: int = 1) -> WaveSolution:
     """Evolve ``psi0`` under ``-hbar^2/2m d^2/dx^2 + V`` for ``n_steps`` steps.
 
     Parameters
@@ -63,8 +63,8 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
     if abs(norm - 1.0) > _NORM_TOL:
         raise InputError(f"psi0 is not normalized: integral |psi0|^2 = {norm:.8f}")
 
-    kin = hbar * hbar / (2.0 * m * grid.dx * grid.dx)
-    r = 0.5j * dt / hbar
+    kin = HBAR * HBAR / (2.0 * MASS * grid.dx * grid.dx)
+    r = 0.5j * dt / HBAR
     # A = -(dt/2) i H / hbar on the interior, as -(r h): 1 -/+ A = 1 +/- r h
     off = -(r * (-kin * np.ones(grid.n - 3)))
     bands = (-(r * (2.0 * kin + V[1:-1])), off, off)
@@ -79,4 +79,4 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
         lambda p: np.concatenate(([0j], p, [0j])))
     psi = np.array(kept)
     psi[0] = psi0           # the initial state keeps its wall values
-    return WaveSolution.from_psi(grid, times, psi, rho_floor=rho_floor)
+    return WaveSolution.from_psi(grid, times, psi)

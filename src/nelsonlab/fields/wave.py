@@ -3,7 +3,7 @@
 The convention throughout the package: ``rho = exp(2 R)`` with
 ``R = ln|psi|`` and ``S`` the unwrapped phase, so ``psi = exp(R + i S)``
 wherever the density is above the floor.  ``S`` is only defined on the
-mask ``rho > rho_floor * max(rho)``; it is NaN elsewhere.
+mask ``rho > DEFAULT_RHO_FLOOR * max(rho)``; it is NaN elsewhere.
 """
 from __future__ import annotations
 
@@ -19,17 +19,16 @@ DEFAULT_RHO_FLOOR = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
-def decompose(psi: np.ndarray, rho_floor: float = DEFAULT_RHO_FLOOR
+def decompose(psi: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a complex field into log-amplitude R, unwrapped phase S, mask.
 
     Parameters
     ----------
     psi : complex array
-        Nodal wavefunction values; must be finite.
-    rho_floor : float
-        Relative density threshold; nodes with ``|psi|^2 <= rho_floor * max``
-        are excluded from the phase mask.
+        Nodal wavefunction values; must be finite.  Nodes with
+        ``|psi|^2 <= DEFAULT_RHO_FLOOR * max`` are excluded from the phase
+        mask.
 
     Returns
     -------
@@ -50,7 +49,7 @@ def decompose(psi: np.ndarray, rho_floor: float = DEFAULT_RHO_FLOOR
     rho_max = rho.max()
     if rho_max <= 0.0:
         raise EmptyMaskError("psi vanishes identically")
-    floor_abs = rho_floor * rho_max
+    floor_abs = DEFAULT_RHO_FLOOR * rho_max
     mask = rho > floor_abs
     if not mask.any():
         raise EmptyMaskError("all nodes fall below the density floor")
@@ -80,7 +79,6 @@ class WaveSolution:
     R: np.ndarray
     S: np.ndarray
     mask: np.ndarray
-    rho_floor: float = DEFAULT_RHO_FLOOR
 
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -92,16 +90,15 @@ class WaveSolution:
                                  f"({self.times.size}, {self.grid.n})")
 
     @classmethod
-    def from_psi(cls, grid: Grid1D, times, psi,
-                 rho_floor: float = DEFAULT_RHO_FLOOR) -> "WaveSolution":
+    def from_psi(cls, grid: Grid1D, times, psi) -> "WaveSolution":
         psi = np.atleast_2d(np.asarray(psi, dtype=complex))
         R = np.empty(psi.shape)
         S = np.empty(psi.shape)
         mask = np.empty(psi.shape, dtype=bool)
         for j in range(psi.shape[0]):
-            R[j], S[j], mask[j] = decompose(psi[j], rho_floor)
+            R[j], S[j], mask[j] = decompose(psi[j])
         return cls(grid=grid, times=np.asarray(times, dtype=float),
-                   psi=psi, R=R, S=S, mask=mask, rho_floor=rho_floor)
+                   psi=psi, R=R, S=S, mask=mask)
 
     @property
     def n_times(self) -> int:

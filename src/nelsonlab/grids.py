@@ -24,6 +24,10 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 3:
             raise InputError(f"grid needs at least 3 nodes, got n={self.n}")
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise InputError(
+                f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]"
+            )
         if not self.x_max > self.x_min:
             raise InputError(
                 f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max}]"

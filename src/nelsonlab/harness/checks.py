@@ -37,6 +37,7 @@ from ..fields.drift import DriftField, log_density_gradient
 from ..fields.wave import WaveSolution
 from ..finitediff import gradient
 from ..grids import Grid1D
+from ..params import HBAR, MASS
 from ..sampler import (MIN_COUNT_ASSERT, Ensemble, density_histogram,
                        ensemble_steps, estimate_backward_drift,
                        estimate_forward_drift, estimate_mean_acceleration,
@@ -176,10 +177,10 @@ def check_family_parameterization(ctx: CheckContext):
         rejected = True
     for nu in (0.5, 1.0, 2.0):
         p = diffusion_params("nu", nu)
-        devs.append(abs(2.0 * p.nu / p.z - p.hbar / p.m))
+        devs.append(abs(2.0 * p.nu / p.z - HBAR / MASS))
     for sign in ("minus", "plus"):
         pc = continue_to_imaginary(p0, sign)
-        devs.append(abs(2.0 * pc.nu / pc.z - pc.hbar / pc.m))
+        devs.append(abs(2.0 * pc.nu / pc.z - HBAR / MASS))
         devs.append(abs(pc.nu - (1j if sign == "plus" else -1j) * 0.5))
     worst = float(max(devs))
     ok = worst < tol and rejected
@@ -204,7 +205,7 @@ def check_wave_decomposition(ctx: CheckContext):
     # plane-wave phase winding: S - k x constant across many turns
     k = 5.0
     psi = np.exp(R_exact) * np.exp(1j * k * grid.x)
-    R2, S2, m2 = decompose(psi, 1e-12)
+    R2, S2, m2 = decompose(psi)
     lin = S2[m2] - k * grid.x[m2]
     unwrap_err = float(np.ptp(lin))
     norm_dev = float(np.max(np.abs(ws.norms() - 1.0)))
@@ -430,7 +431,7 @@ def check_canonical_algebra(ctx: CheckContext):
         space = build_space(grid, "L2")
         X = position_operator(space)
         P = momentum_operator(pc, space)
-        want = 1j * pc.hbar if sign == "minus" else -1j * pc.hbar
+        want = 1j * HBAR if sign == "minus" else -1j * HBAR
         devs[f"[X,P]-{sign}"] = _gap(commutator(X, P).diagonals,
                                      {k: want * d for k, d in A.items()})
         coeff = rho_term_coefficient(pc)
@@ -441,7 +442,7 @@ def check_canonical_algebra(ctx: CheckContext):
             pc.z * (S / pc.z) - S)))
         mv = mapped_velocity_operator(pc, space)
         devs[f"P=m*mapped_{sign}"] = _gap(P.diagonals, {
-            k: pc.m * d for k, d in mv.diagonals.items()})
+            k: MASS * d for k, d in mv.diagonals.items()})
         # momentum is exactly hermitian in the flat space
         devs[f"P_hermitian_{sign}"] = _gap(P.diagonals, {
             -k: d.conj() for k, d in P.diagonals.items()})
@@ -466,7 +467,7 @@ def check_canonical_pointwise_literal(ctx: CheckContext):
     X = position_operator(space)
     P = momentum_operator(pc, space)
     C = commutator(X, P)
-    worst = max(float(np.max(np.abs((C @ f - 1j * pc.hbar * f)[1:-1])))
+    worst = max(float(np.max(np.abs((C @ f - 1j * HBAR * f)[1:-1])))
                 for f in _random_fields(grid.n, 20, complex_fields=True))
     coeff = abs(rho_term_coefficient(pc))
     return [ctx.record(
@@ -717,7 +718,7 @@ def check_recursion_closed_forms(ctx: CheckContext):
     X1, X2 = time_derivative_recursion(X, H0, pc, 2)
     P = momentum_operator(pc, space)
     devs["free_X1_vs_P/m"] = _gap(X1.diagonals, {
-        k: d / pc.m for k, d in P.diagonals.items()})
+        k: d / MASS for k, d in P.diagonals.items()})
     devs["free_X2"] = max(float(np.max(np.abs(X2.apply(psi))))
                           for psi in states)
     # oscillator: X^2 = -X in action

@@ -14,7 +14,6 @@ from ..fields import (analytic_oracle, diffusion_params, continue_to_imaginary,
                       drift_fields, export_snapshots, ho_ground_density,
                       solve_schrodinger)
 from ..grids import Grid1D
-from ..params import MODE_REAL
 from ..sampler import (density_histogram, estimate_backward_drift,
                        estimate_forward_drift, export_ensemble_binary,
                        export_ensemble_csv, export_table_csv, sample_initial,
@@ -55,9 +54,8 @@ def _out_dir(args) -> Path:
 
 def _params(args):
     if args.beta is not None:
-        return diffusion_params("beta", args.beta, mode=MODE_REAL)
-    return diffusion_params("nu", args.nu if args.nu is not None else 0.5,
-                            mode=MODE_REAL)
+        return diffusion_params("beta", args.beta)
+    return diffusion_params("nu", args.nu if args.nu is not None else 0.5)
 
 
 def _grid(args) -> Grid1D:

@@ -1,6 +1,8 @@
 """The one-parameter family of diffusion constants and its continuation.
 
-A member of the family is fixed by any one of:
+The package works in natural units: ``HBAR`` and ``MASS`` are constants
+equal to 1, and every formula names them where they belong.  A member of
+the family is then fixed by any one of:
 
 * ``nu``   -- the diffusion constant, ``E(dW^2) = 2 nu dt``  (length^2/time),
 * ``z``    -- the dimensionless ratio ``z = 2 m nu / hbar``,
@@ -8,10 +10,11 @@ A member of the family is fixed by any one of:
 
 Real members need ``nu > 0`` (equivalently ``beta < 2``).  The two
 distinguished imaginary members ``nu = +i hbar/2m`` and ``nu = -i hbar/2m``
-(``z = +i`` / ``z = -i``) are carried as separate modes: they lose the
-probabilistic meaning but keep the whole operator algebra, and the ratio
-``2 nu / z = hbar / m`` stays fixed across the family, so the
-current-velocity part of every drift is mode independent.
+(``z = +i`` / ``z = -i``) are carried as separate modes and come only from
+``continue_to_imaginary``: they lose the probabilistic meaning but keep the
+whole operator algebra, and the ratio ``2 nu / z = hbar / m`` stays fixed
+across the family, so the current-velocity part of every drift is mode
+independent.
 """
 from __future__ import annotations
 
@@ -19,6 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError, UnsupportedConfigError
+
+HBAR = 1.0
+MASS = 1.0
 
 MODE_REAL = "real"
 MODE_PLUS = "continued-plus"
@@ -28,10 +34,8 @@ _MODES = (MODE_REAL, MODE_PLUS, MODE_MINUS)
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Mass, action scale, and a consistent (nu, z, beta) triple."""
+    """A consistent (nu, z, beta) triple and its mode."""
 
-    m: float
-    hbar: float
     nu: complex
     z: complex
     beta: float
@@ -40,8 +44,6 @@ class DiffusionParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.m <= 0 or self.hbar <= 0:
-            raise DomainError("m and hbar must be positive")
         if self.mode == MODE_REAL:
             if not (self.nu.imag == 0 and self.nu.real > 0):
                 raise DomainError(f"real mode needs nu > 0, got {self.nu}")
@@ -71,48 +73,28 @@ class DiffusionParams:
         return 0
 
 
-def _from_z(z: complex, m: float, hbar: float, mode: str) -> DiffusionParams:
-    nu = z * hbar / (2.0 * m)
-    beta = 2.0 * (1.0 - 1.0 / (z * z))
-    if mode == MODE_REAL:
-        nu = float(nu.real) if isinstance(nu, complex) else float(nu)
-        beta = float(beta.real) if isinstance(beta, complex) else float(beta)
-    else:
-        beta = float(beta.real)
-    return DiffusionParams(m=m, hbar=hbar, nu=complex(nu), z=complex(z),
-                           beta=beta, mode=mode)
+def _from_z(z: complex, mode: str) -> DiffusionParams:
+    nu = z * HBAR / (2.0 * MASS)
+    beta = 2.0 * (1.0 - 1.0 / (z * z))     # real for every member: 4 at z = +/- i
+    return DiffusionParams(nu=complex(nu), z=complex(z),
+                           beta=float(beta.real), mode=mode)
 
 
-def diffusion_params(kind: str, value: float, m: float = 1.0,
-                     hbar: float = 1.0, mode: str = MODE_REAL) -> DiffusionParams:
-    """Build a consistent parameter set from one of (nu, z, beta).
-
-    In real mode ``value`` is the chosen nu/z/beta; in the continued modes
-    only its sign is consulted (the modulus is pinned to ``hbar/2m``).
+def diffusion_params(kind: str, value: float) -> DiffusionParams:
+    """Build the real member fixed by one of (nu, z, beta).
 
     Raises
     ------
     DomainError
-        If ``beta >= 2`` or the resulting ``nu`` is not positive (real mode).
+        If ``beta >= 2`` or the resulting ``nu`` is not positive.
     """
-    if mode not in _MODES:
-        raise InputError(f"unknown mode {mode!r}")
     if kind not in ("nu", "z", "beta"):
         raise InputError(f"kind must be one of nu/z/beta, got {kind!r}")
-
-    if mode != MODE_REAL:
-        sign = 1 if mode == MODE_PLUS else -1
-        if value != 0 and math.copysign(1.0, value) != sign:
-            raise InputError(
-                f"continued mode {mode!r} conflicts with sign of value {value}"
-            )
-        return _from_z(sign * 1j, m, hbar, mode)
-
     value = float(value)
     if kind == "nu":
         if value <= 0:
             raise DomainError(f"real mode needs nu > 0, got {value}")
-        z = 2.0 * m * value / hbar
+        z = 2.0 * MASS * value / HBAR
     elif kind == "z":
         if value <= 0:
             raise DomainError(f"real mode needs z > 0, got {value}")
@@ -121,22 +103,22 @@ def diffusion_params(kind: str, value: float, m: float = 1.0,
         if value >= 2:
             raise DomainError(f"beta must satisfy beta < 2, got {value}")
         z = 1.0 / math.sqrt(1.0 - value / 2.0)
-    return _from_z(z, m, hbar, MODE_REAL)
+    return _from_z(z, MODE_REAL)
 
 
-def continue_to_imaginary(p: DiffusionParams, sign: str | int = "minus") -> DiffusionParams:
+def continue_to_imaginary(p: DiffusionParams, sign: str = "minus") -> DiffusionParams:
     """Continue a parameter set to ``nu = +/- i hbar/2m`` (``z = +/- i``).
 
-    The minus branch reproduces the standard quantum conventions downstream
-    (momentum ``-i hbar d/dx``); the plus branch is its conjugate partner.
+    ``sign`` is ``"minus"`` or ``"plus"``.  The minus branch reproduces the
+    standard quantum conventions downstream (momentum ``-i hbar d/dx``);
+    the plus branch is its conjugate partner.  Every member continues to
+    the same two points, so the result does not depend on ``p``.
     """
-    if sign in ("minus", -1, "-"):
-        mode = MODE_MINUS
-    elif sign in ("plus", 1, "+"):
-        mode = MODE_PLUS
-    else:
-        raise InputError(f"sign must select a branch, got {sign!r}")
-    return _from_z((1j if mode == MODE_PLUS else -1j), p.m, p.hbar, mode)
+    if sign == "minus":
+        return _from_z(-1j, MODE_MINUS)
+    if sign == "plus":
+        return _from_z(1j, MODE_PLUS)
+    raise InputError(f"sign must be 'minus' or 'plus', got {sign!r}")
 
 
 def phase_scale(p: DiffusionParams) -> complex:

@@ -69,6 +69,8 @@ def sample_initial(rho0: np.ndarray, grid: Grid1D, n_paths: int,
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n,):
         raise InputError("rho0 must be a nodal field on the grid")
+    if not np.isfinite(rho0).all():
+        raise InputError("rho0 must be finite")
     if rho0.min() < 0:
         raise InputError("rho0 must be nonnegative")
     total = grid.trapezoid(rho0)

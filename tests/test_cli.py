@@ -130,6 +130,14 @@ def test_cli_surfaces_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["correlate", "solve", "sample"])
+def test_cli_rejects_an_infinite_grid(command, tmp_path, capsys):
+    rc = main([command, "--grid-x-max", "inf", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid bounds must be finite" in err
+
+
 @pytest.mark.parametrize("sampled, says", [
     ("inconclusive", True),
     ("pass", False),

@@ -21,6 +21,10 @@ def test_quadratures():
     dict(x_min=0.0, x_max=1.0, n=2),
     dict(x_min=1.0, x_max=1.0, n=10),
     dict(x_min=2.0, x_max=1.0, n=10),
+    dict(x_min=-np.inf, x_max=np.inf, n=5),
+    dict(x_min=0.0, x_max=np.inf, n=5),
+    dict(x_min=-np.inf, x_max=0.0, n=5),
+    dict(x_min=np.nan, x_max=1.0, n=5),
 ])
 def test_invalid_grids_rejected(bad):
     with pytest.raises(InputError):

@@ -67,8 +67,11 @@ def test_unsupported_kind_and_bad_params(grid801):
         analytic_oracle("square_well", None, grid801, [0.0])
     with pytest.raises(InputError):
         analytic_oracle("free_gaussian", {"sigma0": -1.0}, grid801, [0.0])
-    with pytest.raises(InputError):
-        analytic_oracle("ho_ground", {"omega": 0.0}, grid801, [0.0])
+    # the units are constants: setting one, even to its value, is unknown
+    for kind in ("ho_ground", "ho_coherent", "free_gaussian"):
+        for unit in ("m", "hbar", "omega"):
+            with pytest.raises(InputError, match="unknown oracle parameters"):
+                analytic_oracle(kind, {unit: 1.0}, grid801, [0.0])
     with pytest.raises(InputError):
         analytic_oracle("ho_ground", {"bogus": 1.0}, grid801, [0.0])
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nelsonlab import DomainError, InputError, diffusion_params, continue_to_imaginary
-from nelsonlab.params import MODE_MINUS, MODE_PLUS, phase_scale
+from nelsonlab.params import (HBAR, MASS, MODE_MINUS, MODE_PLUS,
+                              DiffusionParams, phase_scale)
 
 
 def test_reference_members():
@@ -30,7 +31,7 @@ def test_unknown_kind_and_mode():
     with pytest.raises(InputError):
         diffusion_params("gamma", 1.0)
     with pytest.raises(InputError):
-        diffusion_params("nu", 1.0, mode="complex")
+        DiffusionParams(nu=1.0, z=2.0, beta=1.5, mode="complex")
 
 
 @given(st.floats(min_value=-10.0, max_value=1.99, exclude_max=True,
@@ -40,7 +41,7 @@ def test_consistency_across_parameterizations(beta):
     q = diffusion_params("nu", p.nu.real)
     assert abs(q.beta - beta) < 1e-10
     # fixed ratio across the family
-    assert abs(2 * p.nu / p.z - p.hbar / p.m) < 1e-15
+    assert abs(2 * p.nu / p.z - HBAR / MASS) < 1e-15
 
 
 def test_continued_branches():
@@ -55,11 +56,17 @@ def test_continued_branches():
         continue_to_imaginary(base, "sideways")
 
 
-def test_continued_via_diffusion_params():
-    p = diffusion_params("nu", -1, mode=MODE_MINUS)
-    assert p.nu == -0.5j
-    with pytest.raises(InputError):
-        diffusion_params("nu", +1, mode=MODE_MINUS)
+def test_continued_members_only_from_continue_to_imaginary():
+    base = diffusion_params("nu", 0.5)
+    for spelling in (-1, "-", 1, "+"):
+        with pytest.raises(InputError):
+            continue_to_imaginary(base, spelling)
+    with pytest.raises(TypeError):
+        diffusion_params("nu", -1, mode=MODE_MINUS)
+    # every member continues to the same two points
+    for sign in ("minus", "plus"):
+        assert continue_to_imaginary(diffusion_params("nu", 2.0), sign) \
+            == continue_to_imaginary(base, sign)
 
 
 def test_nu_real_guard():

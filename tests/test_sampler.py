@@ -42,6 +42,14 @@ def test_sample_initial_edge_cases(grid801):
         sample_initial(np.zeros(grid801.n), grid801, 10, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_initial_rejects_non_finite_density(grid801, bad):
+    rho0 = ho_ground_density(grid801.x)
+    rho0[400] = bad
+    with pytest.raises(InputError, match="finite"):
+        sample_initial(rho0, grid801, 100, seed=1)
+
+
 def test_sample_initial_deterministic(grid801):
     rho0 = ho_ground_density(grid801.x)
     a = sample_initial(rho0, grid801, 1000, seed=7)

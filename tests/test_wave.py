@@ -11,7 +11,7 @@ TWO_PI = 2 * np.pi
 def test_real_positive_wavefunction(grid801):
     x = grid801.x
     psi = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    R, S, mask = decompose(psi.astype(complex), 1e-12)
+    R, S, mask = decompose(psi.astype(complex))
     ref = -x ** 2 / 2 - 0.25 * np.log(np.pi)
     assert np.max(np.abs(R - ref)[mask]) < 1e-12
     assert np.max(np.abs(S[mask])) == 0.0
@@ -21,7 +21,7 @@ def test_plane_wave_unwrapping(grid801):
     x = grid801.x
     k = 5.0  # many 2 pi windings across the box
     psi = np.exp(-x ** 2 / 2) * np.exp(1j * k * x)
-    R, S, mask = decompose(psi, 1e-12)
+    R, S, mask = decompose(psi)
     lin = S[mask] - k * x[mask]
     assert np.ptp(lin) < 1e-9           # continuous, no 2 pi jumps
     center = np.where(mask)[0]
@@ -33,7 +33,7 @@ def test_roundtrip_on_mask(grid801):
     x = grid801.x
     psi = np.exp(-x ** 2 / 4) * np.exp(1j * (0.3 * x ** 2 - 2 * x))
     psi /= np.sqrt(grid801.trapezoid(np.abs(psi) ** 2))
-    R, S, mask = decompose(psi, 1e-12)
+    R, S, mask = decompose(psi)
     err = np.abs(np.exp(R[mask] + 1j * S[mask]) - psi[mask])
     assert err.max() < 1e-8
 
@@ -41,7 +41,8 @@ def test_roundtrip_on_mask(grid801):
 def test_phase_undefined_outside_mask(grid801):
     x = grid801.x
     psi = np.exp(-x ** 2 / 2).astype(complex)
-    _, S, mask = decompose(psi, 1e-4)
+    _, S, mask = decompose(psi)
+    assert (~mask).any()                 # the far tails fall below the floor
     assert np.isnan(S[~mask]).all()
     assert not np.isnan(S[mask]).any()
 
@@ -50,7 +51,7 @@ def test_independent_regions():
     g = Grid1D(-8.0, 8.0, 801)
     x = g.x
     psi = x * np.exp(-x ** 2 / 2) + 0j   # node at x = 0
-    R, S, mask = decompose(psi, 1e-10)
+    R, S, mask = decompose(psi)
     runs = np.diff(np.where(mask)[0])
     assert (runs > 1).any()              # the node splits the mask
     # left region carries phase pi (negative lobe), right region 0
@@ -78,7 +79,7 @@ def test_roundtrip_property(n_osc, x0, k):
     x = g.x
     psi = np.exp(-(x - x0) ** 2 / 2) * np.exp(1j * k * x) \
         * (1.0 + 0.2 * np.cos(n_osc * x))
-    R, S, mask = decompose(psi, 1e-12)
+    R, S, mask = decompose(psi)
     err = np.abs(np.exp(R[mask] + 1j * S[mask]) - psi[mask])
     assert err.max() < 1e-8
 

@@ -134,20 +134,16 @@ def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
                               ) -> list[OperatorMatrix]:
     """X^1 .. X^{n_target} from repeated commutators with H / (2 m nu).
 
-    In real mode the Hamiltonian must have been built from a stationary
-    density (its coefficient fields carry no time dependence); a
-    non-stationary real-mode H is rejected.
+    In real mode the coefficient fields carry no time dependence because
+    ``hamiltonian`` builds a real-mode H only from a stationary density.
     """
     if n_target < 1:
         raise InputError("n_target must be >= 1")
-    if p.is_real and H.meta is not None and not H.meta.get("stationary", True):
-        raise UnsupportedConfigError(
-            "real-mode recursion is defined for stationary densities only")
     scale = 1.0 / (2.0 * MASS * p.nu)
     out = [X0]
-    for k in range(n_target):
+    for _ in range(n_target):
         out.append(OperatorMatrix(X0.space, _scaled(
-            scale, commutator(H, out[-1]).diagonals), f"time_derivative^{k + 1}"))
+            scale, commutator(H, out[-1]).diagonals)))
     return out[1:]
 
 
@@ -166,7 +162,7 @@ def taylor_heisenberg(X: OperatorMatrix, H: OperatorMatrix, s: float,
     for k, Xk in enumerate(derivs, start=1):
         for r, d in Xk.diagonals.items():
             total[r] = total.get(r, 0) + d * (s ** k / factorial(k))
-    return OperatorMatrix(X.space, total, f"taylor_evolved(s={s:g}, order={order})")
+    return OperatorMatrix(X.space, total)
 
 
 def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
@@ -193,7 +189,7 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     left.imag = (U * np.sin(phi)) @ U.T
     out = np.diag(x.astype(complex))
     out[1:-1, 1:-1] = (left * x[1:-1]) @ left.conj()
-    return OperatorMatrix.from_dense(X.space, out, f"heisenberg(s={s:g})")
+    return OperatorMatrix.from_dense(X.space, out)
 
 
 def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,

@@ -41,11 +41,13 @@ from ..finitediff import gradient, laplacian
 from ..params import HBAR, MASS, DiffusionParams
 from .spaces import WeightedSpace
 
+# relative density below which the two acceleration forms are not compared
+COMPARE_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Operator held as its diagonals, with the space it acts on and a
-    provenance label.
+    """Operator held as its diagonals, with the space it acts on.
 
     ``diagonals[k]`` is diagonal ``k`` in ``np.diagonal``'s convention:
     entry ``j`` is ``M[j, j + k]`` for ``k >= 0`` and ``M[j - k, j]`` for
@@ -55,8 +57,6 @@ class OperatorMatrix:
 
     space: WeightedSpace
     diagonals: dict[int, np.ndarray]
-    label: str = ""
-    meta: dict | None = None
 
     def __post_init__(self):
         if not isinstance(self.diagonals, dict):
@@ -78,8 +78,7 @@ class OperatorMatrix:
         object.__setattr__(self, "diagonals", diags)
 
     @classmethod
-    def from_dense(cls, space: WeightedSpace, m: np.ndarray,
-                   label: str = "") -> OperatorMatrix:
+    def from_dense(cls, space: WeightedSpace, m: np.ndarray) -> OperatorMatrix:
         """The operator of the dense matrix ``m``: its main diagonal and
         every other diagonal that has a nonzero entry.
 
@@ -108,7 +107,7 @@ class OperatorMatrix:
         op = object.__new__(cls)
         # the fields as the constructor would set them, and the copy where
         # cached_property keeps ``matrix``
-        op.__dict__.update(space=space, label=label, meta=None, matrix=m,
+        op.__dict__.update(space=space, matrix=m,
                            diagonals={k: np.diagonal(m, k) for k in offsets})
         return op
 
@@ -179,8 +178,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     if a.space.grid.n != b.space.grid.n:
         raise InputError("commutator operands act on different grids")
     ab, ba = _product(a, b), _product(b, a)
-    return OperatorMatrix(a.space, {r: ab[r] - ba[r] for r in ab},
-                          f"[{a.label}, {b.label}]")
+    return OperatorMatrix(a.space, {r: ab[r] - ba[r] for r in ab})
 
 
 def _scaled(c, bands: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -227,7 +225,7 @@ def averaging_bands(n: int) -> dict[int, np.ndarray]:
 
 def position_operator(space: WeightedSpace) -> OperatorMatrix:
     """Multiplication by the node coordinate."""
-    return OperatorMatrix(space, {0: space.grid.x}, "position")
+    return OperatorMatrix(space, {0: space.grid.x})
 
 
 def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace,
@@ -240,7 +238,7 @@ def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace,
     bands = _scaled(2.0 * p.nu_real,
                     closed_derivative_bands(space.grid.n, space.grid.dx))
     bands[0] = df.b_on_grid(t) + bands[0]
-    return OperatorMatrix(space, bands, "velocity")
+    return OperatorMatrix(space, bands)
 
 
 def mapped_velocity_operator(p: DiffusionParams, space: WeightedSpace
@@ -251,7 +249,7 @@ def mapped_velocity_operator(p: DiffusionParams, space: WeightedSpace
     multiple is the momentum operator.
     """
     bands = closed_derivative_bands(space.grid.n, space.grid.dx)
-    return OperatorMatrix(space, _scaled(2.0 * p.nu, bands), "mapped_velocity")
+    return OperatorMatrix(space, _scaled(2.0 * p.nu, bands))
 
 
 def momentum_operator(p: DiffusionParams, space: WeightedSpace) -> OperatorMatrix:
@@ -259,7 +257,7 @@ def momentum_operator(p: DiffusionParams, space: WeightedSpace) -> OperatorMatri
     if p.is_real:
         raise UnsupportedConfigError("momentum is a continued-branch object")
     op = mapped_velocity_operator(p, space)
-    return OperatorMatrix(space, _scaled(MASS, op.diagonals), "momentum")
+    return OperatorMatrix(space, _scaled(MASS, op.diagonals))
 
 
 def gauge_map(f: np.ndarray, R: np.ndarray, S: np.ndarray,
@@ -303,8 +301,7 @@ class AccelerationFields:
 
 
 def acceleration_function(ws: WaveSolution, p: DiffusionParams,
-                          V: np.ndarray, *, t_index: int = 0,
-                          compare_floor: float | None = None
+                          V: np.ndarray, *, t_index: int = 0
                           ) -> AccelerationFields:
     """Forward acceleration in drift form and in potential form.
 
@@ -312,8 +309,8 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
     ``ws`` at this member's nu (the 1-d setting makes the rotational term
     vanish identically).  Potential form:
     ``(-dV/dx + d/dx[(hbar^2/2m + 2 m nu^2) (Lap sqrt(rho))/sqrt(rho)])/m``.
-    The two agree within O(dx^2) on the comparison mask; ``compare_floor``
-    (relative density) shrinks the mask to where both are resolvable --
+    The two agree within O(dx^2) on the comparison mask, where the density
+    is above ``COMPARE_FLOOR`` of its peak and both are resolvable --
     second derivatives of log-density amplify the truncation error in the
     far tails.
 
@@ -329,9 +326,7 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
     df = drift_fields(ws, p)
     b = df.b[t_index]
     rho = np.exp(2.0 * ws.R[t_index])
-    mask = ws.mask[t_index]
-    if compare_floor is not None:
-        mask = rho > compare_floor * rho.max()
+    mask = rho > COMPARE_FLOOR * rho.max()
     if mask.sum() < 5:
         raise EmptyMaskError("mask too small to differentiate on")
 
@@ -374,8 +369,8 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
     matrix is the standard ``-(hbar^2/2m) Lap + V`` -- no wave solution
     needed.
 
-    The matrix is tagged stationary when the stored density is static;
-    the real-mode recursion requires that tag.
+    A real-mode H is built only from a static stored density: the
+    recursion it generates has no term for moving coefficient fields.
     """
     V = np.asarray(V, dtype=float)
     grid = space.grid
@@ -386,6 +381,9 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
     if p.is_real:
         if ws is None:
             raise InputError("real-mode Hamiltonian needs the wave solution")
+        if not _is_stationary(ws):
+            raise UnsupportedConfigError(
+                "real-mode recursion is defined for stationary densities only")
         q, qmask = density_curvature(ws)
         if qmask.sum() < 5:
             raise EmptyMaskError(
@@ -394,16 +392,12 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
         q = np.where(qmask, q, 0.0)  # flat plateau outside the floor
         diag[1:-1] = (V - coeff.real * q)[1:-1]
         kinetic = 2.0 * MASS * p.nu_real ** 2
-        stationary = _is_stationary(ws)
     else:
         diag[1:-1] = V[1:-1]
         kinetic = -HBAR ** 2 / (2.0 * MASS)
-        stationary = True
     bands = _scaled(kinetic, closed_laplacian_bands(grid.n, grid.dx))
     bands[0] = bands[0] + diag
-    return OperatorMatrix(space, bands, "hamiltonian",
-                          meta={"stationary": stationary, "mode": p.mode,
-                                "rho_coefficient": coeff})
+    return OperatorMatrix(space, bands)
 
 
 def _is_stationary(ws: WaveSolution, tol: float = 1e-10) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InputError
 from ..grids import Grid1D
-from ..params import DiffusionParams, phase_scale
+from ..params import DiffusionParams
 
 SPACE_KINDS = ("H_t", "I_t", "L2")
 
@@ -81,6 +81,6 @@ def build_space(grid: Grid1D, kind: str, field: np.ndarray | None = None,
         return WeightedSpace(grid, w, kind)
     if p is None:
         raise InputError("I_t needs diffusion parameters (for z)")
-    sn = np.where(np.isnan(field), 0.0, field) * phase_scale(p)
+    sn = np.where(np.isnan(field), 0.0, field) / p.z
     w = np.exp(-2.0 * np.real(sn))
     return WeightedSpace(grid, w, kind)

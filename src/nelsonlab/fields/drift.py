@@ -10,8 +10,8 @@ the half-difference identity ``(b - b*)/2 = nu d(ln rho)/dx`` holds to
 machine precision by construction.
 
 Drifts diverge at density nodes; outside the phase mask the current part
-is dropped and the value is clamped to ``+/- b_cap`` so path integration
-stays finite.
+is dropped and the value is clamped to ``+/- DEFAULT_B_CAP`` so path
+integration stays finite.
 """
 from __future__ import annotations
 
@@ -91,8 +91,7 @@ class DriftField:
         return float(np.max(np.abs(self.b)))
 
 
-def drift_fields(ws: WaveSolution, p: DiffusionParams,
-                 b_cap: float = DEFAULT_B_CAP) -> DriftField:
+def drift_fields(ws: WaveSolution, p: DiffusionParams) -> DriftField:
     """Build the (b, b*) pair for every stored time of ``ws``.
 
     Rejects continued-mode parameters: drifts are the physical, real-nu
@@ -112,8 +111,8 @@ def drift_fields(ws: WaveSolution, p: DiffusionParams,
         fwd = 2.0 * nu * dR + (HBAR / MASS) * dS
         bwd = fwd - 4.0 * nu * dR  # same dR array: osmotic identity exact
         out = ~ws.mask[j]
-        fwd[out] = np.clip(fwd[out], -b_cap, b_cap)
-        bwd[out] = np.clip(bwd[out], -b_cap, b_cap)
+        fwd[out] = np.clip(fwd[out], -DEFAULT_B_CAP, DEFAULT_B_CAP)
+        bwd[out] = np.clip(bwd[out], -DEFAULT_B_CAP, DEFAULT_B_CAP)
         b[j] = fwd
         b_star[j] = bwd
     return DriftField(grid=ws.grid, times=ws.times.copy(), b=b,

@@ -70,7 +70,7 @@ def analytic_oracle(kind: str, params: dict | None, grid: Grid1D,
         raise InputError(
             f"grid too narrow for {kind}: boundary density {edge:.2e} "
             f"exceeds {_BOUNDARY_DENSITY_TOL:g} of the peak")
-    return WaveSolution.from_psi(grid, times, psi)
+    return WaveSolution(grid, times, psi)
 
 
 def _ho_coherent_psi(x, t, x0):

@@ -79,4 +79,4 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
         lambda p: np.concatenate(([0j], p, [0j])))
     psi = np.array(kept)
     psi[0] = psi0           # the initial state keeps its wall values
-    return WaveSolution.from_psi(grid, times, psi)
+    return WaveSolution(grid, times, psi)

@@ -67,38 +67,31 @@ def decompose(psi: np.ndarray
 
 @dataclass
 class WaveSolution:
-    """Time-indexed wavefunction with its decomposition on a grid.
+    """Time-indexed wavefunction on a grid, with its decomposition.
 
-    ``psi``, ``R``, ``S`` have shape (n_times, n_nodes); ``mask`` is the
-    boolean phase-definition region per time.
+    Built from ``psi`` alone, shape (n_times, n_nodes); ``R``, ``S`` (same
+    shape) and the boolean phase-definition region ``mask`` per time are
+    worked out from it by ``decompose``.
     """
 
     grid: Grid1D
     times: np.ndarray
     psi: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    mask: np.ndarray
+    R: np.ndarray = field(init=False)
+    S: np.ndarray = field(init=False)
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        for name in ("psi", "R", "S", "mask"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name)))
-            setattr(self, name, arr)
-            if arr.shape != (self.times.size, self.grid.n):
-                raise InputError(f"{name} has shape {arr.shape}, expected "
-                                 f"({self.times.size}, {self.grid.n})")
-
-    @classmethod
-    def from_psi(cls, grid: Grid1D, times, psi) -> "WaveSolution":
-        psi = np.atleast_2d(np.asarray(psi, dtype=complex))
-        R = np.empty(psi.shape)
-        S = np.empty(psi.shape)
-        mask = np.empty(psi.shape, dtype=bool)
-        for j in range(psi.shape[0]):
-            R[j], S[j], mask[j] = decompose(psi[j])
-        return cls(grid=grid, times=np.asarray(times, dtype=float),
-                   psi=psi, R=R, S=S, mask=mask)
+        self.psi = np.atleast_2d(np.asarray(self.psi, dtype=complex))
+        if self.psi.shape != (self.times.size, self.grid.n):
+            raise InputError(f"psi has shape {self.psi.shape}, expected "
+                             f"({self.times.size}, {self.grid.n})")
+        self.R = np.empty(self.psi.shape)
+        self.S = np.empty(self.psi.shape)
+        self.mask = np.empty(self.psi.shape, dtype=bool)
+        for j in range(self.times.size):
+            self.R[j], self.S[j], self.mask[j] = decompose(self.psi[j])
 
     @property
     def n_times(self) -> int:

@@ -28,6 +28,7 @@ from ..algebra import (averaging_bands, build_space,
                        time_derivative_recursion,
                        two_time_position_correlation, velocity_operator,
                        acceleration_function)
+from ..algebra.operators import COMPARE_FLOOR
 from ..errors import DomainError
 from ..fields import (analytic_oracle, decompose, diffusion_params,
                       continue_to_imaginary, drift_fields,
@@ -290,7 +291,7 @@ def check_drift_closed_forms(ctx: CheckContext):
     # plane-wave phase adds (hbar/m) k to b, independent of nu
     k = 3.0
     psi_k = ws.psi[0] * np.exp(1j * k * grid.x)
-    ws_k = WaveSolution.from_psi(grid, [0.0], psi_k[None, :])
+    ws_k = WaveSolution(grid, [0.0], psi_k)
     for nu in (0.5, 2.0):
         p = diffusion_params("nu", nu)
         bk = drift_fields(ws_k, p).b[0]
@@ -564,7 +565,6 @@ def check_recursion_velocity(ctx: CheckContext):
 def check_acceleration_identity(ctx: CheckContext):
     tol = 5e-3
     ratio_min = 3.5
-    floor = 1e-3
     results = {}
     worst = 0.0
     worst_ratio = np.inf
@@ -575,7 +575,7 @@ def check_acceleration_identity(ctx: CheckContext):
             grid = Grid1D(-8.0, 8.0, n)
             ws = ctx.ho_ground(grid)
             V = 0.5 * grid.x ** 2
-            acc = acceleration_function(ws, p, V, compare_floor=floor)
+            acc = acceleration_function(ws, p, V)
             gaps[n] = acc.max_gap()
         results[f"gap_dx=0.02_nu={nu}"] = gaps[801]
         ratio = gaps[801] / gaps[1601]
@@ -586,7 +586,7 @@ def check_acceleration_identity(ctx: CheckContext):
     grid = ctx.grid
     ws = ctx.ho_ground(grid)
     acc = acceleration_function(ws, diffusion_params("nu", 0.5),
-                                0.5 * grid.x ** 2, compare_floor=floor)
+                                0.5 * grid.x ** 2)
     i = int(np.argmin(np.abs(grid.x - 1.0)))
     spot = abs(acc.from_drift[i] - 1.0)
     results["spot_|a(1)-1|_nu=0.5"] = spot
@@ -599,8 +599,9 @@ def check_acceleration_identity(ctx: CheckContext):
         tolerance=tol,
         oracle="symbolic evaluation: both forms reduce to x for the "
                "ground state at nu = 1/2",
-        notes=f"comparison mask floor {floor:g} (relative); tails excluded "
-              "because d2/dx2 of log-density amplifies truncation error")]
+        notes=f"comparison mask floor {COMPARE_FLOOR:g} (relative); tails "
+              "excluded because d2/dx2 of log-density amplifies truncation "
+              "error")]
 
 
 def check_hamiltonian_spectrum(ctx: CheckContext):
@@ -733,7 +734,7 @@ def check_recursion_closed_forms(ctx: CheckContext):
     Hr = hamiltonian(ws, p, 0.5 * grid.x ** 2, Ht)
     Xr = position_operator(Ht)
     _, X2r = time_derivative_recursion(Xr, Hr, p, 2)
-    acc = acceleration_function(ws, p, 0.5 * grid.x ** 2, compare_floor=1e-3)
+    acc = acceleration_function(ws, p, 0.5 * grid.x ** 2)
     mult = np.where(acc.mask, acc.from_drift, 0.0)
     devs["real_X2_vs_acceleration"] = max(float(np.max(np.abs(
         X2r.apply(psi) - mult * psi)[acc.mask])) for psi in states)

@@ -63,6 +63,8 @@ def _grid(args) -> Grid1D:
 
 
 def cmd_solve(args) -> int:
+    if args.snapshots < 1:
+        raise InputError(f"--snapshots must be >= 1, got {args.snapshots}")
     grid = _grid(args)
     out = _out_dir(args)
     state_params = {}
@@ -83,6 +85,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    # the drift tables are estimated at step steps // 2, and the backward
+    # drift needs a step after the initial one
+    if args.steps < 2:
+        raise InputError(f"--steps must be >= 2, got {args.steps}")
     grid = _grid(args)
     out = _out_dir(args)
     p = _params(args)

@@ -54,11 +54,12 @@ def verify_suite(level: str = "fast", cfg: ExperimentConfig | None = None
     ``fast`` covers the deterministic identity and solver checks (seconds);
     ``full`` adds the seeded Monte Carlo checks (about 45 s at the default
     path count).  Statistical checks at starved path counts come back
-    inconclusive rather than failed.
+    inconclusive rather than failed.  The config is validated first.
     """
     if level not in ("fast", "full"):
         raise InputError(f"level must be fast or full, got {level!r}")
     cfg = cfg or ExperimentConfig()
+    cfg.validate()
     registry = FAST_CHECKS if level == "fast" else FULL_CHECKS
     return _run_checks(cfg, list(registry), registry)
 

@@ -2,23 +2,25 @@
 
 The package works in natural units: ``HBAR`` and ``MASS`` are constants
 equal to 1, and every formula names them where they belong.  A member of
-the family is then fixed by any one of:
+the family is its diffusion constant ``nu`` (``E(dW^2) = 2 nu dt``,
+length^2/time); ``DiffusionParams`` stores ``nu`` alone and works out the
+two other ways of writing it:
 
-* ``nu``   -- the diffusion constant, ``E(dW^2) = 2 nu dt``  (length^2/time),
 * ``z``    -- the dimensionless ratio ``z = 2 m nu / hbar``,
 * ``beta`` -- the dynamical weight, related by ``z = 1 / sqrt(1 - beta/2)``.
 
-Real members need ``nu > 0`` (equivalently ``beta < 2``).  The two
-distinguished imaginary members ``nu = +i hbar/2m`` and ``nu = -i hbar/2m``
-(``z = +i`` / ``z = -i``) are carried as separate modes and come only from
-``continue_to_imaginary``: they lose the probabilistic meaning but keep the
-whole operator algebra, and the ratio ``2 nu / z = hbar / m`` stays fixed
-across the family, so the current-velocity part of every drift is mode
-independent.
+Real members need ``nu > 0`` (equivalently ``beta < 2``) and come from
+``diffusion_params`` with any one of the three.  The two distinguished
+imaginary members ``nu = +i hbar/2m`` and ``nu = -i hbar/2m``
+(``z = +i`` / ``z = -i``) come from ``continue_to_imaginary``: they lose
+the probabilistic meaning but keep the whole operator algebra, and the
+ratio ``2 nu / z = hbar / m`` stays fixed across the family, so the
+current-velocity part of every drift is mode independent.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError, UnsupportedConfigError
@@ -29,30 +31,62 @@ MASS = 1.0
 MODE_REAL = "real"
 MODE_PLUS = "continued-plus"
 MODE_MINUS = "continued-minus"
-_MODES = (MODE_REAL, MODE_PLUS, MODE_MINUS)
 
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """A consistent (nu, z, beta) triple and its mode."""
+    """A member of the family, fixed by its diffusion constant ``nu``.
+
+    ``nu`` is a real number above 0 (with ``beta < 2``) or exactly
+    ``+/- i hbar/2m``; it is stored as a complex number.
+    """
 
     nu: complex
-    z: complex
-    beta: float
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_REAL:
-            if not (self.nu.imag == 0 and self.nu.real > 0):
-                raise DomainError(f"real mode needs nu > 0, got {self.nu}")
-            if self.beta >= 2:
-                raise DomainError(f"real mode needs beta < 2, got {self.beta}")
+        if not isinstance(self.nu, numbers.Number):
+            raise InputError(f"nu must be a number, got {self.nu!r}")
+        nu = complex(self.nu)
+        object.__setattr__(self, "nu", nu)
+        if nu.imag != 0:
+            if nu.real != 0 or abs(nu.imag) != HBAR / (2.0 * MASS):
+                raise DomainError(f"an imaginary nu must be +/- i hbar/2m, "
+                                  f"got {nu}")
+        elif not nu.real > 0:
+            raise DomainError(f"real mode needs nu > 0, got {nu.real}")
+        elif not self.beta < 2:
+            raise DomainError(f"real mode needs beta < 2, got {self.beta}")
 
     @property
     def is_real(self) -> bool:
-        return self.mode == MODE_REAL
+        return self.nu.imag == 0
+
+    @property
+    def sign(self) -> int:
+        """+1 / -1 for the continued branches, 0 in real mode."""
+        return 0 if self.is_real else (1 if self.nu.imag > 0 else -1)
+
+    @property
+    def mode(self) -> str:
+        return {0: MODE_REAL, 1: MODE_PLUS, -1: MODE_MINUS}[self.sign]
+
+    @property
+    def z(self) -> complex:
+        """``2 m nu / hbar``: real for a real member, ``+/- i`` continued."""
+        if self.is_real:
+            return complex(2.0 * MASS * self.nu.real / HBAR)
+        return 1j if self.sign > 0 else -1j
+
+    @property
+    def beta(self) -> float:
+        """``2 (1 - 1/z^2)``: below 2 for a real member, 4 when continued.
+
+        It falls to ``-inf`` as ``nu -> 0``, which is its value where
+        ``z^2`` underflows.
+        """
+        z = self.z.real if self.is_real else self.z
+        zz = z * z
+        return float((2.0 * (1.0 - 1.0 / zz)).real) if zz else -math.inf
 
     @property
     def nu_real(self) -> float:
@@ -62,22 +96,6 @@ class DiffusionParams:
                 "nu is imaginary in continued mode; this quantity is real-mode only"
             )
         return self.nu.real
-
-    @property
-    def sign(self) -> int:
-        """+1 / -1 for the continued branches, 0 in real mode."""
-        if self.mode == MODE_PLUS:
-            return 1
-        if self.mode == MODE_MINUS:
-            return -1
-        return 0
-
-
-def _from_z(z: complex, mode: str) -> DiffusionParams:
-    nu = z * HBAR / (2.0 * MASS)
-    beta = 2.0 * (1.0 - 1.0 / (z * z))     # real for every member: 4 at z = +/- i
-    return DiffusionParams(nu=complex(nu), z=complex(z),
-                           beta=float(beta.real), mode=mode)
 
 
 def diffusion_params(kind: str, value: float) -> DiffusionParams:
@@ -92,18 +110,12 @@ def diffusion_params(kind: str, value: float) -> DiffusionParams:
         raise InputError(f"kind must be one of nu/z/beta, got {kind!r}")
     value = float(value)
     if kind == "nu":
-        if value <= 0:
-            raise DomainError(f"real mode needs nu > 0, got {value}")
-        z = 2.0 * MASS * value / HBAR
-    elif kind == "z":
-        if value <= 0:
-            raise DomainError(f"real mode needs z > 0, got {value}")
-        z = value
-    else:  # beta
+        return DiffusionParams(value)
+    if kind == "beta":
         if value >= 2:
             raise DomainError(f"beta must satisfy beta < 2, got {value}")
-        z = 1.0 / math.sqrt(1.0 - value / 2.0)
-    return _from_z(z, MODE_REAL)
+        value = 1.0 / math.sqrt(1.0 - value / 2.0)
+    return DiffusionParams(value * HBAR / (2.0 * MASS))
 
 
 def continue_to_imaginary(p: DiffusionParams, sign: str = "minus") -> DiffusionParams:
@@ -115,16 +127,9 @@ def continue_to_imaginary(p: DiffusionParams, sign: str = "minus") -> DiffusionP
     the same two points, so the result does not depend on ``p``.
     """
     if sign == "minus":
-        return _from_z(-1j, MODE_MINUS)
-    if sign == "plus":
-        return _from_z(1j, MODE_PLUS)
-    raise InputError(f"sign must be 'minus' or 'plus', got {sign!r}")
-
-
-def phase_scale(p: DiffusionParams) -> complex:
-    """Factor converting the fixed phase S into the mode's native phase S/z.
-
-    ``S/z`` is what enters gauge weights and the isometry map; on the
-    continued branches ``1/z = -/+ i`` makes it imaginary.
-    """
-    return 1.0 / p.z
+        z = -1j
+    elif sign == "plus":
+        z = 1j
+    else:
+        raise InputError(f"sign must be 'minus' or 'plus', got {sign!r}")
+    return DiffusionParams(z * HBAR / (2.0 * MASS))

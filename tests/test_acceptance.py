@@ -206,8 +206,7 @@ def test_identity_check_sees_one_changed_entry(check, builder, by, row,
         out = build(*args)
         if isinstance(out, dict):
             return _bumped(out, row, by)
-        return OperatorMatrix(out.space, _bumped(out.diagonals, row, by),
-                              out.label)
+        return OperatorMatrix(out.space, _bumped(out.diagonals, row, by))
 
     monkeypatch.setattr(checks, builder, changed)
     recs = check(CheckContext(ExperimentConfig()))
@@ -220,7 +219,7 @@ def test_heisenberg_taylor_sees_a_changed_diagonal(monkeypatch):
     def changed(X, H, s, p):
         E = exact(X, H, s, p)
         return OperatorMatrix(E.space, {**E.diagonals,
-                                        0: E.diagonal(0) + 1e-6}, E.label)
+                                        0: E.diagonal(0) + 1e-6})
 
     monkeypatch.setattr(checks, "heisenberg_operator", changed)
     recs = check_heisenberg_taylor(CheckContext(ExperimentConfig()))

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from nelsonlab import InputError
 from nelsonlab.harness.cli import build_parser, main
+from nelsonlab.harness.config import ExperimentConfig
+from nelsonlab.harness.suite import verify_suite
 
 
 def test_parser_subcommands():
@@ -176,3 +179,25 @@ def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "correlation_curve.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--level", "full", "--paths", "0"], "sde.n_paths"),
+    (["verify", "--paths", "-5"], "sde.n_paths"),
+    (["solve", "--snapshots", "0"], "--snapshots"),
+    (["sample", "--steps", "1"], "--steps"),
+])
+def test_cli_rejects_counts_it_cannot_run(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_verify_suite_validates_its_config():
+    cfg = ExperimentConfig()
+    cfg.sde.n_paths = 0
+    with pytest.raises(InputError, match="sde.n_paths"):
+        verify_suite("full", cfg)

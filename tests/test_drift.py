@@ -3,7 +3,8 @@ import pytest
 
 from nelsonlab import Grid1D, UnsupportedConfigError, diffusion_params, continue_to_imaginary
 from nelsonlab.fields import WaveSolution, analytic_oracle, drift_fields
-from nelsonlab.fields.drift import DriftField, log_density_gradient
+from nelsonlab.fields.drift import (DEFAULT_B_CAP, DriftField,
+                                    log_density_gradient)
 from nelsonlab.finitediff import gradient
 
 
@@ -31,7 +32,7 @@ def test_osmotic_identity_exact_by_construction(ground, p_half):
 def test_current_part_is_nu_independent(grid801, ground):
     k = 3.0
     psi_k = ground.psi[0] * np.exp(1j * k * grid801.x)
-    ws_k = WaveSolution.from_psi(grid801, [0.0], psi_k[None, :])
+    ws_k = WaveSolution(grid801, [0.0], psi_k)
     sel = _interior(ws_k)
     for nu in (0.5, 2.0):
         p = diffusion_params("nu", nu)
@@ -54,15 +55,18 @@ def test_continued_mode_rejected(ground, p_half):
 
 
 def test_nodal_guard_caps_drift():
-    g = Grid1D(-8.0, 8.0, 801)
-    x = g.x
-    psi = x * np.exp(-x ** 2 / 2)          # node at the origin
-    psi = (psi / np.sqrt(g.trapezoid(np.abs(psi) ** 2))).astype(complex)
-    ws = WaveSolution.from_psi(g, [0.0], psi[None, :])
-    df = drift_fields(ws, diffusion_params("nu", 0.5), b_cap=100.0)
-    assert np.all(np.isfinite(df.b))
+    """A box state's density falls from its peak to zero within one node,
+    so the unclamped osmotic drift just outside its mask is above the cap."""
+    g = Grid1D(-2.0, 2.0, 801)
+    ws = WaveSolution(g, [0.0], (np.abs(g.x) < 1.0).astype(complex))
+    p = diffusion_params("nu", 0.5)
     outside = ~ws.mask[0]
-    assert np.max(np.abs(df.b[0][outside])) <= 100.0
+    unclamped = 2.0 * p.nu_real * gradient(ws.R[0], g.dx)
+    assert np.max(np.abs(unclamped[outside])) > DEFAULT_B_CAP
+    df = drift_fields(ws, p)
+    assert np.all(np.isfinite(df.b)) and np.all(np.isfinite(df.b_star))
+    assert np.max(np.abs(df.b[0][outside])) == DEFAULT_B_CAP
+    assert np.max(np.abs(df.b_star[0][outside])) == DEFAULT_B_CAP
 
 
 def test_time_interpolation(grid801):

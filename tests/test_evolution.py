@@ -11,6 +11,7 @@ from nelsonlab.algebra import (OperatorMatrix, build_space, correlation,
                                time_derivative_recursion,
                                two_time_position_correlation)
 from nelsonlab.fields import analytic_oracle
+from nelsonlab.params import HBAR
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +67,8 @@ def test_real_mode_recursion_needs_stationary_density():
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid,
                          [0.0, 0.7])          # density moves
     sp = build_space(grid, "H_t", ws.rho(0))
-    H = hamiltonian(ws, p, 0.5 * grid.x ** 2, sp)
-    X = position_operator(sp)
-    with pytest.raises(UnsupportedConfigError):
-        time_derivative_recursion(X, H, p, 1)
+    with pytest.raises(UnsupportedConfigError, match="stationary"):
+        hamiltonian(ws, p, 0.5 * grid.x ** 2, sp)
 
 
 def test_heisenberg_identity_cases(cont):
@@ -243,7 +242,7 @@ def test_real_mode_second_derivative_is_acceleration_multiplication():
     H = hamiltonian(ws, p, 0.5 * grid.x ** 2, sp)
     X = position_operator(sp)
     _, X2 = time_derivative_recursion(X, H, p, 2)
-    acc = acceleration_function(ws, p, 0.5 * grid.x ** 2, compare_floor=1e-3)
+    acc = acceleration_function(ws, p, 0.5 * grid.x ** 2)
     sel = acc.mask
     for psi in _packets(grid):
         lhs = (X2.matrix @ psi)[sel]
@@ -319,6 +318,30 @@ def test_heisenberg_action_equals_dense_conjugation(small, sign):
         ref = heisenberg_operator(X, H, s, pc).matrix @ states.T
         assert got.shape == states.shape
         assert np.max(np.abs(got - ref.T)) < 1e-12
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_conjugation_matches_expm_of_dense_hamiltonian(sign):
+    """Independent oracle for the exact conjugation: on the interior,
+    ``X(s) = L X L^H`` with ``L = expm(-/+ i H s / hbar)`` of the dense
+    interior H (``+`` on the minus branch), no eigensystem involved."""
+    from scipy.linalg import expm
+    grid = Grid1D(-8.0, 8.0, 61)
+    sp = build_space(grid, "L2")
+    X = position_operator(sp)
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
+    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
+    states = np.random.default_rng(3).standard_normal((3, grid.n)) + 0j
+    for s in (0.3, 1.7):
+        L = expm(-1j * pc.sign * s / HBAR * H.matrix[1:-1, 1:-1].real)
+        ref = np.diag(grid.x.astype(complex))
+        ref[1:-1, 1:-1] = (L * grid.x[1:-1]) @ L.conj().T
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(heisenberg_operator(X, H, s, pc).matrix - ref)) \
+            < 1e-12 * scale
+        got = heisenberg_action(X, H, s, pc, states)
+        assert np.max(np.abs(got - states @ ref.T)) \
+            < 1e-12 * np.max(np.abs(states @ ref.T))
 
 
 def test_heisenberg_action_at_zero_lag_is_position(small):

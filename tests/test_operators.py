@@ -15,7 +15,8 @@ from nelsonlab.algebra import (OperatorMatrix, WeightedSpace,
                                mapped_velocity_operator, momentum_operator,
                                position_operator, rho_term_coefficient,
                                velocity_operator)
-from nelsonlab.fields import analytic_oracle, drift_fields
+from nelsonlab.algebra.operators import COMPARE_FLOOR
+from nelsonlab.fields import WaveSolution, analytic_oracle, drift_fields
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ def test_acceleration_fields_ground_state(setup):
     V = 0.5 * grid.x ** 2
     for nu, coeff in ((0.5, 1.0), (1.0, 2.5)):
         p = diffusion_params("nu", nu)
-        acc = acceleration_function(ground, p, V, compare_floor=1e-3)
+        acc = acceleration_function(ground, p, V)
         assert acc.max_gap() < 5e-3 * max(1.0, coeff)
         i = np.argmin(np.abs(grid.x - 1.0))
         assert abs(acc.from_drift[i] - 4 * nu ** 2) < 1e-8
@@ -156,18 +157,20 @@ def test_acceleration_fields_time_dependent_converge_at_second_order():
             grid = Grid1D(-8.0, 8.0, n)
             ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
             acc = acceleration_function(ws, diffusion_params("nu", nu),
-                                        0.5 * grid.x ** 2, t_index=10,
-                                        compare_floor=1e-3)
+                                        0.5 * grid.x ** 2, t_index=10)
             gaps.append(acc.max_gap())
         assert gaps[0] / gaps[1] >= 3.5, (nu, gaps)
 
 
 def test_acceleration_mask_too_small():
+    """A packet half a node wide leaves three nodes above COMPARE_FLOOR of
+    its peak density, too few to differentiate on."""
     grid = Grid1D(-8.0, 8.0, 801)
-    ws = analytic_oracle("ho_ground", None, grid, [0.0])
-    with pytest.raises(EmptyMaskError):
+    ws = WaveSolution(grid, [0.0], np.exp(-2.0 * (grid.x / grid.dx) ** 2))
+    assert np.sum(ws.rho(0) > COMPARE_FLOOR * ws.rho(0).max()) == 3
+    with pytest.raises(EmptyMaskError, match="mask too small"):
         acceleration_function(ws, diffusion_params("nu", 0.5),
-                              0.5 * grid.x ** 2, compare_floor=1.1)
+                              0.5 * grid.x ** 2)
 
 
 def test_rho_term_coefficient_vanishes_when_continued():

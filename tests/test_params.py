@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nelsonlab import DomainError, InputError, diffusion_params, continue_to_imaginary
-from nelsonlab.params import (HBAR, MASS, MODE_MINUS, MODE_PLUS,
-                              DiffusionParams, phase_scale)
+from nelsonlab.params import (HBAR, MASS, MODE_MINUS, MODE_PLUS, MODE_REAL,
+                              DiffusionParams)
 
 
 def test_reference_members():
@@ -31,7 +31,38 @@ def test_unknown_kind_and_mode():
     with pytest.raises(InputError):
         diffusion_params("gamma", 1.0)
     with pytest.raises(InputError):
-        DiffusionParams(nu=1.0, z=2.0, beta=1.5, mode="complex")
+        DiffusionParams("0.5")
+
+
+def test_inconsistent_triples_cannot_be_built():
+    with pytest.raises(TypeError):
+        DiffusionParams(nu=1.0, z=7.0, beta=0.0, mode="real")
+    with pytest.raises(TypeError):
+        DiffusionParams(nu=5j, z=1j, beta=4.0, mode="continued-plus")
+    for name, value in (("z", 2.0), ("beta", 1.5), ("mode", MODE_REAL)):
+        with pytest.raises(TypeError):
+            DiffusionParams(nu=1.0, **{name: value})
+
+
+def test_nu_outside_the_family_rejected():
+    for nu in (5j, 0.3j, 0, -1, 0.5 + 0.5j, float("nan"), float("inf"),
+               1e300):                    # beta rounds to 2 at nu = 1e300
+        with pytest.raises(DomainError):
+            DiffusionParams(nu)
+    assert DiffusionParams(0.5j).mode == MODE_PLUS
+    assert DiffusionParams(-0.5j).mode == MODE_MINUS
+
+
+@given(st.one_of(st.floats(), st.complex_numbers(),
+                 st.sampled_from([0.5j, -0.5j])))
+def test_every_member_keeps_the_family_relations(nu):
+    try:
+        p = DiffusionParams(nu)
+    except DomainError:
+        return
+    assert 2 * p.nu / p.z == HBAR / MASS
+    assert p.is_real == (p.beta < 2)
+    assert p.is_real == (p.mode == MODE_REAL) == (p.sign == 0)
 
 
 @given(st.floats(min_value=-10.0, max_value=1.99, exclude_max=True,
@@ -51,7 +82,7 @@ def test_continued_branches():
     pp = continue_to_imaginary(base, "plus")
     assert pp.mode == MODE_PLUS and pp.z == 1j and pp.nu == 0.5j
     assert abs(2 * pm.nu / pm.z - 1.0) < 1e-15
-    assert phase_scale(pm) == 1j            # S/z = +i S on the minus branch
+    assert 1 / pm.z == 1j                   # S/z = +i S on the minus branch
     with pytest.raises(InputError):
         continue_to_imaginary(base, "sideways")
 

@@ -90,6 +90,17 @@ def test_wave_solution_shapes_and_norms(grid801, ground):
     assert ground.rho(0).shape == (grid801.n,)
     with pytest.raises(InputError):
         WaveSolution(grid=grid801, times=np.array([0.0]),
-                     psi=np.zeros((2, grid801.n), dtype=complex),
-                     R=np.zeros((1, grid801.n)), S=np.zeros((1, grid801.n)),
-                     mask=np.ones((1, grid801.n), bool))
+                     psi=np.ones((2, grid801.n), dtype=complex))
+
+
+def test_wave_solution_is_built_from_psi_alone(grid801, ground):
+    psi = ground.psi[0]
+    for name, value in (("R", np.zeros(grid801.n)), ("S", np.zeros(grid801.n)),
+                        ("mask", np.ones(grid801.n, bool))):
+        with pytest.raises(TypeError):
+            WaveSolution(grid801, [0.0], psi, **{name: value})
+    ws = WaveSolution(grid801, [0.0, 0.5], [psi, 1j * psi])
+    for j, row in enumerate((psi, 1j * psi)):
+        R, S, mask = decompose(row)
+        assert np.array_equal(ws.R[j], R) and np.array_equal(ws.mask[j], mask)
+        assert np.array_equal(ws.S[j], S, equal_nan=True)

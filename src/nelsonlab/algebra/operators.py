@@ -228,16 +228,17 @@ def position_operator(space: WeightedSpace) -> OperatorMatrix:
     return OperatorMatrix(space, {0: space.grid.x})
 
 
-def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace,
-                      t: float = 0.0) -> OperatorMatrix:
-    """Forward-velocity operator b(x,t) + 2 nu d/dx on the density-weighted space."""
+def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace
+                      ) -> OperatorMatrix:
+    """Forward-velocity operator b(x, 0) + 2 nu d/dx on the density-weighted
+    space."""
     if not p.is_real:
         raise UnsupportedConfigError(
             "velocity_operator is a real-mode object; use "
             "mapped_velocity_operator on the continued branches")
     bands = _scaled(2.0 * p.nu_real,
                     closed_derivative_bands(space.grid.n, space.grid.dx))
-    bands[0] = df.b_on_grid(t) + bands[0]
+    bands[0] = df.b_on_grid(0.0) + bands[0]
     return OperatorMatrix(space, bands)
 
 
@@ -290,7 +291,6 @@ def density_curvature(ws: WaveSolution, j: int = 0
 class AccelerationFields:
     """The two closed forms of the forward acceleration, for comparison."""
 
-    grid_x: np.ndarray
     from_drift: np.ndarray
     from_potential: np.ndarray
     mask: np.ndarray
@@ -350,8 +350,8 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
     coeff = HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * nu ** 2
     q, _ = density_curvature(ws, t_index)
     a_pot = (-gradient(V, grid.dx) + gradient(coeff * q, grid.dx)) / MASS
-    return AccelerationFields(grid_x=grid.x, from_drift=a_drift,
-                              from_potential=a_pot, mask=mask)
+    return AccelerationFields(from_drift=a_drift, from_potential=a_pot,
+                              mask=mask)
 
 
 def rho_term_coefficient(p: DiffusionParams) -> complex:

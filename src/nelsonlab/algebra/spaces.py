@@ -31,7 +31,6 @@ class WeightedSpace:
 
     grid: Grid1D
     weight: np.ndarray
-    kind: str = "L2"
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -67,7 +66,7 @@ def build_space(grid: Grid1D, kind: str, field: np.ndarray | None = None,
     if kind not in SPACE_KINDS:
         raise InputError(f"unknown space kind {kind!r}")
     if kind == "L2":
-        return WeightedSpace(grid, np.ones(grid.n), kind)
+        return WeightedSpace(grid, np.ones(grid.n))
     if field is None:
         raise InputError(f"space kind {kind!r} needs its defining field")
     field = np.asarray(field)
@@ -78,9 +77,9 @@ def build_space(grid: Grid1D, kind: str, field: np.ndarray | None = None,
         w = np.maximum(f, _DENSITY_FLOOR)
         if not np.all(w > 0):
             raise InputError("density weight must be positive after flooring")
-        return WeightedSpace(grid, w, kind)
+        return WeightedSpace(grid, w)
     if p is None:
         raise InputError("I_t needs diffusion parameters (for z)")
     sn = np.where(np.isnan(field), 0.0, field) / p.z
     w = np.exp(-2.0 * np.real(sn))
-    return WeightedSpace(grid, w, kind)
+    return WeightedSpace(grid, w)

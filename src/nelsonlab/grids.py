@@ -47,6 +47,3 @@ class Grid1D:
     def trapezoid(self, f: np.ndarray) -> float | complex:
         """Trapezoidal quadrature of a nodal field."""
         return np.trapezoid(f, dx=self.dx)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return (x >= self.x_min) & (x <= self.x_max)

@@ -20,6 +20,7 @@ from ..sampler import (density_histogram, estimate_backward_drift,
                        simulate_ensemble)
 from .checks import MONTE_CARLO_CHECKS
 from .config import ExperimentConfig, load_config
+from .plots import write_float_csv
 from .report import INCONCLUSIVE, CheckRecord, Report
 from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
 
@@ -27,9 +28,9 @@ from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
 _FLAGS = {
     "seed": dict(type=int, default=42),
     "nu": dict(type=float, default=None,
-               help="diffusion constant (real mode)"),
+               help="diffusion constant (real mode); default 0.5"),
     "beta": dict(type=float, default=None,
-                 help="alternative parameterization; z = 1/sqrt(1 - beta/2)"),
+                 help="alternative to --nu; z = 1/sqrt(1 - beta/2)"),
     "grid-n": dict(type=int, default=801),
     "grid-x-max": dict(type=float, default=8.0),
     "dt": dict(type=float, default=1e-3),
@@ -53,6 +54,9 @@ def _out_dir(args) -> Path:
 
 
 def _params(args):
+    if args.nu is not None and args.beta is not None:
+        raise InputError("--nu and --beta name the same member two ways; "
+                         "give one")
     if args.beta is not None:
         return diffusion_params("beta", args.beta)
     return diffusion_params("nu", args.nu if args.nu is not None else 0.5)
@@ -66,20 +70,16 @@ def cmd_solve(args) -> int:
     if args.snapshots < 1:
         raise InputError(f"--snapshots must be >= 1, got {args.snapshots}")
     grid = _grid(args)
-    out = _out_dir(args)
-    state_params = {}
-    if args.state == "ho_coherent":
-        state_params["x0"] = args.x0
-    if args.state == "free_gaussian":
-        state_params["sigma0"] = args.sigma0
-    times = [0.0]
-    ws0 = analytic_oracle(args.state, state_params, grid, times)
+    # the oracle rejects a parameter that its state does not take
+    state_params = {k: v for k in ("x0", "sigma0")
+                    if (v := getattr(args, k)) is not None}
+    ws0 = analytic_oracle(args.state, state_params, grid, [0.0])
     V = 0.5 * grid.x ** 2 if args.state.startswith("ho") else np.zeros(grid.n)
     sol = solve_schrodinger(V, ws0.psi[0], grid, args.dt, args.steps,
                             store_every=max(1, args.steps // args.snapshots))
-    p = _params(args)
+    out = _out_dir(args)
     files = export_snapshots(out / "density", grid, sol.times,
-                             np.abs(sol.psi) ** 2, stem="density", params=p)
+                             np.abs(sol.psi) ** 2, stem="density")
     print(f"wrote {len(files)} density snapshots under {out / 'density'}")
     return 0
 
@@ -89,9 +89,11 @@ def cmd_sample(args) -> int:
     # drift needs a step after the initial one
     if args.steps < 2:
         raise InputError(f"--steps must be >= 2, got {args.steps}")
+    if args.paths < 1:
+        raise InputError(f"--paths must be >= 1, got {args.paths}")
     grid = _grid(args)
-    out = _out_dir(args)
     p = _params(args)
+    out = _out_dir(args)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     df = drift_fields(ws, p)
     x0 = sample_initial(ho_ground_density(grid.x), grid, args.paths, args.seed)
@@ -105,10 +107,9 @@ def cmd_sample(args) -> int:
     export_table_csv(out / "backward_drift.csv",
                      estimate_backward_drift(e, j, bins=40))
     edges, dens, se = density_histogram(e, e.n_steps, bins=60)
-    with (out / "density_histogram.csv").open("w") as fh:
-        fh.write("bin_center,density,std_error\n")
-        for c, d, s in zip(0.5 * (edges[:-1] + edges[1:]), dens, se):
-            fh.write(f"{c!r},{d!r},{s!r}\n")
+    write_float_csv(out / "density_histogram.csv",
+                    ["bin_center", "density", "std_error"],
+                    zip(0.5 * (edges[:-1] + edges[1:]), dens, se))
     print(f"ensemble ({e.n_paths} paths, {e.n_steps} steps) and estimator "
           f"tables written under {out}")
     return 0
@@ -145,11 +146,13 @@ def cmd_verify(args) -> int:
 def cmd_correlate(args) -> int:
     from ..algebra import two_time_position_correlation
     grid = _grid(args)
-    out = _out_dir(args)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     V = 0.5 * grid.x ** 2
     if args.mode == "real":
         p = _params(args)
+    elif args.nu is not None or args.beta is not None:
+        raise InputError(f"--mode {args.mode} takes neither --nu nor --beta: "
+                         "every real member continues to the same point")
     else:
         p = continue_to_imaginary(_params(args), args.mode)
     try:
@@ -161,10 +164,10 @@ def cmd_correlate(args) -> int:
         ws, p, s_values, V))))
     for s, c in rows:
         print(f"s = {s:g}: matrix element = {c.real:+.6f} {c.imag:+.6f}i")
-    with (out / "correlation_curve.csv").open("w") as fh:
-        fh.write("s,matrix_element_re,matrix_element_im\n")
-        for s, c in rows:
-            fh.write(f"{s!r},{c.real!r},{c.imag!r}\n")
+    out = _out_dir(args)
+    write_float_csv(out / "correlation_curve.csv",
+                    ["s", "matrix_element_re", "matrix_element_im"],
+                    [(s, c.real, c.imag) for s, c in rows])
     print(f"curve: {out / 'correlation_curve.csv'}")
     return 0
 
@@ -192,11 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="evolve a state and export densities")
-    _add_flags(ps, "nu", "beta", "grid-n", "grid-x-max", "dt", "out")
+    _add_flags(ps, "grid-n", "grid-x-max", "dt", "out")
     ps.add_argument("--state", choices=("ho_ground", "ho_coherent",
                                         "free_gaussian"), default="ho_coherent")
-    ps.add_argument("--x0", type=float, default=1.0)
-    ps.add_argument("--sigma0", type=float, default=1.0)
+    ps.add_argument("--x0", type=float, default=None,
+                    help="packet center (ho_coherent, free_gaussian)")
+    ps.add_argument("--sigma0", type=float, default=None,
+                    help="packet width (free_gaussian)")
     ps.add_argument("--steps", type=int, default=6280)
     ps.add_argument("--snapshots", type=int, default=20)
     ps.set_defaults(fn=cmd_solve)
@@ -237,7 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NelsonlabError as exc:
+    except (NelsonlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

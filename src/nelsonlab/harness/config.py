@@ -16,11 +16,11 @@ class SdeConfig:
     n_paths: int = 100_000
     seed: int = 42
 
-    def validate(self, prefix: str = "sde"):
+    def validate(self):
         if self.n_paths < 1:
-            raise InputError(f"{prefix}.n_paths: must be >= 1")
+            raise InputError("sde.n_paths: must be >= 1")
         if self.seed is None:
-            raise InputError(f"{prefix}.seed: required when sampling is requested")
+            raise InputError("sde.seed: required when sampling is requested")
 
 
 @dataclass

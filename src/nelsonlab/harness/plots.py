@@ -9,6 +9,15 @@ from ..fields.io import export_snapshots
 from .report import Report
 
 
+def write_float_csv(path: Path, columns: list[str], rows) -> None:
+    """A header row, then each row's values as round-trip floats."""
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([repr(float(v)) for v in row])
+
+
 def emit_plots_data(report: Report, out_dir: str | Path) -> list[Path]:
     """Write one CSV per artifact attached to the report.
 
@@ -30,11 +39,7 @@ def emit_plots_data(report: Report, out_dir: str | Path) -> list[Path]:
                     stem="density"))
             else:
                 path = out_dir / f"{name}.csv"
-                with path.open("w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(art["columns"])
-                    for row in art["rows"]:
-                        w.writerow([repr(float(v)) for v in row])
+                write_float_csv(path, art["columns"], art["rows"])
                 written.append(path)
         except OSError as exc:
             raise NelsonlabError(f"failed writing {name} under {out_dir}: "

@@ -48,7 +48,6 @@ class CheckRecord:
 class Report:
     records: list
     environment: dict
-    schema_version: int = SCHEMA_VERSION
     created_at: str = ""
     artifacts: dict = field(default_factory=dict, repr=False)
 
@@ -75,7 +74,7 @@ class Report:
             for r in records:
                 r.pop("elapsed_s", None)   # timing is timestamp-class data
         body = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "environment": self.environment,
             "summary": self.counts(),
             "records": records,

@@ -8,7 +8,7 @@ from .estimators import (MIN_COUNT_ASSERT, MIN_COUNT_DEFAULT,
                          estimate_quadratic_variation, histogram_l1_distance)
 from .io import (export_ensemble_binary, export_ensemble_csv,
                  export_table_csv, load_ensemble_binary)
-from .rng import step_normals, stream, stream_normals, stream_uniforms
+from .rng import step_normals, stream_normals, stream_uniforms
 
 __all__ = [
     "MIN_COUNT_ASSERT",
@@ -31,7 +31,6 @@ __all__ = [
     "sample_initial",
     "simulate_ensemble",
     "step_normals",
-    "stream",
     "stream_normals",
     "stream_uniforms",
 ]

@@ -51,9 +51,6 @@ class Ensemble:
     def n_steps(self) -> int:
         return self.paths.shape[1] - 1
 
-    def time(self, j: int) -> float:
-        return self.t0 + j * self.dt
-
     def positions(self, j: int) -> np.ndarray:
         return self.paths[:, j]
 

@@ -28,8 +28,6 @@ class ConditionalMomentTable:
     estimate: np.ndarray
     std_error: np.ndarray
     usable: np.ndarray
-    t_index: int
-    kind: str
 
     @property
     def centers(self) -> np.ndarray:
@@ -95,7 +93,7 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _bin_reduce(cond: np.ndarray, values: np.ndarray, edges: np.ndarray,
-                min_count: int, t_index: int, kind: str) -> ConditionalMomentTable:
+                min_count: int) -> ConditionalMomentTable:
     # _bin_index gives np.digitize's slots 1 ... nb and puts every other
     # sample (outside the edges or NaN) in slot 0 or nb + 1; slicing those
     # off after bincount leaves each bin's sum over the same samples in the
@@ -115,7 +113,7 @@ def _bin_reduce(cond: np.ndarray, values: np.ndarray, edges: np.ndarray,
     sem[~usable] = np.nan
     return ConditionalMomentTable(bin_edges=edges, counts=counts,
                                   estimate=mean, std_error=sem,
-                                  usable=usable, t_index=t_index, kind=kind)
+                                  usable=usable)
 
 
 def estimate_forward_drift(e: Ensemble, t_j: int, bins=None,
@@ -126,7 +124,7 @@ def estimate_forward_drift(e: Ensemble, t_j: int, bins=None,
         raise InputError(f"forward drift needs a non-final step, got {t_j}")
     edges = _as_edges(e, bins)
     inc = (e.paths[:, t_j + 1] - e.paths[:, t_j]) / e.dt
-    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count, t_j, "forward_drift")
+    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count)
 
 
 def estimate_backward_drift(e: Ensemble, t_j: int, bins=None,
@@ -137,7 +135,7 @@ def estimate_backward_drift(e: Ensemble, t_j: int, bins=None,
         raise InputError(f"backward drift needs a non-initial step, got {t_j}")
     edges = _as_edges(e, bins)
     inc = (e.paths[:, t_j] - e.paths[:, t_j - 1]) / e.dt
-    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count, t_j, "backward_drift")
+    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count)
 
 
 def estimate_quadratic_variation(e: Ensemble, t_j: int, bins=None,
@@ -153,8 +151,7 @@ def estimate_quadratic_variation(e: Ensemble, t_j: int, bins=None,
         raise InputError(f"quadratic variation needs a non-final step, got {t_j}")
     edges = _as_edges(e, bins)
     inc = e.paths[:, t_j + 1] - e.paths[:, t_j]
-    return _bin_reduce(e.paths[:, t_j], inc * inc / e.dt, edges, min_count,
-                       t_j, "quadratic_variation")
+    return _bin_reduce(e.paths[:, t_j], inc * inc / e.dt, edges, min_count)
 
 
 def estimate_mean_acceleration(e: Ensemble, t_j: int, bins=None,
@@ -174,8 +171,7 @@ def estimate_mean_acceleration(e: Ensemble, t_j: int, bins=None,
         raise InputError(f"mean acceleration needs an interior step, got {t_j}")
     edges = _as_edges(e, bins)
     sec = (e.paths[:, t_j + 1] - 2.0 * e.paths[:, t_j] + e.paths[:, t_j - 1]) / e.dt ** 2
-    return _bin_reduce(e.paths[:, t_j], sec, edges, min_count, t_j,
-                       "mean_acceleration")
+    return _bin_reduce(e.paths[:, t_j], sec, edges, min_count)
 
 
 def density_histogram(e: Ensemble, t_j: int, bins=None
@@ -202,17 +198,8 @@ def density_histogram(e: Ensemble, t_j: int, bins=None
 
 
 def histogram_l1_distance(edges: np.ndarray, density: np.ndarray,
-                          ref, grid=None) -> float:
-    """L1 distance between a histogram and a reference density.
-
-    ``ref`` may be a callable evaluated at bin centers or a nodal array on
-    ``grid`` (bin-averaged by midpoint rule).
-    """
+                          ref) -> float:
+    """L1 distance between a histogram and a reference density ``ref``,
+    a function evaluated at the bin centers (midpoint rule)."""
     centers = 0.5 * (edges[:-1] + edges[1:])
-    if callable(ref):
-        ref_vals = ref(centers)
-    else:
-        if grid is None:
-            raise InputError("nodal reference needs its grid")
-        ref_vals = np.interp(centers, grid.x, np.asarray(ref, dtype=float))
-    return float(np.sum(np.abs(density - ref_vals) * np.diff(edges)))
+    return float(np.sum(np.abs(density - ref(centers)) * np.diff(edges)))

@@ -30,17 +30,12 @@ _UNIFORM_HIGH = 1.0 - 2 ** -53
 _WORDS_PER_COUNTER = 4  # Philox4x64 yields four 64-bit words per counter
 
 
-def stream(seed: int, tag: int | np.uint64) -> Generator:
-    """Generator for the Philox stream keyed by (seed, tag)."""
-    key = np.array([np.uint64(seed), np.uint64(tag)], dtype=np.uint64)
-    return Generator(Philox(key=key))
-
-
 def _uniform_slice(seed: int, tag: int | np.uint64, lo: int,
                    hi: int) -> np.ndarray:
     """Elements [lo, hi) of the (seed, tag) uniform stream, clipped to (0, 1)."""
     lo, hi = int(lo), int(hi)  # Philox.advance rejects numpy integers
-    gen = stream(seed, tag)
+    key = np.array([np.uint64(seed), np.uint64(tag)], dtype=np.uint64)
+    gen = Generator(Philox(key=key))
     gen.bit_generator.advance(lo // _WORDS_PER_COUNTER)
     skip = lo % _WORDS_PER_COUNTER
     u = gen.random(hi - lo + skip)[skip:]

@@ -1,5 +1,7 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from nelsonlab import InputError
@@ -24,6 +26,8 @@ def test_parser_subcommands():
     ["verify", "--dt", "0.01"],
     ["verify", "--grid-n", "3"],
     ["verify", "--grid-x-max", "4"],
+    ["solve", "--nu", "1"],
+    ["solve", "--beta", "1"],
     ["solve", "--paths", "10"],
     ["solve", "--seed", "1"],
     ["correlate", "--dt", "0.01"],
@@ -37,11 +41,10 @@ def test_parser_rejects_flags_the_subcommand_ignores(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, expect", [
-    (["solve", "--nu", "0.7", "--beta", "1.0", "--grid-n", "401",
-      "--grid-x-max", "6", "--dt", "0.002", "--out", "o", "--state",
-      "free_gaussian", "--x0", "0.5", "--sigma0", "2", "--steps", "10",
-      "--snapshots", "2"],
-     dict(nu=0.7, beta=1.0, grid_n=401, grid_x_max=6.0, dt=0.002, out="o",
+    (["solve", "--grid-n", "401", "--grid-x-max", "6", "--dt", "0.002",
+      "--out", "o", "--state", "free_gaussian", "--x0", "0.5", "--sigma0",
+      "2", "--steps", "10", "--snapshots", "2"],
+     dict(grid_n=401, grid_x_max=6.0, dt=0.002, out="o",
           state="free_gaussian", x0=0.5, sigma0=2.0, steps=10, snapshots=2)),
     (["sample", "--seed", "3", "--nu", "0.7", "--beta", "1.0", "--grid-n",
       "401", "--grid-x-max", "6", "--dt", "0.002", "--paths", "10", "--out",
@@ -186,6 +189,7 @@ def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
     (["verify", "--paths", "-5"], "sde.n_paths"),
     (["solve", "--snapshots", "0"], "--snapshots"),
     (["sample", "--steps", "1"], "--steps"),
+    (["sample", "--paths", "0", "--steps", "4"], "--paths"),
 ])
 def test_cli_rejects_counts_it_cannot_run(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -201,3 +205,71 @@ def test_verify_suite_validates_its_config():
     cfg.sde.n_paths = 0
     with pytest.raises(InputError, match="sde.n_paths"):
         verify_suite("full", cfg)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlate", "--mode", "minus", "--nu", "3"], "neither --nu nor --beta"),
+    (["correlate", "--mode", "plus", "--beta", "0"], "neither --nu nor --beta"),
+    (["correlate", "--nu", "1", "--beta", "0"], "give one"),
+    (["sample", "--nu", "1", "--beta", "0"], "give one"),
+    (["solve", "--state", "ho_ground", "--x0", "2"], "x0"),
+    (["solve", "--state", "ho_coherent", "--sigma0", "2"], "sigma0"),
+])
+def test_cli_refuses_flags_it_would_ignore(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_solve_centers_the_free_packet_at_x0(tmp_path):
+    rc = main(["solve", "--state", "free_gaussian", "--x0", "1", "--steps",
+               "2", "--snapshots", "1", "--grid-x-max", "10", "--out",
+               str(tmp_path)])
+    assert rc == 0
+    with (tmp_path / "density" / "density_0000.csv").open(newline="") as fh:
+        x, rho, _ = np.array([row for row in csv.reader(fh)][1:],
+                             dtype=float).T
+    assert np.sum(x * rho) / np.sum(rho) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--paths", "200", "--steps", "4", "--grid-n", "201", "--csv"],
+    ["correlate", "--s", "0,0.25", "--grid-n", "201"],
+    ["correlate", "--mode", "minus", "--s", "0,0.25", "--grid-n", "201"],
+])
+def test_every_csv_cell_is_a_number(argv, tmp_path):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    files = sorted(tmp_path.glob("*.csv"))
+    assert files
+    for path in files:
+        raw = path.read_bytes()
+        assert raw.count(b"\n") == raw.count(b"\r\n")
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        for row in rows[1:]:
+            [float(cell) for cell in row]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--steps", "2", "--snapshots", "1", "--grid-n", "201"],
+    ["sample", "--paths", "100", "--steps", "4", "--grid-n", "201"],
+    ["correlate", "--s", "0.25", "--grid-n", "201"],
+    ["verify"],
+])
+def test_cli_reports_a_write_failure(argv, tmp_path, capsys, monkeypatch):
+    from nelsonlab.harness import cli
+    from nelsonlab.harness.report import CheckRecord, Report
+
+    monkeypatch.setattr(cli, "verify_suite", lambda level, cfg: Report(
+        environment={}, records=[CheckRecord(name="a", anchor="x",
+                                             status="pass")]))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(argv + ["--out", str(taken)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert taken.read_text() == "not a directory"

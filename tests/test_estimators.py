@@ -118,6 +118,13 @@ def test_density_histogram_and_l1(ou):
     assert np.all(se[dens > 0] > 0)
 
 
+def test_l1_reference_is_a_function_only(ou):
+    edges, dens, _ = density_histogram(ou, 20, bins=np.arange(-4, 4.01, 0.2))
+    with pytest.raises(TypeError):
+        histogram_l1_distance(edges, dens, ho_ground_density,
+                              grid=Grid1D(-4.0, 4.0, 41))
+
+
 def test_bad_bins_rejected(ou):
     with pytest.raises(InputError):
         estimate_forward_drift(ou, 1, bins=np.array([1.0, 0.5]))
@@ -132,7 +139,7 @@ def test_bad_bin_edges_and_counts_rejected(ou, bins, estimate):
         estimate(ou, 1, bins=bins)
 
 
-def _digitize_bin_reduce(cond, values, edges, min_count, t_index, kind):
+def _digitize_bin_reduce(cond, values, edges, min_count):
     """The reference reduction: np.digitize, then bincount in sample order."""
     nb = edges.size - 1
     idx = np.digitize(cond, edges)
@@ -149,7 +156,7 @@ def _digitize_bin_reduce(cond, values, edges, min_count, t_index, kind):
     sem[~usable] = np.nan
     return ConditionalMomentTable(bin_edges=edges, counts=counts,
                                   estimate=mean, std_error=sem,
-                                  usable=usable, t_index=t_index, kind=kind)
+                                  usable=usable)
 
 
 @pytest.mark.parametrize("bins", [None, 24, np.arange(-3.0, 3.01, 0.25),
@@ -165,7 +172,7 @@ def test_tables_equal_the_digitize_reduction(ou, bins):
     ]
     for estimate, values in cases:
         tab = estimate(ou, j, bins=bins)
-        ref = _digitize_bin_reduce(x1, values, tab.bin_edges, 50, j, tab.kind)
+        ref = _digitize_bin_reduce(x1, values, tab.bin_edges, 50)
         assert np.array_equal(tab.counts, ref.counts)
         assert np.array_equal(tab.usable, ref.usable)
         assert np.array_equal(tab.estimate, ref.estimate, equal_nan=True)

@@ -29,9 +29,3 @@ def test_quadratures():
 def test_invalid_grids_rejected(bad):
     with pytest.raises(InputError):
         Grid1D(**bad)
-
-
-def test_contains():
-    g = Grid1D(-1.0, 1.0, 3)
-    assert g.contains(np.array([-1.0, 0.3, 1.0])).all()
-    assert not g.contains(np.array([1.5])).any()

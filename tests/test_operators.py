@@ -50,6 +50,15 @@ def test_velocity_commutator_is_exactly_2nu_averaging(setup):
         assert np.max(np.abs((C.matrix - 2 * nu * A)[1:-1, :])) == 0.0
 
 
+def test_velocity_operator_takes_no_time(setup):
+    """The velocity is built from the drift at t = 0; no caller asks for
+    another time."""
+    grid, ground, p = setup
+    sp = build_space(grid, "H_t", ground.rho(0))
+    with pytest.raises(TypeError):
+        velocity_operator(drift_fields(ground, p), p, sp, t=0.0)
+
+
 def test_closed_stencils_match_entrywise_reference():
     dx = 0.37
     for n in (3, 4, 17):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nelsonlab import InputError, diffusion_params, continue_to_imaginary
-from nelsonlab.algebra import build_space
+from nelsonlab.algebra import WeightedSpace, build_space
 from nelsonlab.fields import analytic_oracle, ho_ground_density
 
 
@@ -56,3 +56,10 @@ def test_rejects_bad_weights(grid801):
         build_space(grid801, "H_t", -np.ones(grid801.n))
     with pytest.raises(InputError):
         build_space(grid801, "I_t", np.zeros(grid801.n))  # needs params
+
+
+def test_space_is_its_grid_and_weight(grid801):
+    """The kind names a recipe for the weight; the space stores only the
+    weight it produced."""
+    with pytest.raises(TypeError):
+        WeightedSpace(grid801, np.ones(grid801.n), kind="L2")

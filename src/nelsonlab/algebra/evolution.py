@@ -16,23 +16,35 @@ Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
 tridiagonal, so their eigensystems come from their two bands through
 ``scipy.linalg.eigh_tridiagonal``.  Its default driver, in scipy 1.17.1,
-is LAPACK ``stevd`` (divide and conquer) for the full spectrum that every
-call here asks for, and ``stebz`` (bisection) with ``stein`` (inverse
-iteration) for a window of it; the choice in older scipy releases down
-to the 1.13 floor has not been checked.
-Every eigensystem comes from ``_eigh_bands``, which keeps the last one it
-computed: both continued branches and the dense and state forms of the
-conjugation share one Hamiltonian, so consecutive calls on it diagonalize
-it once.  The exact conjugation acts on states: ``heisenberg_action``
-applies the eigenvectors to state vectors, O(n^2) per state and lag, and
-the continued two-time elements go through it.  Only
+is LAPACK ``stevd`` (divide and conquer) for the full spectrum, and
+``stebz`` (bisection) with ``stein`` (inverse iteration) for a window of
+it chosen by index; the choice in older scipy releases down to the 1.13
+floor has not been checked.
+
+A Hamiltonian's eigensystem comes from ``_eigh_bands``, which keeps the
+last one it computed: both continued branches and the dense and state
+forms of the conjugation share one Hamiltonian, so consecutive calls on
+it diagonalize it once.  The exact conjugation acts on states:
+``heisenberg_action`` applies the eigenvectors to state vectors, O(n^2)
+per state and lag, and the continued two-time elements go through it.
+Only
 ``heisenberg_operator`` forms the full evolved matrix, for the checks that
 test a dense X(s) itself.
+
+The real two-time element at lag s > 0 sees only the eigenpairs of the
+stationary generator with ``lambda s`` above ``ln 1e-17``.  It counts them
+with one Sturm pass, solves a window of 16, 64, 256, ... eigenpairs that
+holds them from the top of the spectrum, checks the window's residual and
+orthonormality, and certifies the part of the sum it leaves out.  Past a
+share of the spectrum where a window is no cheaper it solves the full
+eigensystem directly: a real call never replaces the kept one, so a
+continued call that follows it on the same Hamiltonian still
+diagonalizes nothing.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import factorial
+from math import factorial, log
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -90,6 +102,133 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray
     lam.flags.writeable = U.flags.writeable = False
     _last_eigensystem = (key, (lam, U))
     return lam, U
+
+
+def _count_above(diag: np.ndarray, off: np.ndarray, c: float) -> int:
+    """Number of eigenvalues above ``c`` of the symmetric tridiagonal matrix
+    with these bands, by Sylvester's law of inertia: ``T - cI = L D L^T``
+    has as many negative pivots as T has eigenvalues below c.  One O(n)
+    pass; a zero pivot is replaced by ``-pivmin`` as LAPACK ``stebz`` does.
+    """
+    off2 = (off * off).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(off2, default=0.0))
+    below = 0
+    d = 1.0
+    for a, b2 in zip((diag - c).tolist(), [0.0, *off2]):
+        d = a - b2 / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        below += d < 0.0
+    return diag.size - below
+
+
+# e^{lambda s} below this adds less than rounding to a real two-time element
+_SEMIGROUP_CUT = log(1e-17)
+# bound on the certified excluded tail, relative to ||x theta||^2
+_TAIL_TOL = 1e-15
+# largest eigenvector residual ||T u - lambda u|| accepted, relative to ||T||
+_RESIDUAL_TOL = 1e-10
+# how far sum w^2 may pass ||v||^2, relative, before the eigenvectors
+# cannot be orthonormal
+_NORM_SLACK = 1e-12
+# past this share of the spectrum a window (stebz + stein) is no cheaper
+# than the full solve (stevd); measured in BENCH_real_window.json
+_WINDOW_MAX_SHARE = 0.1
+
+
+def _window_size(diag: np.ndarray, off: np.ndarray, lag: float) -> int:
+    """Eigenpairs, counted from the top of the spectrum, that lag s > 0
+    takes: the smallest of 16, 64, 256, ... above the number with
+    ``lambda s`` above ``_SEMIGROUP_CUT``, or all of them past
+    ``_WINDOW_MAX_SHARE``.
+
+    At least one kept eigenvalue lies at or below the cut, so the lowest
+    kept one bounds every one left out.  Sizes four times apart keep the
+    windows of one call below 4/3 of that share together, about one full
+    solve, however many lags the call has.
+    """
+    count = _count_above(diag, off, _SEMIGROUP_CUT / lag)
+    k = 16
+    while k <= count:
+        k *= 4
+    return k if k <= _WINDOW_MAX_SHARE * diag.size else diag.size
+
+
+def _top_eigenpairs(diag: np.ndarray, off: np.ndarray, v: np.ndarray, k: int
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(lam, w, outside)`` of the top k eigenpairs of the tridiagonal
+    matrix T: ascending eigenvalues, the coefficients ``w = U^T v``, and the
+    weight ``||v||^2 - sum w^2`` that v puts on the eigenvectors left out.
+
+    One ``eigh_tridiagonal`` solve, by index below the whole spectrum; the
+    kept eigensystem of ``_eigh_bands`` is left as it is.  Coefficients
+    that carry more than all of ``||v||^2`` raise
+    ``NumericalBreakdownError``, and so does a window (``stein``'s inverse
+    iteration) with a residual ``||T u - lambda u||`` above
+    ``_RESIDUAL_TOL`` of ``||T||_inf``.  The O(n^2) residual of a full
+    ``stevd`` solve, which the rest of this module takes unchecked, is
+    not formed: it would cost a fifth of the solve.
+    """
+    m = diag.size
+    window = {} if k == m else {"select": "i", "select_range": (m - k, m - 1)}
+    try:
+        lam, U = eigh_tridiagonal(diag, off, **window)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdownError(
+            f"eigensolve of the top {k} of {m} eigenpairs failed: {exc}"
+        ) from exc
+    if window:
+        r = (diag[:, None] - lam) * U
+        r[:-1] += off[:, None] * U[1:]
+        r[1:] += off[:, None] * U[:-1]
+        norm = np.abs(diag)
+        norm[:-1] += np.abs(off)
+        norm[1:] += np.abs(off)
+        residual = float(np.max(np.linalg.norm(r, axis=0)))
+        if residual > _RESIDUAL_TOL * norm.max():
+            raise NumericalBreakdownError(
+                f"the top {k} of {m} eigenpairs have a residual of "
+                f"{residual:.1e}, above {_RESIDUAL_TOL:g} of ||T|| = "
+                f"{norm.max():.1e}")
+    w = U.T @ v
+    vv = float(np.sum(v * v))
+    outside = vv - float(np.sum(w * w))
+    if outside < -_NORM_SLACK * vv:
+        raise NumericalBreakdownError(
+            f"the top {k} of {m} eigenvectors carry {1 - outside / vv:.15g} "
+            "of ||v||^2: they are not orthonormal")
+    return lam, w, max(outside, 0.0)
+
+
+def _semigroup_elements(diag: np.ndarray, off: np.ndarray, v: np.ndarray,
+                        lags: np.ndarray) -> np.ndarray:
+    """``(v, exp(s L) v)`` for each lag ``s >= 0``, L the tridiagonal
+    ``(diag, off)`` with ``L <= 0``, as ``sum_k w_k^2 exp(lambda_k s)``.
+
+    At s = 0 it is ``||v||^2`` with no solve.  Each s > 0 sums over its own
+    window of ``_window_size``, so element j depends on ``s[j]`` alone; a
+    window is solved once per call.  What a window leaves out is at most
+    ``outside * exp(lambda_lowest s)``; a bound above ``_TAIL_TOL ||v||^2``
+    raises ``NumericalBreakdownError``.
+    """
+    vv = float(np.sum(v * v))
+    spectra = {}
+    out = np.empty(lags.size)
+    for j, lag in enumerate(lags.tolist()):
+        if lag == 0.0:
+            out[j] = vv
+            continue
+        k = _window_size(diag, off, lag)
+        if k not in spectra:
+            spectra[k] = _top_eigenpairs(diag, off, v, k)
+        lam, w, outside = spectra[k]
+        tail = outside * np.exp(lam[0] * lag)
+        if tail > _TAIL_TOL * vv:
+            raise NumericalBreakdownError(
+                f"at s = {lag} the eigenpairs outside the top {k} may add "
+                f"{tail / vv:.1e} of ||v||^2, above {_TAIL_TOL:g}")
+        out[j] = np.sum(w * np.exp(lam * lag) * w)
+    return out
 
 
 def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -294,11 +433,17 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     the standard quantum two-point function.
 
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
-    finite lags, which gives a complex array, one eigensolve for all of
-    them.  The real branch takes only ``s >= 0``, where its semigroup is a
-    contraction; the unitary continued branches take any sign.  Both
-    continued branches share one Hamiltonian, so a minus call and a plus
-    call in a row diagonalize it once.
+    finite lags, which gives a complex array whose element ``j`` is the
+    scalar call at ``s[j]`` bit for bit.  The real branch takes only
+    ``s >= 0``, where its semigroup is a contraction.  It needs no
+    eigensolve at s = 0; each s > 0 sums over the top eigenpairs of L
+    that its lag can see (``_semigroup_elements``), a window of 16, 64,
+    256, ... pairs solved once per call, or the full spectrum past a tenth
+    of it, and it certifies the excluded tail below 1e-15 of
+    ``||x theta||^2``.  The unitary continued branches take any sign and
+    diagonalize their Hamiltonian once for all lags.  Both share one
+    Hamiltonian, so a minus call and a plus call in a row diagonalize it
+    once, and a real call between them does not change that.
     """
     grid = ws.grid
     lags = _lags(s)
@@ -308,10 +453,8 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
                              f"contraction only for s >= 0; got {lags.tolist()}")
         diag, off, theta = stationary_generator(ws, p)
         theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
-        lam, U = _eigh_bands(diag, off)
-        w = U.T @ (grid.x[1:-1] * theta)
-        vals = np.array([np.sum(w * np.exp(lam * lag) * w) * grid.dx
-                         for lag in lags.ravel()], dtype=complex)
+        vals = (_semigroup_elements(diag, off, grid.x[1:-1] * theta,
+                                    lags.ravel()) * grid.dx).astype(complex)
     else:
         if V is None:
             raise InputError("continued-mode correlation needs the potential V")

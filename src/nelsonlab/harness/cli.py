@@ -129,6 +129,9 @@ def cmd_verify(args) -> int:
     cfg = ExperimentConfig()
     cfg.sde.seed = args.seed
     cfg.sde.n_paths = args.paths
+    # a config or an --out that cannot be used is refused before the run
+    cfg.validate()
+    out = _out_dir(args)
     report = verify_suite(args.level, cfg)
     _print_report(report)
     # a record is named after its check, with an optional [member] suffix
@@ -137,7 +140,6 @@ def cmd_verify(args) -> int:
             if r.name.split("[")[0] in MONTE_CARLO_CHECKS):
         print(f"no Monte Carlo check was decided at --paths {args.paths}: "
               "the statistical claims were not verified")
-    out = _out_dir(args)
     report.write(out / f"verify_{args.level}.json")
     print(f"report: {out / f'verify_{args.level}.json'}")
     return 0 if report.passed else 1

@@ -69,16 +69,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None
     """Validate a config, run its named checks, write report and artifacts.
 
     The report body is a pure function of the config (timestamps aside).
-    Unknown check names fail validation before anything executes.
+    Unknown check names fail validation, and an output directory that
+    cannot be made fails, before anything executes.
     """
     cfg.validate(known_checks=set(FULL_CHECKS))
-    names = cfg.checks or ["stationary_variance", "equal_time_value",
-                           "drift_recovery"]
-    report = _run_checks(cfg, names, FULL_CHECKS)
     out = out_dir or cfg.out_dir or os.environ.get(DEFAULT_OUT_ENV)
     if out:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
+    names = cfg.checks or ["stationary_variance", "equal_time_value",
+                           "drift_recovery"]
+    report = _run_checks(cfg, names, FULL_CHECKS)
+    if out:
         report.write(out / "report.json")
         emit_plots_data(report, out)
     return report

@@ -273,3 +273,35 @@ def test_cli_reports_a_write_failure(argv, tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
     assert taken.read_text() == "not a directory"
+
+
+def test_verify_refuses_an_unusable_out_before_the_run(tmp_path, capsys,
+                                                       monkeypatch):
+    from nelsonlab.harness import cli
+    runs = []
+    monkeypatch.setattr(cli, "verify_suite",
+                        lambda level, cfg: runs.append(level))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(["verify", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert rc == 2 and runs == []
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert taken.read_text() == "not a directory"
+
+
+def test_report_config_refuses_an_unusable_out_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    from nelsonlab.harness import suite
+    runs = []
+    monkeypatch.setattr(suite, "_run_checks",
+                        lambda cfg, names, registry: runs.append(names))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ["equal_time_value"]}))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(["report", "--config", str(cfg), "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert rc == 2 and runs == []
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "exists" in captured.err

@@ -166,13 +166,24 @@ def test_stationary_generator_matches_dense_laplacian(grid801):
     ref = 0.7 * (lap - np.diag((lap @ theta) / theta))
     assert np.array_equal(theta, np.exp(ws.R[0])[1:-1])
     assert np.max(np.abs(L - ref)) < 1e-13 * np.max(np.abs(ref))
-    # the real two-time element is (x theta, exp(sL) x theta) on that L
-    lam, U = np.linalg.eigh(ref)
+    # the real two-time element is (x theta, exp(sL) x theta) on that L,
+    # from a window of its spectrum or from all of it
+    from nelsonlab.algebra.evolution import _window_size
+    lags = (0.0, 0.01, 0.05, 0.25, 1.0, 2.5, 10.0)
     v = grid801.x[1:-1] * theta / np.sqrt(np.sum(theta ** 2) * grid801.dx)
-    w = U.T @ v
-    for s in (0.25, 1.0):
-        val = two_time_position_correlation(ws, p, s)
-        assert abs(val - np.sum(w * np.exp(lam * s) * w) * grid801.dx) < 1e-12
+    sides = set()
+    for nu in (0.5, 0.7, 2.0):
+        pn = diffusion_params("nu", nu)
+        lam, U = np.linalg.eigh(nu * (lap - np.diag((lap @ theta) / theta)))
+        w = U.T @ v
+        diag, off, _ = stationary_generator(ws, pn)
+        for s in lags:
+            val = two_time_position_correlation(ws, pn, s)
+            assert abs(val - np.sum(w * np.exp(lam * s) * w) * grid801.dx) \
+                < 1e-12
+            if s > 0:
+                sides.add(_window_size(diag, off, s) < m)
+    assert sides == {True, False}
 
 
 def test_two_time_real_mode_matches_autocovariance(grid801):
@@ -406,17 +417,30 @@ def test_closed_form_checks_build_no_dense_evolved_operator(monkeypatch):
         assert [r.status for r in check(ctx)] == ["pass"]
 
 
+class _Solves(list):
+    """Sizes of the full eigensolves; ``windows`` holds ``(size, k)`` of
+    each solve of the top k eigenpairs."""
+
+    def __init__(self):
+        super().__init__()
+        self.windows = []
+
+
 @pytest.fixture()
 def solves(monkeypatch):
     """Counts eigensolves; starts from an empty held eigensystem."""
     from scipy import linalg
 
     from nelsonlab.algebra import evolution
-    calls = []
+    calls = _Solves()
 
-    def counted(diag, off):
-        calls.append(diag.size)
-        return linalg.eigh_tridiagonal(diag, off)
+    def counted(diag, off, **kwargs):
+        if kwargs.get("select", "a") == "a":
+            calls.append(diag.size)
+        else:
+            lo, hi = kwargs["select_range"]
+            calls.windows.append((diag.size, hi - lo + 1))
+        return linalg.eigh_tridiagonal(diag, off, **kwargs)
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", counted)
     monkeypatch.setattr(evolution, "_last_eigensystem", None)
@@ -569,3 +593,161 @@ def test_real_two_time_rejects_negative_lags(grid801):
     pc = continue_to_imaginary(p, "minus")
     got = two_time_position_correlation(ws, pc, -1.0, 0.5 * grid801.x ** 2)
     assert abs(got - 0.5 * np.exp(1j)) < 5e-3
+
+
+def test_real_lags_solve_only_the_window_they_see(solves, grid801):
+    """s = 0 solves nothing; a lag past the crossover solves the whole
+    spectrum; the others solve their own window from the top: the
+    smallest of 16, 64, 256, ... above the number of eigenvalues above
+    the cut."""
+    from math import log
+
+    from scipy.linalg import eigvalsh_tridiagonal
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 1.0)
+    m = grid801.n - 2
+    lam = eigvalsh_tridiagonal(*stationary_generator(ws, p)[:2])
+    two_time_position_correlation(ws, p, 0.0)
+    assert solves == [] and solves.windows == []
+    two_time_position_correlation(ws, p, 0.5)
+    assert solves == [] and len(solves.windows) == 1
+    size, k = solves.windows[0]
+    assert size == m and k <= 0.1 * m
+    count = np.count_nonzero(0.5 * lam > log(1e-17))
+    assert k in (16, 64) and k // 4 <= count < k
+    two_time_position_correlation(ws, p, 0.005)
+    assert solves == [m] and len(solves.windows) == 1
+
+
+def test_mixed_real_lag_sequence_matches_scalar_calls_bit_for_bit(
+        solves, grid801):
+    """Window lags and full-spectrum lags in one sequence: each distinct
+    window is solved once, and every element is its scalar call."""
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 1.0)
+    lags = [0.5, 0.0, 0.005, 5.0, 0.52, 0.01, 1.0, 0.5]
+    seq = two_time_position_correlation(ws, p, lags)
+    windows = list(solves.windows)
+    assert solves == [grid801.n - 2]
+    assert len(windows) == len(set(windows)) >= 2
+    for j, s in enumerate(lags):
+        one = two_time_position_correlation(ws, p, s)
+        assert type(one) is complex and one == seq[j]
+
+
+def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
+    """A continued call after a real call on the same grid diagonalizes
+    nothing new, whether the real call took a window or the full spectrum."""
+    from nelsonlab.algebra import evolution
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    V = 0.5 * grid801.x ** 2
+    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    pp = continue_to_imaginary(pm, "plus")
+    pr = diffusion_params("nu", 1.0)
+    m = grid801.n - 2
+    two_time_position_correlation(ws, pm, 0.5, V)
+    held = evolution._last_eigensystem
+    assert solves == [m]
+    for lag, full in ((0.5, [m]), (0.005, [m, m])):
+        two_time_position_correlation(ws, pr, lag)
+        assert evolution._last_eigensystem is held
+        two_time_position_correlation(ws, pp, 0.5, V)
+        assert solves == full
+    assert len(solves.windows) == 1
+
+
+def test_real_lag_sweep_shares_its_windows(solves, grid801):
+    """Twenty lags from 0.05 to 5 share one full spectrum and one window
+    of each size up to a tenth of the spectrum: 16 and 64."""
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 1.0)
+    m = grid801.n - 2
+    two_time_position_correlation(ws, p, np.geomspace(0.05, 5.0, 20))
+    sizes = [k for _, k in solves.windows]
+    assert solves == [m] and sorted(sizes) == [16, 64]
+
+
+def _broken_window(monkeypatch, mend):
+    """``eigh_tridiagonal`` whose windows pass through ``mend``."""
+    from scipy import linalg
+
+    from nelsonlab.algebra import evolution
+
+    def solve(diag, off, **kwargs):
+        lam, U = linalg.eigh_tridiagonal(diag, off, **kwargs)
+        return mend(lam, U) if kwargs else (lam, U)
+
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", solve)
+
+
+def test_window_with_a_large_residual_is_a_numerical_breakdown(
+        monkeypatch, grid801):
+    from nelsonlab import NumericalBreakdownError
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 1.0)
+    diag, off, _ = stationary_generator(ws, p)
+    # a shift of 1e-9 ||T|| moves no vector, so only the residual sees it
+    shift = 1e-9 * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
+    _broken_window(monkeypatch, lambda lam, U: (lam + shift, U))
+    with pytest.raises(NumericalBreakdownError, match="residual"):
+        two_time_position_correlation(ws, p, 0.5)
+
+
+def test_window_vectors_that_are_not_orthonormal_are_a_numerical_breakdown(
+        monkeypatch, grid801):
+    from nelsonlab import NumericalBreakdownError
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    p = diffusion_params("nu", 1.0)
+    # stretched eigenvectors keep their residual small but put more
+    # weight in the window than x theta has
+    _broken_window(monkeypatch, lambda lam, U: (lam, 1.01 * U))
+    with pytest.raises(NumericalBreakdownError, match="not orthonormal"):
+        two_time_position_correlation(ws, p, 0.5)
+
+
+def test_window_certifies_what_it_leaves_out(monkeypatch, grid801):
+    """A vector with weight on every mode: the windowed element matches the
+    dense oracle, and a cut that leaves too much out raises instead."""
+    from math import log
+
+    from nelsonlab import NumericalBreakdownError
+    from nelsonlab.algebra import evolution
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    diag, off, _ = stationary_generator(ws, diffusion_params("nu", 1.0))
+    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam, U = np.linalg.eigh(L)
+    v = np.random.default_rng(11).standard_normal(diag.size)
+    w = U.T @ v
+    lags = np.array([0.5, 1.0, 2.5])
+    assert all(evolution._window_size(diag, off, s) < diag.size for s in lags)
+    got = evolution._semigroup_elements(diag, off, v, lags)
+    ref = [np.sum(w * np.exp(lam * s) * w) for s in lags]
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.sum(v * v)
+    monkeypatch.setattr(evolution, "_SEMIGROUP_CUT", log(1e-3))
+    with pytest.raises(NumericalBreakdownError, match="outside the top"):
+        evolution._semigroup_elements(diag, off, v, lags)
+
+
+def test_failed_window_solve_is_a_numerical_breakdown(monkeypatch, grid801):
+    from nelsonlab import NumericalBreakdownError
+    from nelsonlab.algebra import evolution
+
+    def failing(diag, off, **kwargs):
+        raise np.linalg.LinAlgError("1 eigenvectors failed to converge")
+
+    monkeypatch.setattr(evolution, "eigh_tridiagonal", failing)
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    with pytest.raises(NumericalBreakdownError, match="top"):
+        two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)
+
+
+def test_sturm_count_matches_the_spectrum():
+    from nelsonlab.algebra.evolution import _count_above
+    rng = np.random.default_rng(5)
+    diag, off = rng.standard_normal(60), rng.standard_normal(59)
+    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                             + np.diag(off, -1))
+    for c in (-10.0, lam[7] - 1e-9, 0.0, lam[40] + 1e-9, 10.0):
+        assert _count_above(diag, off, c) == np.count_nonzero(lam > c)
+    # a zero pivot: T - cI singular in its leading 1 x 1 block
+    assert _count_above(np.array([1.0, 1.0]), np.array([1.0]), 1.0) == 1

@@ -1,8 +1,11 @@
-"""Wave solutions, reference states, drifts, and density evolution."""
+"""Wave solutions, reference states, drifts, and density evolution.
+
+Nothing here touches a file: density snapshots are written by
+:mod:`nelsonlab.harness.files`.
+"""
 from ..params import DiffusionParams, continue_to_imaginary, diffusion_params
 from .drift import DEFAULT_B_CAP, DriftField, drift_fields, log_density_gradient
 from .fokker_planck import DensityEvolution, evolve_density_fokker_planck, l1_distance
-from .io import export_field_csv, export_snapshots
 from .oracles import (ORACLE_KINDS, analytic_oracle, free_gaussian_variance,
                       ho_ground_density)
 from .schrodinger import solve_schrodinger
@@ -22,8 +25,6 @@ __all__ = [
     "diffusion_params",
     "drift_fields",
     "evolve_density_fokker_planck",
-    "export_field_csv",
-    "export_snapshots",
     "free_gaussian_variance",
     "ho_ground_density",
     "l1_distance",

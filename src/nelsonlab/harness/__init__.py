@@ -1,7 +1,6 @@
-"""Configured experiments, verification suite, reports, CLI."""
+"""Configured experiments, verification suite, reports, file output, CLI."""
 from .checks import FAST_CHECKS, FULL_CHECKS, CheckContext
 from .config import ExperimentConfig, SdeConfig, config_from_dict, load_config
-from .plots import emit_plots_data
 from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, Report, digest
 from .suite import run_experiment, verify_suite
 
@@ -18,7 +17,6 @@ __all__ = [
     "SdeConfig",
     "config_from_dict",
     "digest",
-    "emit_plots_data",
     "load_config",
     "run_experiment",
     "verify_suite",

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -11,18 +10,18 @@ import numpy as np
 
 from ..errors import InputError, NelsonlabError
 from ..fields import (analytic_oracle, diffusion_params, continue_to_imaginary,
-                      drift_fields, export_snapshots, ho_ground_density,
-                      solve_schrodinger)
+                      drift_fields, ho_ground_density, solve_schrodinger)
 from ..grids import Grid1D
 from ..sampler import (density_histogram, estimate_backward_drift,
-                       estimate_forward_drift, export_ensemble_binary,
-                       export_ensemble_csv, export_table_csv, sample_initial,
+                       estimate_forward_drift, sample_initial,
                        simulate_ensemble)
 from .checks import MONTE_CARLO_CHECKS
-from .config import ExperimentConfig, load_config
-from .plots import write_float_csv
+from .config import MAX_SEED, ExperimentConfig, load_config
+from .files import (DEFAULT_OUT_ENV, SNAPSHOT_STEM, export_ensemble_binary,
+                    export_ensemble_csv, export_snapshots, export_table_csv,
+                    make_dir, resolve_out_dir, write_float_csv)
 from .report import INCONCLUSIVE, CheckRecord, Report
-from .suite import DEFAULT_OUT_ENV, run_experiment, verify_suite
+from .suite import run_experiment, verify_suite
 
 
 _FLAGS = {
@@ -36,7 +35,8 @@ _FLAGS = {
     "dt": dict(type=float, default=1e-3),
     "paths": dict(type=int, default=100_000),
     "out": dict(type=str, default=None,
-                help=f"output directory (default ${DEFAULT_OUT_ENV} or ./out)"),
+                help=f"output directory (default ${DEFAULT_OUT_ENV}, "
+                     "then ./out)"),
 }
 
 
@@ -47,10 +47,8 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(DEFAULT_OUT_ENV) or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The resolved output directory, created; call it after every check."""
+    return make_dir(resolve_out_dir(args.out))
 
 
 def _params(args):
@@ -77,10 +75,9 @@ def cmd_solve(args) -> int:
     V = 0.5 * grid.x ** 2 if args.state.startswith("ho") else np.zeros(grid.n)
     sol = solve_schrodinger(V, ws0.psi[0], grid, args.dt, args.steps,
                             store_every=max(1, args.steps // args.snapshots))
-    out = _out_dir(args)
-    files = export_snapshots(out / "density", grid, sol.times,
-                             np.abs(sol.psi) ** 2, stem="density")
-    print(f"wrote {len(files)} density snapshots under {out / 'density'}")
+    where = resolve_out_dir(args.out) / SNAPSHOT_STEM
+    files = export_snapshots(where, grid, sol.times, np.abs(sol.psi) ** 2)
+    print(f"wrote {len(files)} density snapshots under {where}")
     return 0
 
 
@@ -91,13 +88,15 @@ def cmd_sample(args) -> int:
         raise InputError(f"--steps must be >= 2, got {args.steps}")
     if args.paths < 1:
         raise InputError(f"--paths must be >= 1, got {args.paths}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise InputError(f"--seed must be in [0, 2**64 - 4], got {args.seed}")
     grid = _grid(args)
     p = _params(args)
-    out = _out_dir(args)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     df = drift_fields(ws, p)
     x0 = sample_initial(ho_ground_density(grid.x), grid, args.paths, args.seed)
     e = simulate_ensemble(df, x0, p, args.dt, args.steps, args.seed)
+    out = _out_dir(args)
     export_ensemble_binary(out / "ensemble.bin", e)
     if args.csv:
         export_ensemble_csv(out / "ensemble.csv", e)
@@ -177,10 +176,12 @@ def cmd_correlate(args) -> int:
 def cmd_report(args) -> int:
     if args.config:
         cfg = load_config(args.config)
-        report = run_experiment(cfg, out_dir=args.out)
+        report = run_experiment(
+            cfg, out_dir=resolve_out_dir(args.out, cfg.out_dir))
         _print_report(report)
         return 0 if report.passed else 1
-    raw = json.loads(Path(args.path).read_text())
+    path = args.path or resolve_out_dir(args.out) / "report.json"
+    raw = json.loads(Path(path).read_text())
     print(f"schema {raw.get('schema_version')}, created {raw.get('created_at')}")
     _print_report(Report(
         records=[CheckRecord(**rec) for rec in raw.get("records", [])],
@@ -232,10 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="summarize a stored report, or run "
                                        "a config file")
-    pr.add_argument("--path", type=str, default="out/report.json")
+    pr.add_argument("--path", type=str, default=None,
+                    help="stored report to summarize (default report.json "
+                         "in the output directory)")
     pr.add_argument("--config", type=str, default=None,
                     help="JSON experiment config to execute")
-    pr.add_argument("--out", type=str, default=None)
+    pr.add_argument("--out", type=str, default=None,
+                    help="output directory (default the config's out_dir, "
+                         f"then ${DEFAULT_OUT_ENV}, then ./out)")
     pr.set_defaults(fn=cmd_report)
     return ap
 

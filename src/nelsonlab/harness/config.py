@@ -10,6 +10,9 @@ from ..errors import InputError
 _KEYS = {"sde", "checks", "out_dir"}
 _SDE_KEYS = {"n_paths", "seed"}
 
+# Philox takes a 64-bit key, and the checks key seed + 1 ... seed + 3 too
+MAX_SEED = 2 ** 64 - 4
+
 
 @dataclass
 class SdeConfig:
@@ -21,6 +24,9 @@ class SdeConfig:
             raise InputError("sde.n_paths: must be >= 1")
         if self.seed is None:
             raise InputError("sde.seed: required when sampling is requested")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise InputError(f"sde.seed: must be in [0, 2**64 - 4], "
+                             f"got {self.seed}")
 
 
 @dataclass

@@ -1,7 +1,6 @@
 """Suite runner and configured experiments."""
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -9,10 +8,8 @@ from .. import __version__
 from ..errors import InputError, NelsonlabError
 from .checks import FAST_CHECKS, FULL_CHECKS, CheckContext
 from .config import ExperimentConfig
+from .files import emit_plots_data, make_dir
 from .report import FAIL, CheckRecord, Report
-from .plots import emit_plots_data
-
-DEFAULT_OUT_ENV = "NELSONLAB_OUT"
 
 
 def _environment(cfg: ExperimentConfig) -> dict:
@@ -68,15 +65,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None
                    ) -> Report:
     """Validate a config, run its named checks, write report and artifacts.
 
-    The report body is a pure function of the config (timestamps aside).
-    Unknown check names fail validation, and an output directory that
-    cannot be made fails, before anything executes.
+    The report and artifacts go to ``out_dir``, else ``cfg.out_dir``; with
+    neither, nothing is written.  The report body is a pure function of the
+    config (timestamps aside).  Unknown check names fail validation, and an
+    output directory that cannot be made fails, before anything executes.
     """
     cfg.validate(known_checks=set(FULL_CHECKS))
-    out = out_dir or cfg.out_dir or os.environ.get(DEFAULT_OUT_ENV)
+    out = out_dir or cfg.out_dir
     if out:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_dir(out)
     names = cfg.checks or ["stationary_variance", "equal_time_value",
                            "drift_recovery"]
     report = _run_checks(cfg, names, FULL_CHECKS)

@@ -1,4 +1,8 @@
-"""Path sampling and conditional-moment estimation."""
+"""Path sampling and conditional-moment estimation.
+
+Nothing here touches a file: ensembles and estimator tables are written
+and read back by :mod:`nelsonlab.harness.files`.
+"""
 from .ensemble import (Ensemble, ensemble_steps, reflect, sample_initial,
                        simulate_ensemble)
 from .estimators import (MIN_COUNT_ASSERT, MIN_COUNT_DEFAULT,
@@ -6,8 +10,6 @@ from .estimators import (MIN_COUNT_ASSERT, MIN_COUNT_DEFAULT,
                          density_histogram, estimate_backward_drift,
                          estimate_forward_drift, estimate_mean_acceleration,
                          estimate_quadratic_variation, histogram_l1_distance)
-from .io import (export_ensemble_binary, export_ensemble_csv,
-                 export_table_csv, load_ensemble_binary)
 from .rng import step_normals, stream_normals, stream_uniforms
 
 __all__ = [
@@ -22,11 +24,7 @@ __all__ = [
     "estimate_forward_drift",
     "estimate_mean_acceleration",
     "estimate_quadratic_variation",
-    "export_ensemble_binary",
-    "export_ensemble_csv",
-    "export_table_csv",
     "histogram_l1_distance",
-    "load_ensemble_binary",
     "reflect",
     "sample_initial",
     "simulate_ensemble",

@@ -33,6 +33,8 @@ _WORDS_PER_COUNTER = 4  # Philox4x64 yields four 64-bit words per counter
 def _uniform_slice(seed: int, tag: int | np.uint64, lo: int,
                    hi: int) -> np.ndarray:
     """Elements [lo, hi) of the (seed, tag) uniform stream, clipped to (0, 1)."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed must be in [0, 2**64), got {seed}")
     lo, hi = int(lo), int(hi)  # Philox.advance rejects numpy integers
     key = np.array([np.uint64(seed), np.uint64(tag)], dtype=np.uint64)
     gen = Generator(Philox(key=key))

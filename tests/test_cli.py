@@ -190,6 +190,17 @@ def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
     (["solve", "--snapshots", "0"], "--snapshots"),
     (["sample", "--steps", "1"], "--steps"),
     (["sample", "--paths", "0", "--steps", "4"], "--paths"),
+    (["sample", "--seed", "-1", "--paths", "100", "--steps", "4",
+      "--grid-n", "201"], "--seed"),
+    (["sample", "--seed", str(2 ** 64 - 3), "--paths", "100", "--steps",
+      "4", "--grid-n", "201"], "--seed"),
+    (["verify", "--level", "full", "--seed", "-1", "--paths", "10"],
+     "sde.seed"),
+    (["verify", "--seed", str(2 ** 64 - 3)], "sde.seed"),
+    (["sample", "--dt", "0", "--paths", "100", "--steps", "4",
+      "--grid-n", "201"], "dt must be positive"),
+    (["sample", "--dt", "5", "--paths", "100", "--steps", "4",
+      "--grid-n", "201"], "dt too large for this drift"),
 ])
 def test_cli_rejects_counts_it_cannot_run(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -305,3 +316,38 @@ def test_report_config_refuses_an_unusable_out_before_the_run(
     assert rc == 2 and runs == []
     assert captured.out == "" and captured.err.startswith("error:")
     assert "exists" in captured.err
+
+
+def test_report_config_and_report_share_the_default_out(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NELSONLAB_OUT", raising=False)
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"checks": ["equal_time_value"]}))
+    assert main(["report", "--config", "c.json"]) == 0
+    assert (tmp_path / "out" / "report.json").is_file()
+    capsys.readouterr()
+    assert main(["report"]) == 0
+    assert "equal_time_value" in capsys.readouterr().out
+
+
+def test_sample_writes_counts_as_integers(tmp_path):
+    assert main(["sample", "--paths", "300", "--steps", "4", "--grid-n",
+                 "201", "--out", str(tmp_path)]) == 0
+    for name in ("forward_drift.csv", "backward_drift.csv"):
+        with (tmp_path / name).open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert sum(int(row["count"]) for row in rows) > 0
+
+
+def test_solve_sidecars_record_time_label_and_grid(tmp_path):
+    assert main(["solve", "--steps", "20", "--snapshots", "2", "--grid-n",
+                 "201", "--grid-x-max", "7", "--dt", "0.01", "--out",
+                 str(tmp_path)]) == 0
+    files = sorted((tmp_path / "density").glob("density_*.csv"))
+    assert len(files) == 3
+    for j, path in enumerate(files):
+        meta = json.loads(path.with_name(path.name + ".json").read_text())
+        assert meta == {"label": "density", "time": pytest.approx(0.1 * j),
+                        "grid": {"x_min": -7.0, "x_max": 7.0, "n": 201}}

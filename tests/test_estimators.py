@@ -9,9 +9,10 @@ from nelsonlab.sampler import (Ensemble, density_histogram,
                                estimate_backward_drift, estimate_forward_drift,
                                estimate_mean_acceleration,
                                estimate_quadratic_variation,
-                               export_table_csv, histogram_l1_distance,
-                               sample_initial, simulate_ensemble)
+                               histogram_l1_distance, sample_initial,
+                               simulate_ensemble)
 from nelsonlab.sampler.estimators import ConditionalMomentTable, _bin_index
+from nelsonlab.harness.files import export_table_csv
 
 
 @pytest.fixture(scope="module")

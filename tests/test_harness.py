@@ -9,8 +9,8 @@ import pytest
 from nelsonlab import InputError
 from nelsonlab.harness import (FAST_CHECKS, FULL_CHECKS, CheckContext,
                                ExperimentConfig, Report, config_from_dict,
-                               emit_plots_data, load_config, run_experiment,
-                               verify_suite)
+                               load_config, run_experiment, verify_suite)
+from nelsonlab.harness.files import emit_plots_data
 from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status, _pooled,
                                       check_continued_two_time,
                                       check_equal_time_value)
@@ -155,6 +155,17 @@ def test_fast_suite_lines_and_counts():
     assert all(line.startswith("[PASS]") for line in rep.lines())
     counts = rep.counts()
     assert counts["pass"] == 2 and counts["fail"] == 0
+
+
+@pytest.mark.parametrize("seed, ok", [
+    (0, True), (2 ** 64 - 4, True), (-1, False), (2 ** 64 - 3, False)])
+def test_config_seed_must_key_every_check_stream(seed, ok):
+    cfg = config_from_dict({"sde": {"seed": seed}})
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(InputError, match="sde.seed"):
+            cfg.validate()
 
 
 def test_verify_rejects_unknown_level():

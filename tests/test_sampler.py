@@ -9,11 +9,11 @@ from nelsonlab import (Grid1D, InputError, NumericalBreakdownError,
                        UnsupportedConfigError, diffusion_params,
                        continue_to_imaginary)
 from nelsonlab.fields import drift_fields, ho_ground_density
-from nelsonlab.sampler import (ensemble_steps, load_ensemble_binary,
-                               export_ensemble_binary, export_ensemble_csv,
-                               reflect, sample_initial, simulate_ensemble,
-                               step_normals, stream_normals)
+from nelsonlab.sampler import (ensemble_steps, reflect, sample_initial,
+                               simulate_ensemble, step_normals, stream_normals)
 from nelsonlab.fields.drift import DriftField
+from nelsonlab.harness.files import (export_ensemble_binary,
+                                     export_ensemble_csv, load_ensemble_binary)
 
 
 def _flat_drift(grid, nu=0.5):
@@ -306,6 +306,19 @@ def test_step_normals_shards_concatenate_to_row():
     assert np.array_equal(step_normals(42, 3, 1001), row)
     with pytest.raises(InputError):
         step_normals(42, 3, 1001, 5, 1002)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, np.int64(-3)])
+def test_a_seed_philox_cannot_key_is_an_input_error(seed):
+    with pytest.raises(InputError, match="seed"):
+        stream_normals(seed, 3, 10)
+    with pytest.raises(InputError, match="seed"):
+        step_normals(seed, 3, 10, 2, 5)
+
+
+def test_the_largest_seed_keys_philox():
+    assert np.array_equal(step_normals(2 ** 64 - 1, 3, 10, 2, 5),
+                          stream_normals(2 ** 64 - 1, 3, 10)[2:5])
 
 
 def test_binary_export_is_row_major(tmp_path, grid801, ground, p_half):

@@ -26,25 +26,23 @@ last one it computed: both continued branches and the dense and state
 forms of the conjugation share one Hamiltonian, so consecutive calls on
 it diagonalize it once.  The exact conjugation acts on states:
 ``heisenberg_action`` applies the eigenvectors to state vectors, O(n^2)
-per state and lag, and the continued two-time elements go through it.
-Only
-``heisenberg_operator`` forms the full evolved matrix, for the checks that
-test a dense X(s) itself.
+per state and lag.  Only ``heisenberg_operator`` forms the full evolved
+matrix, for the checks that test a dense X(s) itself.
 
-The real two-time element at lag s > 0 sees only the eigenpairs of the
-stationary generator with ``lambda s`` above ``ln 1e-17``.  It counts them
-with one Sturm pass, solves a window of 16, 64, 256, ... eigenpairs that
-holds them from the top of the spectrum, checks the window's residual and
-orthonormality, and certifies the part of the sum it leaves out.  Past a
-share of the spectrum where a window is no cheaper it solves the full
-eigensystem directly: a real call never replaces the kept one, so a
-continued call that follows it on the same Hamiltonian still
-diagonalizes nothing.
+The two-time element of every member, real or continued, is one formula,
+``dx sum_k w_k^2 exp(conj(nu) mu_k s)``, over the eigenpairs of the
+``nu``-free stationary generator M (``L = nu M``) and the weights of
+``x theta`` on them.  Its eigenpairs come from one window per state,
+64, 256, ... pairs from the top of the spectrum, certified by the weight
+of ``x theta`` it leaves out, or from the full spectrum past a tenth of
+it; the window's residual and orthonormality are checked too.  Since
+``|exp(conj(nu) mu s)| <= 1``, that one window serves every lag and every
+member, and it is kept apart from the Hamiltonian eigensystem.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import factorial, log
+from math import factorial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -52,9 +50,8 @@ from scipy.linalg import eigh_tridiagonal
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
 from ..params import HBAR, MASS, DiffusionParams
-from .operators import (OperatorMatrix, _scaled, commutator, hamiltonian,
-                        position_operator)
-from .spaces import WeightedSpace, build_space
+from .operators import OperatorMatrix, _scaled, commutator
+from .spaces import WeightedSpace
 
 _STATE_NORM_TOL = 1e-6
 
@@ -104,27 +101,7 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray
     return lam, U
 
 
-def _count_above(diag: np.ndarray, off: np.ndarray, c: float) -> int:
-    """Number of eigenvalues above ``c`` of the symmetric tridiagonal matrix
-    with these bands, by Sylvester's law of inertia: ``T - cI = L D L^T``
-    has as many negative pivots as T has eigenvalues below c.  One O(n)
-    pass; a zero pivot is replaced by ``-pivmin`` as LAPACK ``stebz`` does.
-    """
-    off2 = (off * off).tolist()
-    pivmin = np.finfo(float).tiny * max(1.0, max(off2, default=0.0))
-    below = 0
-    d = 1.0
-    for a, b2 in zip((diag - c).tolist(), [0.0, *off2]):
-        d = a - b2 / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        below += d < 0.0
-    return diag.size - below
-
-
-# e^{lambda s} below this adds less than rounding to a real two-time element
-_SEMIGROUP_CUT = log(1e-17)
-# bound on the certified excluded tail, relative to ||x theta||^2
+# bound on the weight a window leaves out, relative to ||x theta||^2
 _TAIL_TOL = 1e-15
 # largest eigenvector residual ||T u - lambda u|| accepted, relative to ||T||
 _RESIDUAL_TOL = 1e-10
@@ -134,24 +111,8 @@ _NORM_SLACK = 1e-12
 # past this share of the spectrum a window (stebz + stein) is no cheaper
 # than the full solve (stevd); measured in BENCH_real_window.json
 _WINDOW_MAX_SHARE = 0.1
-
-
-def _window_size(diag: np.ndarray, off: np.ndarray, lag: float) -> int:
-    """Eigenpairs, counted from the top of the spectrum, that lag s > 0
-    takes: the smallest of 16, 64, 256, ... above the number with
-    ``lambda s`` above ``_SEMIGROUP_CUT``, or all of them past
-    ``_WINDOW_MAX_SHARE``.
-
-    At least one kept eigenvalue lies at or below the cut, so the lowest
-    kept one bounds every one left out.  Sizes four times apart keep the
-    windows of one call below 4/3 of that share together, about one full
-    solve, however many lags the call has.
-    """
-    count = _count_above(diag, off, _SEMIGROUP_CUT / lag)
-    k = 16
-    while k <= count:
-        k *= 4
-    return k if k <= _WINDOW_MAX_SHARE * diag.size else diag.size
+# the first window tried: no state of the package certifies with 16 pairs
+_FIRST_WINDOW = 64
 
 
 def _top_eigenpairs(diag: np.ndarray, off: np.ndarray, v: np.ndarray, k: int
@@ -200,35 +161,39 @@ def _top_eigenpairs(diag: np.ndarray, off: np.ndarray, v: np.ndarray, k: int
     return lam, w, max(outside, 0.0)
 
 
-def _semigroup_elements(diag: np.ndarray, off: np.ndarray, v: np.ndarray,
-                        lags: np.ndarray) -> np.ndarray:
-    """``(v, exp(s L) v)`` for each lag ``s >= 0``, L the tridiagonal
-    ``(diag, off)`` with ``L <= 0``, as ``sum_k w_k^2 exp(lambda_k s)``.
+# (key, result) of the last window, kept apart from _last_eigensystem
+_last_window: tuple | None = None
 
-    At s = 0 it is ``||v||^2`` with no solve.  Each s > 0 sums over its own
-    window of ``_window_size``, so element j depends on ``s[j]`` alone; a
-    window is solved once per call.  What a window leaves out is at most
-    ``outside * exp(lambda_lowest s)``; a bound above ``_TAIL_TOL ||v||^2``
-    raises ``NumericalBreakdownError``.
+
+def _certified_window(diag: np.ndarray, off: np.ndarray, v: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu, w)``: the top eigenvalues of the tridiagonal ``T <= 0`` and
+    the coefficients ``w = U^T v`` of a window that leaves out at most
+    ``_TAIL_TOL ||v||^2`` of v's weight.
+
+    Windows of 64, 256, ... pairs are tried from the top of the spectrum;
+    past ``_WINDOW_MAX_SHARE`` of it the full spectrum is solved, which
+    leaves nothing out.  The last window is kept, keyed on the exact bytes
+    of both bands and of v, so every lag and every member on one state
+    share one solve; the returned arrays are read-only.
     """
+    global _last_window
+    key = tuple((a.dtype.str, a.tobytes()) for a in (diag, off, v))
+    last = _last_window
+    if last is not None and last[0] == key:
+        return last[1]
     vv = float(np.sum(v * v))
-    spectra = {}
-    out = np.empty(lags.size)
-    for j, lag in enumerate(lags.tolist()):
-        if lag == 0.0:
-            out[j] = vv
-            continue
-        k = _window_size(diag, off, lag)
-        if k not in spectra:
-            spectra[k] = _top_eigenpairs(diag, off, v, k)
-        lam, w, outside = spectra[k]
-        tail = outside * np.exp(lam[0] * lag)
-        if tail > _TAIL_TOL * vv:
-            raise NumericalBreakdownError(
-                f"at s = {lag} the eigenpairs outside the top {k} may add "
-                f"{tail / vv:.1e} of ||v||^2, above {_TAIL_TOL:g}")
-        out[j] = np.sum(w * np.exp(lam * lag) * w)
-    return out
+    k = _FIRST_WINDOW
+    while k <= _WINDOW_MAX_SHARE * diag.size:
+        mu, w, outside = _top_eigenpairs(diag, off, v, k)
+        if outside <= _TAIL_TOL * vv:
+            break
+        k *= 4
+    else:
+        mu, w, _ = _top_eigenpairs(diag, off, v, diag.size)
+    mu.flags.writeable = w.flags.writeable = False
+    _last_window = (key, (mu, w))
+    return mu, w
 
 
 def _real_right_matmul(v: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -390,28 +355,26 @@ def correlation(state: np.ndarray, ops: list[OperatorMatrix],
     return space.inner(state, vec)
 
 
-def stationary_generator(ws: WaveSolution, p: DiffusionParams
+def stationary_generator(ws: WaveSolution
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge-image generator of the stationary diffusion on interior nodes.
 
     Returns ``(diag, off, theta)``: the diagonal and the off-diagonal of
-    the symmetric tridiagonal ``L = nu (Lap_D - diag(Lap_D theta / theta))``
+    the symmetric tridiagonal ``M = Lap_D - diag(Lap_D theta / theta)``
     and ``theta = sqrt(rho)`` on the interior nodes, from the first stored
-    time of the stationary state.  The construction makes ``L theta = 0``
-    exact, so ``exp(s L)`` is a stable contraction with theta invariant.
-    This is the Hamiltonian of the recursion shifted by the state's energy
-    and divided by ``2 m nu``, up to O(dx^2).
+    time of the stationary state.  M carries no ``nu``: the generator of
+    member ``nu``, real or continued, is ``L = nu M``.  The construction
+    makes ``M theta = 0`` exact, and theta has no node, so ``M <= 0``.
+    This is ``-2 m / hbar^2`` times the Hamiltonian of the recursion
+    shifted by the state's energy, up to O(dx^2).
     """
-    if not p.is_real:
-        raise UnsupportedConfigError("the stationary semigroup is real-mode only")
     grid = ws.grid
     theta = np.exp(ws.R[0])[1:-1]
     inv = 1.0 / (grid.dx * grid.dx)
     padded = np.concatenate(([0.0], theta, [0.0]))
     lap_theta = (inv * padded[:-2] + inv * padded[2:]) + (-2.0 * inv) * theta
-    q = lap_theta / theta
-    diag = p.nu_real * (-2.0 * inv - q)
-    off = np.full(theta.size - 1, p.nu_real * inv)
+    diag = -2.0 * inv - lap_theta / theta
+    off = np.full(theta.size - 1, inv)
     return diag, off, theta
 
 
@@ -419,51 +382,47 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
                                   s: float | Sequence[float],
                                   V: np.ndarray | None = None
                                   ) -> complex | np.ndarray:
-    """Stationary-state matrix element of the lag-s position pair.
+    """Stationary-state matrix element of the lag-s position pair, for
+    every member by one formula:
 
-    Real mode: ``(X theta, exp(s L) X theta)`` with the stationary
-    semigroup above -- the operator form of the path average
-    ``E[x(t) x(t+s)]``, equal for the ground-state diffusion to the
-    autocovariance ``var * exp(-2 nu s)`` of the corresponding
-    Ornstein-Uhlenbeck process.
+        element(nu, s) = dx sum_k w_k^2 exp(conj(nu) mu_k s)
 
-    Continued branches: ``(psi, X(s) X psi)`` in the flat space with
-    ``psi = exp(R + iS)`` at the first stored time and ``heisenberg_action``
-    for ``X(s)`` (needs the potential ``V``); the minus branch reproduces
-    the standard quantum two-point function.
+    over the eigenpairs ``(mu_k, u_k)`` of the ``nu``-free generator M of
+    ``stationary_generator``, with ``w = U^T (x theta)`` and theta
+    normalized.  On a real member it is ``(x theta, exp(s nu M) x theta)``,
+    the operator form of the path average ``E[x(t) x(t+s)]``, equal for
+    the ground-state diffusion to the autocovariance ``var exp(-2 nu s)``
+    of the Ornstein-Uhlenbeck process.  On a continued member it is
+    ``(psi, X(s) X psi)``, the conjugate of ``(x theta, exp(s nu M) x
+    theta)``: ``exp(s nu M)`` is then ``exp(+/- i (H - E0) s / hbar)``,
+    the inverse of the propagator that X(s) puts on the right.  So the
+    minus branch reads ``0.5 exp(-i s)`` on the oscillator ground state,
+    the standard quantum two-point function, and the plus branch its
+    conjugate.
+
+    ``mu <= 0`` and ``Re nu >= 0``, so ``|exp(conj(nu) mu s)| <= 1`` for
+    every member at ``s >= 0``, and for the continued members at any s.
+    Lags below 0 are refused where ``Re nu > 0``.  The eigenpairs come
+    from one window per state (``_certified_window``), which leaves out at
+    most 1e-15 of ``||x theta||^2`` and so bounds the error at every lag
+    and on every member: a call solves at most one window, and a second
+    member or lag sequence on the same state solves none.  A two-time call
+    never replaces the kept Hamiltonian eigensystem.
 
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
     finite lags, which gives a complex array whose element ``j`` is the
-    scalar call at ``s[j]`` bit for bit.  The real branch takes only
-    ``s >= 0``, where its semigroup is a contraction.  It needs no
-    eigensolve at s = 0; each s > 0 sums over the top eigenpairs of L
-    that its lag can see (``_semigroup_elements``), a window of 16, 64,
-    256, ... pairs solved once per call, or the full spectrum past a tenth
-    of it, and it certifies the excluded tail below 1e-15 of
-    ``||x theta||^2``.  The unitary continued branches take any sign and
-    diagonalize their Hamiltonian once for all lags.  Both share one
-    Hamiltonian, so a minus call and a plus call in a row diagonalize it
-    once, and a real call between them does not change that.
+    scalar call at ``s[j]`` bit for bit.  ``V`` is not read; it is kept
+    for callers that still pass it.
     """
     grid = ws.grid
     lags = _lags(s)
-    if p.is_real:
-        if (lags < 0).any():
-            raise InputError("the stationary semigroup exp(sL) is a "
-                             f"contraction only for s >= 0; got {lags.tolist()}")
-        diag, off, theta = stationary_generator(ws, p)
-        theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
-        vals = (_semigroup_elements(diag, off, grid.x[1:-1] * theta,
-                                    lags.ravel()) * grid.dx).astype(complex)
-    else:
-        if V is None:
-            raise InputError("continued-mode correlation needs the potential V")
-        space = build_space(grid, "L2")
-        psi = np.exp(ws.R[0] + 1j * np.where(
-            np.isnan(ws.S[0]), 0.0, ws.S[0]))
-        psi = space.normalize(psi)
-        X = position_operator(space)
-        evolved = heisenberg_action(X, hamiltonian(None, p, V, space),
-                                    lags.ravel(), p, [X.apply(psi)])
-        vals = np.sum(np.conj(psi) * evolved[:, 0], axis=-1) * grid.dx
+    if p.nu.real > 0 and (lags < 0).any():
+        raise InputError("the stationary semigroup exp(s nu M) is a "
+                         f"contraction only for s >= 0; got {lags.tolist()}")
+    diag, off, theta = stationary_generator(ws)
+    theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
+    mu, w = _certified_window(diag, off, grid.x[1:-1] * theta)
+    rate = p.nu.conjugate() * mu
+    vals = np.array([np.sum(w * np.exp(rate * lag) * w)
+                     for lag in lags.ravel().tolist()]) * grid.dx
     return complex(vals[0]) if lags.ndim == 0 else vals

@@ -46,11 +46,6 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _out_dir(args) -> Path:
-    """The resolved output directory, created; call it after every check."""
-    return make_dir(resolve_out_dir(args.out))
-
-
 def _params(args):
     if args.nu is not None and args.beta is not None:
         raise InputError("--nu and --beta name the same member two ways; "
@@ -67,6 +62,7 @@ def _grid(args) -> Grid1D:
 def cmd_solve(args) -> int:
     if args.snapshots < 1:
         raise InputError(f"--snapshots must be >= 1, got {args.snapshots}")
+    where = resolve_out_dir(args.out) / SNAPSHOT_STEM
     grid = _grid(args)
     # the oracle rejects a parameter that its state does not take
     state_params = {k: v for k in ("x0", "sigma0")
@@ -75,7 +71,6 @@ def cmd_solve(args) -> int:
     V = 0.5 * grid.x ** 2 if args.state.startswith("ho") else np.zeros(grid.n)
     sol = solve_schrodinger(V, ws0.psi[0], grid, args.dt, args.steps,
                             store_every=max(1, args.steps // args.snapshots))
-    where = resolve_out_dir(args.out) / SNAPSHOT_STEM
     files = export_snapshots(where, grid, sol.times, np.abs(sol.psi) ** 2)
     print(f"wrote {len(files)} density snapshots under {where}")
     return 0
@@ -90,13 +85,14 @@ def cmd_sample(args) -> int:
         raise InputError(f"--paths must be >= 1, got {args.paths}")
     if not 0 <= args.seed <= MAX_SEED:
         raise InputError(f"--seed must be in [0, 2**64 - 4], got {args.seed}")
+    out = resolve_out_dir(args.out)
     grid = _grid(args)
     p = _params(args)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     df = drift_fields(ws, p)
     x0 = sample_initial(ho_ground_density(grid.x), grid, args.paths, args.seed)
     e = simulate_ensemble(df, x0, p, args.dt, args.steps, args.seed)
-    out = _out_dir(args)
+    make_dir(out)
     export_ensemble_binary(out / "ensemble.bin", e)
     if args.csv:
         export_ensemble_csv(out / "ensemble.csv", e)
@@ -130,7 +126,7 @@ def cmd_verify(args) -> int:
     cfg.sde.n_paths = args.paths
     # a config or an --out that cannot be used is refused before the run
     cfg.validate()
-    out = _out_dir(args)
+    out = make_dir(resolve_out_dir(args.out))
     report = verify_suite(args.level, cfg)
     _print_report(report)
     # a record is named after its check, with an optional [member] suffix
@@ -146,9 +142,9 @@ def cmd_verify(args) -> int:
 
 def cmd_correlate(args) -> int:
     from ..algebra import two_time_position_correlation
+    out = resolve_out_dir(args.out)
     grid = _grid(args)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
-    V = 0.5 * grid.x ** 2
     if args.mode == "real":
         p = _params(args)
     elif args.nu is not None or args.beta is not None:
@@ -162,10 +158,10 @@ def cmd_correlate(args) -> int:
         raise InputError("--s must be comma-separated lag times; "
                          f"got {args.s!r}") from None
     rows = list(zip(s_values, map(complex, two_time_position_correlation(
-        ws, p, s_values, V))))
+        ws, p, s_values))))
     for s, c in rows:
         print(f"s = {s:g}: matrix element = {c.real:+.6f} {c.imag:+.6f}i")
-    out = _out_dir(args)
+    make_dir(out)
     write_float_csv(out / "correlation_curve.csv",
                     ["s", "matrix_element_re", "matrix_element_im"],
                     [(s, c.real, c.imag) for s, c in rows])
@@ -174,6 +170,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.config and args.path:
+        raise InputError("--config runs a config and --path reads a stored "
+                         "report; give one")
+    if args.path and args.out:
+        raise InputError("--path names the stored report, so --out would "
+                         "not be read; give one")
     if args.config:
         cfg = load_config(args.config)
         report = run_experiment(

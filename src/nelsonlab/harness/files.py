@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NelsonlabError
+from ..errors import InputError, NelsonlabError
 from ..grids import Grid1D
 from ..sampler import ConditionalMomentTable, Ensemble
 from .report import Report
@@ -23,8 +23,14 @@ SNAPSHOT_STEM = "density"
 def resolve_out_dir(out: str | Path | None = None,
                     configured: str | Path | None = None) -> Path:
     """The output directory: ``out``, else ``configured``, else
-    ``$NELSONLAB_OUT``, else ``./out``.  Nothing is created."""
-    return Path(out or configured or os.environ.get(DEFAULT_OUT_ENV) or "out")
+    ``$NELSONLAB_OUT``, else ``./out``.  Nothing is created, and a path
+    that exists and is not a directory is refused, so a command can
+    resolve it before its work."""
+    path = Path(out or configured or os.environ.get(DEFAULT_OUT_ENV) or "out")
+    if path.exists() and not path.is_dir():
+        raise InputError(f"output directory {path} exists and is not a "
+                         "directory")
+    return path
 
 
 def make_dir(path: str | Path) -> Path:

@@ -184,6 +184,9 @@ def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
     assert not (tmp_path / "correlation_curve.csv").exists()
 
 
+_TAKEN = "exists and is not a directory"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--level", "full", "--paths", "0"], "sde.n_paths"),
     (["verify", "--paths", "-5"], "sde.n_paths"),
@@ -201,14 +204,27 @@ def test_correlate_rejects_bad_lags(argv, message, tmp_path, capsys):
       "--grid-n", "201"], "dt must be positive"),
     (["sample", "--dt", "5", "--paths", "100", "--steps", "4",
       "--grid-n", "201"], "dt too large for this drift"),
+    # an --out that names an existing file is refused before the work
+    (["correlate", "--s", "0.5", "--grid-n", "201"], _TAKEN),
+    (["sample", "--paths", "100", "--steps", "4", "--grid-n", "201"],
+     _TAKEN),
+    (["solve", "--steps", "2", "--snapshots", "1", "--grid-n", "201"],
+     _TAKEN),
 ])
 def test_cli_rejects_counts_it_cannot_run(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
+    if message == _TAKEN:
+        out.write_text("taken")
     rc = main(argv + ["--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+    if message == _TAKEN:
+        assert out.read_text() == "taken"
+        assert list(tmp_path.iterdir()) == [out]
+    else:
+        assert not out.exists()
 
 
 def test_verify_suite_validates_its_config():
@@ -225,6 +241,8 @@ def test_verify_suite_validates_its_config():
     (["sample", "--nu", "1", "--beta", "0"], "give one"),
     (["solve", "--state", "ho_ground", "--x0", "2"], "x0"),
     (["solve", "--state", "ho_coherent", "--sigma0", "2"], "sigma0"),
+    (["report", "--config", "c.json", "--path", "nowhere.json"], "--path"),
+    (["report", "--path", "nowhere.json"], "--out"),
 ])
 def test_cli_refuses_flags_it_would_ignore(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -233,6 +251,26 @@ def test_cli_refuses_flags_it_would_ignore(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def test_report_refuses_flags_it_would_ignore(tmp_path, capsys):
+    """With files that exist: ``--config`` with ``--path`` runs nothing, and
+    ``--path`` with ``--out`` reads nothing."""
+    from nelsonlab.harness.report import CheckRecord, Report
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"checks": ["equal_time_value"]}))
+    stored = tmp_path / "r.json"
+    Report(environment={}, records=[
+        CheckRecord(name="a", anchor="x", status="pass")]).write(stored)
+    out = tmp_path / "o"
+    for argv in (["--config", str(cfg), "--path", str(stored)],
+                 ["--config", str(cfg), "--path", str(stored), "--out",
+                  str(out)],
+                 ["--path", str(stored), "--out", str(out)]):
+        assert main(["report", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not out.exists()
 
 
 def test_solve_centers_the_free_packet_at_x0(tmp_path):

@@ -143,47 +143,47 @@ def test_equal_time_value_is_nu_independent(grid801):
         assert abs(v - 0.5) < 1e-6
 
 
-def _dense_generator(ws, p):
-    diag, off, theta = stationary_generator(ws, p)
+def _dense_generator(ws):
+    diag, off, theta = stationary_generator(ws)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), theta
+
+
+def _members():
+    """Three real members and both continued ones."""
+    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    return [diffusion_params("nu", nu) for nu in (0.5, 0.7, 2.0)] \
+        + [pm, continue_to_imaginary(pm, "plus")]
 
 
 def test_stationary_generator_annihilates_sqrt_density(grid801):
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 0.5)
-    L, theta = _dense_generator(ws, p)
-    assert np.max(np.abs(L @ theta)) < 1e-12
-    assert np.max(np.abs(L - L.T)) < 1e-12
+    M, theta = _dense_generator(ws)
+    assert np.max(np.abs(M @ theta)) < 1e-12
+    assert np.max(np.abs(M - M.T)) < 1e-12
 
 
 def test_stationary_generator_matches_dense_laplacian(grid801):
+    """M is nu-free, and every member's element is the dense-oracle sum
+    ``dx sum_k w_k^2 exp(conj(nu) mu_k s)`` over all of M's spectrum."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 0.7)
-    L, theta = _dense_generator(ws, p)
+    M, theta = _dense_generator(ws)
     m, inv = grid801.n - 2, 1.0 / grid801.dx ** 2
     lap = (np.diag(np.full(m, -2.0 * inv)) + np.diag(np.full(m - 1, inv), 1)
            + np.diag(np.full(m - 1, inv), -1))
-    ref = 0.7 * (lap - np.diag((lap @ theta) / theta))
+    ref = lap - np.diag((lap @ theta) / theta)
     assert np.array_equal(theta, np.exp(ws.R[0])[1:-1])
-    assert np.max(np.abs(L - ref)) < 1e-13 * np.max(np.abs(ref))
-    # the real two-time element is (x theta, exp(sL) x theta) on that L,
-    # from a window of its spectrum or from all of it
-    from nelsonlab.algebra.evolution import _window_size
-    lags = (0.0, 0.01, 0.05, 0.25, 1.0, 2.5, 10.0)
-    v = grid801.x[1:-1] * theta / np.sqrt(np.sum(theta ** 2) * grid801.dx)
-    sides = set()
-    for nu in (0.5, 0.7, 2.0):
-        pn = diffusion_params("nu", nu)
-        lam, U = np.linalg.eigh(nu * (lap - np.diag((lap @ theta) / theta)))
-        w = U.T @ v
-        diag, off, _ = stationary_generator(ws, pn)
+    assert np.max(np.abs(M - ref)) < 1e-13 * np.max(np.abs(ref))
+    lam, U = np.linalg.eigh(ref)
+    w = U.T @ (grid801.x[1:-1] * theta
+               / np.sqrt(np.sum(theta ** 2) * grid801.dx))
+    for p in _members():
+        lags = (0.0, 0.01, 0.05, 0.25, 1.0, 2.5, 10.0)
+        if not p.is_real:
+            lags += (-1.0, -10.0)
         for s in lags:
-            val = two_time_position_correlation(ws, pn, s)
-            assert abs(val - np.sum(w * np.exp(lam * s) * w) * grid801.dx) \
-                < 1e-12
-            if s > 0:
-                sides.add(_window_size(diag, off, s) < m)
-    assert sides == {True, False}
+            val = two_time_position_correlation(ws, p, s)
+            dense = np.sum(w * np.exp(np.conj(p.nu) * lam * s) * w)
+            assert abs(val - dense * grid801.dx) < 1e-12
 
 
 def test_two_time_real_mode_matches_autocovariance(grid801):
@@ -200,17 +200,35 @@ def test_two_time_real_mode_matches_autocovariance(grid801):
 
 
 def test_two_time_continued_matches_quantum_ladder(grid801):
+    """The sign convention: the minus branch is the standard two-point
+    function ``0.5 exp(-i s)``, not its conjugate, and the plus branch is
+    the conjugate of the minus branch bit for bit."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    V = 0.5 * grid801.x ** 2
     pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     pp = continue_to_imaginary(diffusion_params("nu", 0.5), "plus")
-    for s in (0.25, 1.0):
-        cm = two_time_position_correlation(ws, pm, s, V)
-        assert abs(cm - 0.5 * np.exp(-1j * s)) < 5e-3
-        cp = two_time_position_correlation(ws, pp, s, V)
-        assert abs(cp - np.conj(cm)) < 1e-10
-    with pytest.raises(InputError):
-        two_time_position_correlation(ws, pm, 0.5)   # V required
+    lags = [-1.0, 0.25, 0.5, 1.0, 2.5]
+    cm = two_time_position_correlation(ws, pm, lags)
+    cp = two_time_position_correlation(ws, pp, lags)
+    assert np.max(np.abs(cm - 0.5 * np.exp(-1j * np.array(lags)))) < 2e-4
+    assert np.array_equal(cp, np.conj(cm))
+
+
+def test_two_time_error_is_second_order_in_dx():
+    """The gaps of the minus and the real (nu = 1) elements to their
+    closed forms fall as dx^2 over three halvings of dx."""
+    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    pr = diffusion_params("nu", 1.0)
+    lags = np.array([0.25, 0.5, 1.0])
+    gaps = []
+    for n in (801, 1601, 3201):
+        ws = analytic_oracle("ho_ground", None, Grid1D(-8.0, 8.0, n), [0.0])
+        gaps.append([
+            np.abs(two_time_position_correlation(ws, pm, lags)
+                   - 0.5 * np.exp(-1j * lags)),
+            np.abs(two_time_position_correlation(ws, pr, lags)
+                   - 0.5 * np.exp(-2.0 * lags))])
+    order = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all((1.8 < order) & (order < 2.2)), order
 
 
 def test_real_mode_matrix_element_vs_wave_reference(grid801):
@@ -262,8 +280,9 @@ def test_real_mode_second_derivative_is_acceleration_multiplication():
 
 
 def test_two_time_continued_equals_dense_conjugation(grid801):
-    """The vector form of the continued element equals the sandwich with
-    the dense evolved operator, the formula it replaced."""
+    """The Hamiltonian route of ``continued_two_time``, through the state
+    action, equals the sandwich with the dense evolved operator."""
+    from nelsonlab.harness.checks import _hamiltonian_two_time
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     V = 0.5 * grid801.x ** 2
     sp = build_space(grid801, "L2")
@@ -275,7 +294,7 @@ def test_two_time_continued_equals_dense_conjugation(grid801):
         H = hamiltonian(None, pc, V, sp)
         for s in (0.25, 1.0):
             ref = correlation(psi, [heisenberg_operator(X, H, s, pc), X], sp)
-            got = two_time_position_correlation(ws, pc, s, V)
+            got = _hamiltonian_two_time(ws, pc, [s], V)[0]
             assert abs(got - ref) < 1e-12
 
 
@@ -373,12 +392,11 @@ def test_lag_sequences_match_scalar_calls_bit_for_bit(small, grid801):
     for j, s in enumerate(lags):
         assert np.array_equal(seq[j], heisenberg_action(X, H, s, pc, states))
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    V = 0.5 * grid801.x ** 2
-    for p in (diffusion_params("nu", 0.7), pc):
-        seq = two_time_position_correlation(ws, p, lags, V)
+    for p in _members():
+        seq = two_time_position_correlation(ws, p, lags)
         assert seq.shape == (len(lags),)
         for j, s in enumerate(lags):
-            one = two_time_position_correlation(ws, p, s, V)
+            one = two_time_position_correlation(ws, p, s)
             assert type(one) is complex and one == seq[j]
 
 
@@ -428,7 +446,8 @@ class _Solves(list):
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Counts eigensolves; starts from an empty held eigensystem."""
+    """Counts eigensolves; starts from an empty held eigensystem and no
+    kept window."""
     from scipy import linalg
 
     from nelsonlab.algebra import evolution
@@ -444,6 +463,7 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", counted)
     monkeypatch.setattr(evolution, "_last_eigensystem", None)
+    monkeypatch.setattr(evolution, "_last_window", None)
     return calls
 
 
@@ -455,10 +475,11 @@ def _fresh(H):
 
 
 def test_conjugation_paths_share_one_eigensolve(solves):
-    """The dense and state conjugations and both continued two-time
-    branches on one grid and V diagonalize H once, and every result equals
-    the one from fresh solves bit for bit."""
+    """The dense and state conjugations and the Hamiltonian route of both
+    continued two-time branches on one grid and V diagonalize H once, and
+    every result equals the one from fresh solves bit for bit."""
     from nelsonlab.algebra import evolution
+    from nelsonlab.harness.checks import _hamiltonian_two_time
     grid = Grid1D(-8.0, 8.0, 201)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     V = 0.5 * grid.x ** 2
@@ -470,8 +491,8 @@ def test_conjugation_paths_share_one_eigensolve(solves):
     calls = (lambda: heisenberg_operator(X, H, 0.3, pm).matrix,
              lambda: heisenberg_action(X, H, [0.3, 1.0], pm,
                                        [X.apply(ws.R[0])]),
-             lambda: two_time_position_correlation(ws, pm, [0.25, 1.0], V),
-             lambda: two_time_position_correlation(ws, pp, [0.25, 1.0], V))
+             lambda: _hamiltonian_two_time(ws, pm, [0.25, 1.0], V),
+             lambda: _hamiltonian_two_time(ws, pp, [0.25, 1.0], V))
     shared = [call() for call in calls]
     assert solves == [grid.n - 2]
     lam, U = evolution._eigh_bands(*evolution._interior_bands(H))
@@ -544,14 +565,11 @@ def test_threads_on_different_grids_get_their_serial_results():
                                              "minus")),
                  (241, diffusion_params("nu", 0.7))):
         grid = Grid1D(-8.0, 8.0, n)
-        jobs.append((analytic_oracle("ho_ground", None, grid, [0.0]), p,
-                     0.5 * grid.x ** 2))
-    serial = [two_time_position_correlation(ws, p, lags, V)
-              for ws, p, V in jobs]
+        jobs.append((analytic_oracle("ho_ground", None, grid, [0.0]), p))
+    serial = [two_time_position_correlation(ws, p, lags) for ws, p in jobs]
 
     def repeat(job):
-        return [two_time_position_correlation(job[0], job[1], lags, job[2])
-                for _ in range(20)]
+        return [two_time_position_correlation(*job, lags) for _ in range(20)]
 
     with ThreadPoolExecutor(2) as pool:
         for runs, ref in zip(pool.map(repeat, jobs), serial):
@@ -561,12 +579,14 @@ def test_threads_on_different_grids_get_their_serial_results():
 def test_fast_suite_makes_three_conjugation_eigensolves_per_run(solves):
     """Heisenberg Taylor (n = 25 and 31) and the n = 801 Hamiltonian shared
     by the closed-form and continued two-time checks: three solves, and as
-    many again on a second run, so nothing is reused across runs."""
+    many again on a second run, so no Hamiltonian is reused across runs.
+    The continued two-time check solves one window of 64 stationary
+    eigenpairs, which the second run finds kept."""
     from nelsonlab.harness.suite import verify_suite
     verify_suite("fast")
-    assert solves == [23, 29, 799]
+    assert solves == [23, 29, 799] and solves.windows == [(799, 64)]
     verify_suite("fast")
-    assert solves == [23, 29, 799] * 2
+    assert solves == [23, 29, 799] * 2 and solves.windows == [(799, 64)]
 
 
 def test_lags_must_be_finite(small, grid801):
@@ -574,13 +594,12 @@ def test_lags_must_be_finite(small, grid801):
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    V = 0.5 * grid801.x ** 2
     for bad in (np.nan, np.inf, [0.5, -np.inf]):
         with pytest.raises(InputError, match="finite"):
             heisenberg_action(X, H, bad, pc, states)
         for p in (diffusion_params("nu", 0.5), pc):
             with pytest.raises(InputError, match="finite"):
-                two_time_position_correlation(ws, p, bad, V)
+                two_time_position_correlation(ws, p, bad)
 
 
 def test_real_two_time_rejects_negative_lags(grid801):
@@ -591,80 +610,75 @@ def test_real_two_time_rejects_negative_lags(grid801):
             two_time_position_correlation(ws, p, bad)
     # the unitary continued branch is defined for either sign
     pc = continue_to_imaginary(p, "minus")
-    got = two_time_position_correlation(ws, pc, -1.0, 0.5 * grid801.x ** 2)
+    got = two_time_position_correlation(ws, pc, -1.0)
     assert abs(got - 0.5 * np.exp(1j)) < 5e-3
 
 
 def test_real_lags_solve_only_the_window_they_see(solves, grid801):
-    """s = 0 solves nothing; a lag past the crossover solves the whole
-    spectrum; the others solve their own window from the top: the
-    smallest of 16, 64, 256, ... above the number of eigenvalues above
-    the cut."""
-    from math import log
-
-    from scipy.linalg import eigvalsh_tridiagonal
+    """Every real lag, 0, short or long, is served by the one window of
+    64 top eigenpairs of M: no lag solves the full spectrum, and no lag
+    after the first solves anything."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     p = diffusion_params("nu", 1.0)
     m = grid801.n - 2
-    lam = eigvalsh_tridiagonal(*stationary_generator(ws, p)[:2])
-    two_time_position_correlation(ws, p, 0.0)
-    assert solves == [] and solves.windows == []
     two_time_position_correlation(ws, p, 0.5)
-    assert solves == [] and len(solves.windows) == 1
-    size, k = solves.windows[0]
-    assert size == m and k <= 0.1 * m
-    count = np.count_nonzero(0.5 * lam > log(1e-17))
-    assert k in (16, 64) and k // 4 <= count < k
-    two_time_position_correlation(ws, p, 0.005)
-    assert solves == [m] and len(solves.windows) == 1
+    assert solves == [] and solves.windows == [(m, 64)]
+    for s in (0.0, 0.005, 0.5, 10.0):
+        two_time_position_correlation(ws, p, s)
+    assert solves == [] and solves.windows == [(m, 64)]
 
 
 def test_mixed_real_lag_sequence_matches_scalar_calls_bit_for_bit(
         solves, grid801):
-    """Window lags and full-spectrum lags in one sequence: each distinct
-    window is solved once, and every element is its scalar call."""
+    """A sequence of zero, short and long lags takes one window on every
+    member, and every element is its scalar call."""
+    from nelsonlab.algebra import evolution
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 1.0)
     lags = [0.5, 0.0, 0.005, 5.0, 0.52, 0.01, 1.0, 0.5]
-    seq = two_time_position_correlation(ws, p, lags)
-    windows = list(solves.windows)
-    assert solves == [grid801.n - 2]
-    assert len(windows) == len(set(windows)) >= 2
-    for j, s in enumerate(lags):
-        one = two_time_position_correlation(ws, p, s)
-        assert type(one) is complex and one == seq[j]
+    for p in _members():
+        evolution._last_window = None
+        count = len(solves.windows)
+        seq = two_time_position_correlation(ws, p, lags)
+        assert solves.windows[count:] == [(grid801.n - 2, 64)]
+        for j, s in enumerate(lags):
+            one = two_time_position_correlation(ws, p, s)
+            assert type(one) is complex and one == seq[j]
+        assert len(solves.windows) == count + 1
+    assert solves == []
 
 
 def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
-    """A continued call after a real call on the same grid diagonalizes
-    nothing new, whether the real call took a window or the full spectrum."""
+    """Two-time calls on any member after a Hamiltonian solve on the same
+    grid leave the kept eigensystem in place: the Hamiltonian route of the
+    other branch diagonalizes nothing new."""
     from nelsonlab.algebra import evolution
+    from nelsonlab.harness.checks import _hamiltonian_two_time
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     V = 0.5 * grid801.x ** 2
     pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     pp = continue_to_imaginary(pm, "plus")
-    pr = diffusion_params("nu", 1.0)
     m = grid801.n - 2
-    two_time_position_correlation(ws, pm, 0.5, V)
+    _hamiltonian_two_time(ws, pm, [0.5], V)
     held = evolution._last_eigensystem
     assert solves == [m]
-    for lag, full in ((0.5, [m]), (0.005, [m, m])):
-        two_time_position_correlation(ws, pr, lag)
-        assert evolution._last_eigensystem is held
-        two_time_position_correlation(ws, pp, 0.5, V)
-        assert solves == full
-    assert len(solves.windows) == 1
+    for p in _members():
+        for lag in (0.5, 0.005):
+            two_time_position_correlation(ws, p, lag)
+            assert evolution._last_eigensystem is held
+            _hamiltonian_two_time(ws, pp, [0.5], V)
+            assert solves == [m]
+    assert solves.windows == [(m, 64)]
 
 
 def test_real_lag_sweep_shares_its_windows(solves, grid801):
-    """Twenty lags from 0.05 to 5 share one full spectrum and one window
-    of each size up to a tenth of the spectrum: 16 and 64."""
+    """Twenty lags from 0.05 to 5 take the one window of 64 and no full
+    solve, on any member; the other members on the same state take
+    none."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 1.0)
-    m = grid801.n - 2
-    two_time_position_correlation(ws, p, np.geomspace(0.05, 5.0, 20))
-    sizes = [k for _, k in solves.windows]
-    assert solves == [m] and sorted(sizes) == [16, 64]
+    sweep = np.geomspace(0.05, 5.0, 20)
+    for p in _members():
+        two_time_position_correlation(ws, p, sweep)
+    assert solves == [] and solves.windows == [(grid801.n - 2, 64)]
 
 
 def _broken_window(monkeypatch, mend):
@@ -678,6 +692,7 @@ def _broken_window(monkeypatch, mend):
         return mend(lam, U) if kwargs else (lam, U)
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", solve)
+    monkeypatch.setattr(evolution, "_last_window", None)
 
 
 def test_window_with_a_large_residual_is_a_numerical_breakdown(
@@ -685,7 +700,7 @@ def test_window_with_a_large_residual_is_a_numerical_breakdown(
     from nelsonlab import NumericalBreakdownError
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     p = diffusion_params("nu", 1.0)
-    diag, off, _ = stationary_generator(ws, p)
+    diag, off, _ = stationary_generator(ws)
     # a shift of 1e-9 ||T|| moves no vector, so only the residual sees it
     shift = 1e-9 * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
     _broken_window(monkeypatch, lambda lam, U: (lam + shift, U))
@@ -705,27 +720,29 @@ def test_window_vectors_that_are_not_orthonormal_are_a_numerical_breakdown(
         two_time_position_correlation(ws, p, 0.5)
 
 
-def test_window_certifies_what_it_leaves_out(monkeypatch, grid801):
-    """A vector with weight on every mode: the windowed element matches the
-    dense oracle, and a cut that leaves too much out raises instead."""
-    from math import log
-
-    from nelsonlab import NumericalBreakdownError
+def test_window_certifies_what_it_leaves_out(solves, grid801):
+    """x theta certifies with the first window; a vector with weight on
+    every mode leaves too much outside it, climbs to the full spectrum,
+    and matches the dense oracle on every member."""
     from nelsonlab.algebra import evolution
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    diag, off, _ = stationary_generator(ws, diffusion_params("nu", 1.0))
-    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    lam, U = np.linalg.eigh(L)
-    v = np.random.default_rng(11).standard_normal(diag.size)
+    diag, off, theta = stationary_generator(ws)
+    m = diag.size
+    evolution._certified_window(diag, off, grid801.x[1:-1] * theta)
+    assert solves.windows == [(m, 64)] and solves == []
+    lam, U = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                            + np.diag(off, -1))
+    v = np.random.default_rng(11).standard_normal(m)
     w = U.T @ v
+    mu, got = evolution._certified_window(diag, off, v)
+    assert solves.windows == [(m, 64)] * 2 and solves == [m]
     lags = np.array([0.5, 1.0, 2.5])
-    assert all(evolution._window_size(diag, off, s) < diag.size for s in lags)
-    got = evolution._semigroup_elements(diag, off, v, lags)
-    ref = [np.sum(w * np.exp(lam * s) * w) for s in lags]
-    assert np.max(np.abs(got - ref)) < 1e-12 * np.sum(v * v)
-    monkeypatch.setattr(evolution, "_SEMIGROUP_CUT", log(1e-3))
-    with pytest.raises(NumericalBreakdownError, match="outside the top"):
-        evolution._semigroup_elements(diag, off, v, lags)
+    for p in _members():
+        nu = np.conj(p.nu)
+        for s in lags:
+            ref = np.sum(w * np.exp(nu * lam * s) * w)
+            assert abs(np.sum(got * np.exp(nu * mu * s) * got) - ref) \
+                < 1e-12 * np.sum(v * v)
 
 
 def test_failed_window_solve_is_a_numerical_breakdown(monkeypatch, grid801):
@@ -736,18 +753,7 @@ def test_failed_window_solve_is_a_numerical_breakdown(monkeypatch, grid801):
         raise np.linalg.LinAlgError("1 eigenvectors failed to converge")
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", failing)
+    monkeypatch.setattr(evolution, "_last_window", None)
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     with pytest.raises(NumericalBreakdownError, match="top"):
         two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)
-
-
-def test_sturm_count_matches_the_spectrum():
-    from nelsonlab.algebra.evolution import _count_above
-    rng = np.random.default_rng(5)
-    diag, off = rng.standard_normal(60), rng.standard_normal(59)
-    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
-                             + np.diag(off, -1))
-    for c in (-10.0, lam[7] - 1e-9, 0.0, lam[40] + 1e-9, 10.0):
-        assert _count_above(diag, off, c) == np.count_nonzero(lam > c)
-    # a zero pivot: T - cI singular in its leading 1 x 1 block
-    assert _count_above(np.array([1.0, 1.0]), np.array([1.0]), 1.0) == 1

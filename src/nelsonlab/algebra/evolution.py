@@ -6,11 +6,11 @@ Higher time-derivative operators follow the single recursion
                                             for the stationary states
                                             these formulas are used on)
 
-which is analytic in nu: on the continued branches ``1/(2 m nu)`` becomes
-``-/+ i / hbar`` and the recursion is the standard quantum one.  The
-evolved position at finite time is either the Taylor sum of the recursion
-or, on the continued branches, the exact unitary conjugation by the
-eigendecomposition of the interior Hamiltonian.
+which is analytic in nu: on the minus and plus branches ``1/(2 m nu)``
+becomes ``+/- i / hbar`` and the recursion is the standard quantum one.
+The evolved position at finite time is either the Taylor sum of the
+recursion or, on the continued branches, the exact conjugation by
+``exp(s H / 2 m nu)``, from the eigensystem of the interior Hamiltonian.
 
 Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
@@ -49,8 +49,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
-from ..params import HBAR, MASS, DiffusionParams
-from .operators import OperatorMatrix, _scaled, commutator
+from ..params import MASS, DiffusionParams
+from .operators import OperatorMatrix, _require_stationary, _scaled, commutator
 from .spaces import WeightedSpace
 
 _STATE_NORM_TOL = 1e-6
@@ -273,10 +273,10 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
                         p: DiffusionParams) -> OperatorMatrix:
     """Exact evolved position on a continued branch, as a full matrix.
 
-    ``X(s) = exp(-/+ i H s / hbar) X exp(+/- i H s / hbar)`` (minus branch
-    gives the standard convention), realized by the eigendecomposition of
-    the Hamiltonian restricted to interior nodes (hard walls).  Boundary
-    rows pass through unchanged from X.
+    ``X(s) = L X L^H`` with ``L = exp(s H / 2 m nu)``, on the recursion's
+    scale: ``exp(+i H s / hbar)`` on the minus branch (the standard
+    convention), realized by the eigensystem of the Hamiltonian on the
+    interior nodes (hard walls).  Boundary rows are those of X.
 
     The interior of H must be real symmetric tridiagonal and X diagonal,
     as ``hamiltonian`` and ``position_operator`` build them.  X(s) is a
@@ -286,8 +286,8 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     """
     lam, U = _conjugation_eigensystem(X, H, p)
     x = X.diagonal(0)
-    # minus branch: X(s) = L X L^H with L = U e^{i phi} U^T = e^{+iHs/hbar}
-    phi = -p.sign * lam * s / HBAR
+    # L = U e^{i phi} U^T with i phi = lam s / (2 m nu), imaginary
+    phi = (lam * (s / (2.0 * MASS * p.nu))).imag
     left = np.empty(U.shape, dtype=complex)
     left.real = (U * np.cos(phi)) @ U.T
     left.imag = (U * np.sin(phi)) @ U.T
@@ -326,7 +326,7 @@ def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,
     out = np.empty((lags.size, *states.shape), complex)
     out[:, :, [0, -1]] = x[[0, -1]] * states[:, [0, -1]]
     for j, lag in enumerate(lags.ravel()):
-        phase = np.exp(1j * p.sign * lam * lag / HBAR)   # e^{-i phi}
+        phase = np.exp(-lam * (lag / (2.0 * MASS * p.nu)))   # e^{-i phi}
         w = x[1:-1] * _real_right_matmul(coeffs * phase, U.T)
         out[j, :, 1:-1] = _real_right_matmul(
             _real_right_matmul(w, U) * phase.conj(), U.T)
@@ -412,10 +412,12 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
     finite lags, which gives a complex array whose element ``j`` is the
     scalar call at ``s[j]`` bit for bit.  ``V`` is not read; it is kept
-    for callers that still pass it.
+    for callers that still pass it.  A state whose density moves or that
+    carries a current is refused (``UnsupportedConfigError``).
     """
     grid = ws.grid
     lags = _lags(s)
+    _require_stationary(ws)
     if p.nu.real > 0 and (lags < 0).any():
         raise InputError("the stationary semigroup exp(s nu M) is a "
                          f"contraction only for s >= 0; got {lags.tolist()}")

@@ -7,6 +7,9 @@ in and band out.  The exact Heisenberg conjugation is applied to states
 (``evolution.heisenberg_action``); only ``heisenberg_operator``, kept for
 the checks of a dense X(s), stores a full matrix, through ``from_dense``.
 
+Each operator reads the member from ``nu`` alone: the Hamiltonian is one
+formula in ``nu``, and the velocity operator takes ``nu`` from its drift.
+
 All differential operator matrices carry the hard-wall closure: exact
 centered stencils on interior rows, zero entries in the boundary rows and
 columns (states vanish at the walls, so boundary values neither evolve
@@ -37,7 +40,7 @@ import numpy as np
 from ..errors import EmptyMaskError, InputError, UnsupportedConfigError
 from ..fields.drift import DriftField
 from ..fields.wave import WaveSolution
-from ..finitediff import gradient, laplacian
+from ..finitediff import gradient, laplacian, masked_gradient
 from ..params import HBAR, MASS, DiffusionParams
 from .spaces import WeightedSpace
 
@@ -228,15 +231,10 @@ def position_operator(space: WeightedSpace) -> OperatorMatrix:
     return OperatorMatrix(space, {0: space.grid.x})
 
 
-def velocity_operator(df: DriftField, p: DiffusionParams, space: WeightedSpace
-                      ) -> OperatorMatrix:
+def velocity_operator(df: DriftField, space: WeightedSpace) -> OperatorMatrix:
     """Forward-velocity operator b(x, 0) + 2 nu d/dx on the density-weighted
-    space."""
-    if not p.is_real:
-        raise UnsupportedConfigError(
-            "velocity_operator is a real-mode object; use "
-            "mapped_velocity_operator on the continued branches")
-    bands = _scaled(2.0 * p.nu_real,
+    space, with ``nu`` from ``df.params`` (real mode only)."""
+    bands = _scaled(2.0 * df.params.nu_real,
                     closed_derivative_bands(space.grid.n, space.grid.dx))
     bands[0] = df.b_on_grid(0.0) + bands[0]
     return OperatorMatrix(space, bands)
@@ -317,13 +315,11 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
     ``db/dt`` uses centered differences across stored times; a single
     stored time is treated as stationary.
     """
-    if not p.is_real:
-        raise UnsupportedConfigError("acceleration fields are real-mode objects")
     from ..fields.drift import drift_fields
 
+    df = drift_fields(ws, p)        # refuses a continued member
     nu = p.nu_real
     grid = ws.grid
-    df = drift_fields(ws, p)
     b = df.b[t_index]
     rho = np.exp(2.0 * ws.R[t_index])
     mask = rho > COMPARE_FLOOR * rho.max()
@@ -332,22 +328,16 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
 
     if ws.n_times == 1:
         db_dt = np.zeros(grid.n)
-    else:
-        tgrid = ws.times
-        if t_index == 0:
-            db_dt = (df.b[1] - df.b[0]) / (tgrid[1] - tgrid[0])
-        elif t_index == ws.n_times - 1:
-            db_dt = (df.b[-1] - df.b[-2]) / (tgrid[-1] - tgrid[-2])
-        else:
-            db_dt = (df.b[t_index + 1] - df.b[t_index - 1]) / (
-                tgrid[t_index + 1] - tgrid[t_index - 1])
+    else:       # one-sided at the first and last stored time
+        lo, hi = max(t_index - 1, 0), min(t_index + 1, ws.n_times - 1)
+        db_dt = (df.b[hi] - df.b[lo]) / (ws.times[hi] - ws.times[lo])
 
     a_drift = db_dt + nu * laplacian(b, grid.dx) + 0.5 * gradient(b * b, grid.dx)
 
     V = np.asarray(V, dtype=float)
     if V.shape != (grid.n,):
         raise InputError("V must be a nodal field on the grid")
-    coeff = HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * nu ** 2
+    coeff = rho_term_coefficient(p).real
     q, _ = density_curvature(ws, t_index)
     a_pot = (-gradient(V, grid.dx) + gradient(coeff * q, grid.dx)) / MASS
     return AccelerationFields(from_drift=a_drift, from_potential=a_pot,
@@ -356,52 +346,60 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
 
 def rho_term_coefficient(p: DiffusionParams) -> complex:
     """``hbar^2/2m + 2 m nu^2``; exactly zero on the continued branches."""
-    return HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * p.nu ** 2
+    return HBAR ** 2 / (2.0 * MASS) + 2.0 * MASS * (p.nu * p.nu)
 
 
 def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
                 space: WeightedSpace) -> OperatorMatrix:
-    """Generator of the time-derivative recursion.
+    """Generator of the time-derivative recursion, for every member:
+    ``2 m nu^2 Lap + V - (hbar^2/2m + 2 m nu^2) (Lap sqrt(rho))/sqrt(rho)``.
 
-    Real mode: ``2 m nu^2 Lap + V - (hbar^2/2m + 2 m nu^2) (Lap sqrt(rho))/sqrt(rho)``
-    built from the first stored density (which must exist).  Continued
-    mode: the density term's coefficient vanishes identically and the
-    matrix is the standard ``-(hbar^2/2m) Lap + V`` -- no wave solution
-    needed.
-
-    A real-mode H is built only from a static stored density: the
-    recursion it generates has no term for moving coefficient fields.
+    ``nu^2`` is real on every member.  A real member's density term is
+    built from the first stored density of ``ws``, which must be
+    stationary: the recursion has no term for moving coefficient fields.
+    On the continued branches that term's coefficient is exactly zero, H
+    is the standard ``-(hbar^2/2m) Lap + V`` and ``ws`` is not needed.
     """
     V = np.asarray(V, dtype=float)
     grid = space.grid
     if V.shape != (grid.n,):
         raise InputError("V must be a nodal field on the grid")
-    coeff = rho_term_coefficient(p)
-    diag = np.zeros(grid.n)
-    if p.is_real:
+    coeff = rho_term_coefficient(p).real
+    diag = V.copy()
+    if coeff:
         if ws is None:
             raise InputError("real-mode Hamiltonian needs the wave solution")
-        if not _is_stationary(ws):
-            raise UnsupportedConfigError(
-                "real-mode recursion is defined for stationary densities only")
+        _require_stationary(ws)
         q, qmask = density_curvature(ws)
         if qmask.sum() < 5:
             raise EmptyMaskError(
                 "density floor violated almost everywhere; the density term "
                 "cannot be formed")
-        q = np.where(qmask, q, 0.0)  # flat plateau outside the floor
-        diag[1:-1] = (V - coeff.real * q)[1:-1]
-        kinetic = 2.0 * MASS * p.nu_real ** 2
-    else:
-        diag[1:-1] = V[1:-1]
-        kinetic = -HBAR ** 2 / (2.0 * MASS)
+        diag -= coeff * np.where(qmask, q, 0.0)  # flat outside the floor
+    diag[[0, -1]] = 0.0
+    kinetic = (2.0 * MASS * (p.nu * p.nu)).real
     bands = _scaled(kinetic, closed_laplacian_bands(grid.n, grid.dx))
     bands[0] = bands[0] + diag
     return OperatorMatrix(space, bands)
 
 
-def _is_stationary(ws: WaveSolution, tol: float = 1e-10) -> bool:
-    if ws.n_times == 1:
-        return True
+# largest current (hbar/m)|dS/dx| of a stationary state: the oscillator
+# ground state reads at most 2.2e-13 (n <= 16001, t <= 2), the coherent
+# packet (x0 = 1) already 0.01 at t = 0.01
+STATIONARY_CURRENT_TOL = 1e-8
+
+
+def _require_stationary(ws: WaveSolution, tol: float = 1e-10) -> None:
+    """``UnsupportedConfigError`` unless the stored densities stay within
+    ``tol`` of the peak and the current at the first stored time, on the
+    phase mask as ``drift_fields`` takes it, is below the bound above."""
     rho = np.exp(2.0 * ws.R)
-    return float(np.max(np.abs(rho - rho[0]))) <= tol * float(rho.max())
+    if float(np.max(np.abs(rho - rho[0]))) > tol * float(rho.max()):
+        raise UnsupportedConfigError("defined for stationary states only: "
+                                     "the stored density moves")
+    dS = masked_gradient(ws.S[0], ws.grid.dx, ws.mask[0], fill=0.0)
+    current = float(np.max(np.abs((HBAR / MASS) * dS)))
+    if current > STATIONARY_CURRENT_TOL:
+        raise UnsupportedConfigError(
+            f"defined for stationary states only: it carries a current of "
+            f"up to {current:.2g}, above {STATIONARY_CURRENT_TOL:g}")

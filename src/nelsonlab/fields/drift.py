@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UnsupportedConfigError
 from ..finitediff import gradient, masked_gradient
 from ..grids import Grid1D
 from ..params import HBAR, MASS, DiffusionParams
@@ -94,12 +93,9 @@ class DriftField:
 def drift_fields(ws: WaveSolution, p: DiffusionParams) -> DriftField:
     """Build the (b, b*) pair for every stored time of ``ws``.
 
-    Rejects continued-mode parameters: drifts are the physical, real-nu
-    objects of the theory.
+    Rejects continued-mode parameters (``UnsupportedConfigError``): drifts
+    are the physical, real-nu objects of the theory.
     """
-    if not p.is_real:
-        raise UnsupportedConfigError(
-            "drift fields are defined for real diffusion constants only")
     nu = p.nu_real
     dx = ws.grid.dx
     nt = ws.n_times

@@ -69,9 +69,9 @@ def decompose(psi: np.ndarray
 class WaveSolution:
     """Time-indexed wavefunction on a grid, with its decomposition.
 
-    Built from ``psi`` alone, shape (n_times, n_nodes); ``R``, ``S`` (same
-    shape) and the boolean phase-definition region ``mask`` per time are
-    worked out from it by ``decompose``.
+    Built from ``psi`` alone, shape (n_times, n_nodes), at finite, strictly
+    increasing ``times``; ``R``, ``S`` and the boolean phase mask ``mask``
+    at each time are worked out from it by ``decompose``.
     """
 
     grid: Grid1D
@@ -83,6 +83,10 @@ class WaveSolution:
 
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
+        if not (np.isfinite(self.times).all()
+                and (np.diff(self.times) > 0).all()):
+            raise InputError(f"times must be finite and strictly increasing, "
+                             f"got {self.times.tolist()}")
         self.psi = np.atleast_2d(np.asarray(self.psi, dtype=complex))
         if self.psi.shape != (self.times.size, self.grid.n):
             raise InputError(f"psi has shape {self.psi.shape}, expected "

@@ -73,13 +73,13 @@ class CheckContext:
         return self.cache[key]
 
     def ho_ground(self, grid: Grid1D):
-        return self.memo(("ho_ground", grid.n, grid.x_min),
+        return self.memo(("ho_ground", grid),
                          lambda: analytic_oracle("ho_ground", None, grid, [0.0]))
 
     def ou_drift(self, nu: float, grid: Grid1D | None = None) -> DriftField:
         grid = grid or self.grid
         p = diffusion_params("nu", nu)
-        return self.memo(("ou_drift", nu, grid.n),
+        return self.memo(("ou_drift", nu, grid),
                          lambda: drift_fields(self.ho_ground(grid), p))
 
     def ou_ensemble(self, nu: float, dt: float, n_steps: int,
@@ -365,11 +365,10 @@ def check_commutator_exact(ctx: CheckContext):
     A = averaging_bands(grid.n)
     devs = {}
     for nu in (0.5, 1.0, 2.0):
-        p = diffusion_params("nu", nu)
         df = ctx.ou_drift(nu, grid)
         space = build_space(grid, "H_t", ws.rho(0))
         X = position_operator(space)
-        vel = velocity_operator(df, p, space)
+        vel = velocity_operator(df, space)
         devs[f"nu={nu}"] = _gap(commutator(vel, X).diagonals,
                                 {k: 2 * nu * d for k, d in A.items()})
         devs[f"[X,X]_nu={nu}"] = _gap(commutator(X, X).diagonals, {})
@@ -400,7 +399,7 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
     df = ctx.ou_drift(0.5, grid)
     space = build_space(grid, "H_t", ws.rho(0))
     X = position_operator(space)
-    vel = velocity_operator(df, p, space)
+    vel = velocity_operator(df, space)
     C = commutator(vel, X)
     worst = max(float(np.max(np.abs((C @ f - 2 * p.nu_real * f)[1:-1])))
                 for f in _random_fields(grid.n, 20))
@@ -967,12 +966,11 @@ def check_initial_sampling(ctx: CheckContext):
 
 def check_determinism(ctx: CheckContext):
     grid = ctx.grid
-    p = diffusion_params("nu", 0.5)
     df = ctx.ou_drift(0.5)
     x0 = sample_initial(ho_ground_density(grid.x), grid, 2000, 9)
-    e1 = simulate_ensemble(df, x0, p, 1e-3, 25, seed=9, n_workers=1)
-    e8 = simulate_ensemble(df, x0, p, 1e-3, 25, seed=9, n_workers=8)
-    e1b = simulate_ensemble(df, x0, p, 1e-3, 25, seed=9, n_workers=3)
+    e1 = simulate_ensemble(df, x0, df.params, 1e-3, 25, seed=9, n_workers=1)
+    e8 = simulate_ensemble(df, x0, df.params, 1e-3, 25, seed=9, n_workers=8)
+    e1b = simulate_ensemble(df, x0, df.params, 1e-3, 25, seed=9, n_workers=3)
     identical = bool(np.array_equal(e1.paths, e8.paths)
                      and np.array_equal(e1.paths, e1b.paths))
     return [ctx.record(
@@ -1123,7 +1121,7 @@ def _coherent_steps(ctx, dt, n_steps, n_paths, seed):
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
     p = diffusion_params("nu", 0.5)
     x0 = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
-    return ensemble_steps(drift_fields(ws, p), x0, p, dt, n_steps, seed)
+    return ensemble_steps(drift_fields(ws, p), x0, dt, n_steps, seed)
 
 
 def check_mean_acceleration_packet(ctx: CheckContext):

@@ -15,7 +15,9 @@ imaginary members ``nu = +i hbar/2m`` and ``nu = -i hbar/2m``
 (``z = +i`` / ``z = -i``) come from ``continue_to_imaginary``: they lose
 the probabilistic meaning but keep the whole operator algebra, and the
 ratio ``2 nu / z = hbar / m`` stays fixed across the family, so the
-current-velocity part of every drift is mode independent.
+current-velocity part of every drift is mode independent.  A member has
+no other name than ``nu``: ``z``, ``beta`` and ``mode`` are read from it,
+and every formula downstream takes the member from ``nu`` alone.
 """
 from __future__ import annotations
 
@@ -62,20 +64,14 @@ class DiffusionParams:
         return self.nu.imag == 0
 
     @property
-    def sign(self) -> int:
-        """+1 / -1 for the continued branches, 0 in real mode."""
-        return 0 if self.is_real else (1 if self.nu.imag > 0 else -1)
-
-    @property
     def mode(self) -> str:
-        return {0: MODE_REAL, 1: MODE_PLUS, -1: MODE_MINUS}[self.sign]
+        return MODE_REAL if self.is_real else (
+            MODE_PLUS if self.nu.imag > 0 else MODE_MINUS)
 
     @property
     def z(self) -> complex:
         """``2 m nu / hbar``: real for a real member, ``+/- i`` continued."""
-        if self.is_real:
-            return complex(2.0 * MASS * self.nu.real / HBAR)
-        return 1j if self.sign > 0 else -1j
+        return 2.0 * MASS * self.nu / HBAR
 
     @property
     def beta(self) -> float:
@@ -84,8 +80,7 @@ class DiffusionParams:
         It falls to ``-inf`` as ``nu -> 0``, which is its value where
         ``z^2`` underflows.
         """
-        z = self.z.real if self.is_real else self.z
-        zz = z * z
+        zz = self.z * self.z
         return float((2.0 * (1.0 - 1.0 / zz)).real) if zz else -math.inf
 
     @property

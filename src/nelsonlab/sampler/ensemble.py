@@ -1,4 +1,5 @@
-"""Euler-Maruyama ensembles of the diffusion dx = b dt + dW, E(dW^2) = 2 nu dt."""
+"""Euler-Maruyama ensembles of the diffusion dx = b dt + dW, E(dW^2) = 2 nu dt,
+with ``nu`` read from the drift, so its osmotic part and the noise agree."""
 from __future__ import annotations
 
 import os
@@ -135,17 +136,18 @@ def _shard_step(df: DriftField, x: np.ndarray, j: int, dt: float,
     return None
 
 
-def ensemble_steps(df: DriftField, init: np.ndarray, p: DiffusionParams,
-                   dt: float, n_steps: int, seed: int, *,
-                   n_workers: int | None = None) -> Iterator[np.ndarray]:
+def ensemble_steps(df: DriftField, init: np.ndarray, dt: float, n_steps: int,
+                   seed: int, *, n_workers: int | None = None
+                   ) -> Iterator[np.ndarray]:
     """Step the ensemble with explicit Euler-Maruyama; yield its positions.
 
     ``x_{j+1} = x_j + b(x_j, t_j) dt + dW_j`` with ``dW_j`` zero-mean
-    Gaussian of variance ``2 nu dt``; the drift is linear interpolation of
-    the field in x and t; reflecting walls at the grid ends keep paths in
-    the box (``init`` is folded in first).  The generator yields the
-    positions at steps 0, 1, ..., ``n_steps`` as *one* array that each
-    step advances in place: copy what must outlive the next step.
+    Gaussian of variance ``2 nu dt`` (``nu`` from ``df.params``); the
+    drift is linear interpolation of the field in x and t; reflecting
+    walls at the grid ends keep paths in the box (``init`` is folded in
+    first).  The generator yields the positions at steps 0, 1, ...,
+    ``n_steps`` as *one* array that each step advances in place: copy what
+    must outlive the next step.
 
     The paths are split into ``n_workers`` contiguous shards that step on
     as many threads; ``None`` (the default) uses the usable cores but keeps
@@ -159,7 +161,7 @@ def ensemble_steps(df: DriftField, init: np.ndarray, p: DiffusionParams,
     Raises
     ------
     UnsupportedConfigError
-        Continued-mode parameters.
+        A drift at a continued member.
     InputError
         ``init`` not 1-d, a non-positive ``dt`` or ``n_workers``, a negative
         ``n_steps``, or a drift so large that ``max|b| dt >= 10 dx`` (a step
@@ -169,9 +171,7 @@ def ensemble_steps(df: DriftField, init: np.ndarray, p: DiffusionParams,
         stepping, the first step at which one occurs and the lowest path
         index at that step.
     """
-    if not p.is_real:
-        raise UnsupportedConfigError(
-            "sampling needs a real diffusion constant")
+    nu = df.params.nu_real      # refuses a continued member
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
     init = np.asarray(init, dtype=float)
@@ -194,7 +194,7 @@ def ensemble_steps(df: DriftField, init: np.ndarray, p: DiffusionParams,
         raise InputError("n_steps must be >= 0")
     bounds = np.linspace(0, init.size, n_workers + 1).astype(int).tolist()
     shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    sigma = np.sqrt(2.0 * p.nu_real * dt)
+    sigma = np.sqrt(2.0 * nu * dt)
 
     def steps():
         x = reflect(init, df.grid.x_min, df.grid.x_max)
@@ -222,15 +222,21 @@ def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
                       store_every: int = 1) -> Ensemble:
     """Store every ``store_every``-th array that ``ensemble_steps`` yields.
 
-    The other arguments, their checks and the errors are those of
-    ``ensemble_steps``; ``store_every`` must be >= 1 and divide ``n_steps``
-    (InputError).  The stored matrix represents the process observed at
-    spacing ``store_every * dt``, with the integration step recorded as
+    ``p`` must be ``df.params`` (a continued ``p``:
+    UnsupportedConfigError; any other: InputError).  The other arguments,
+    their checks and the errors are those of ``ensemble_steps``;
+    ``store_every`` must be >= 1 and divide ``n_steps`` (InputError).  The
+    stored matrix represents the process observed at spacing
+    ``store_every * dt``, with the integration step recorded as
     ``sde_dt``.  ``paths`` is column-major, so each stored step is
     contiguous.
     """
-    steps = ensemble_steps(df, init, p, dt, n_steps, seed,
-                           n_workers=n_workers)
+    if not p.is_real:
+        raise UnsupportedConfigError("sampling needs a real diffusion constant")
+    if p != df.params:
+        raise InputError(f"p has nu = {p.nu}, but the drift was built at "
+                         f"nu = {df.params.nu}")
+    steps = ensemble_steps(df, init, dt, n_steps, seed, n_workers=n_workers)
     if store_every < 1 or (n_steps % store_every and n_steps > 0):
         raise InputError("store_every must be >= 1 and divide n_steps")
     paths = np.empty((len(init), n_steps // store_every + 1), order="F")

@@ -62,13 +62,23 @@ def test_oscillator_second_derivative_is_minus_position(cont):
 
 
 def test_real_mode_recursion_needs_stationary_density():
+    """The real-mode H and the two-time element of every member refuse a
+    state whose density moves, and a single snapshot that carries a
+    current (the coherent packet at t = 0.7, current up to 0.64)."""
     grid = Grid1D(-8.0, 8.0, 401)
     p = diffusion_params("nu", 0.5)
-    ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid,
-                         [0.0, 0.7])          # density moves
-    sp = build_space(grid, "H_t", ws.rho(0))
-    with pytest.raises(UnsupportedConfigError, match="stationary"):
-        hamiltonian(ws, p, 0.5 * grid.x ** 2, sp)
+    pm = continue_to_imaginary(p, "minus")
+    moving = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, [0.0, 0.7])
+    current = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, [0.7])
+    for ws, why in ((moving, "density moves"), (current, "current")):
+        sp = build_space(grid, "H_t", ws.rho(0))
+        with pytest.raises(UnsupportedConfigError, match=why):
+            hamiltonian(ws, p, 0.5 * grid.x ** 2, sp)
+        for member in (p, pm):
+            with pytest.raises(UnsupportedConfigError, match=why):
+                two_time_position_correlation(ws, member, 0.7)
+    # the continued H needs no state, so it refuses none
+    hamiltonian(current, pm, 0.5 * grid.x ** 2, build_space(grid, "L2"))
 
 
 def test_heisenberg_identity_cases(cont):
@@ -350,11 +360,13 @@ def test_heisenberg_action_equals_dense_conjugation(small, sign):
         assert np.max(np.abs(got - ref.T)) < 1e-12
 
 
-@pytest.mark.parametrize("sign", ["minus", "plus"])
-def test_conjugation_matches_expm_of_dense_hamiltonian(sign):
+@pytest.mark.parametrize("sign, i_sign", [("minus", 1), ("plus", -1)],
+                         ids=["minus", "plus"])
+def test_conjugation_matches_expm_of_dense_hamiltonian(sign, i_sign):
     """Independent oracle for the exact conjugation: on the interior,
-    ``X(s) = L X L^H`` with ``L = expm(-/+ i H s / hbar)`` of the dense
-    interior H (``+`` on the minus branch), no eigensystem involved."""
+    ``X(s) = L X L^H`` with ``L = expm(+i H s / hbar)`` of the dense
+    interior H on the minus branch and ``expm(-i H s / hbar)`` on the plus
+    branch, no eigensystem involved."""
     from scipy.linalg import expm
     grid = Grid1D(-8.0, 8.0, 61)
     sp = build_space(grid, "L2")
@@ -363,7 +375,7 @@ def test_conjugation_matches_expm_of_dense_hamiltonian(sign):
     H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
     states = np.random.default_rng(3).standard_normal((3, grid.n)) + 0j
     for s in (0.3, 1.7):
-        L = expm(-1j * pc.sign * s / HBAR * H.matrix[1:-1, 1:-1].real)
+        L = expm(i_sign * 1j * s / HBAR * H.matrix[1:-1, 1:-1].real)
         ref = np.diag(grid.x.astype(complex))
         ref[1:-1, 1:-1] = (L * grid.x[1:-1]) @ L.conj().T
         scale = np.max(np.abs(ref))

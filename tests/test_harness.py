@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nelsonlab import InputError
+from nelsonlab import Grid1D, InputError
 from nelsonlab.harness import (FAST_CHECKS, FULL_CHECKS, CheckContext,
                                ExperimentConfig, Report, config_from_dict,
                                load_config, run_experiment, verify_suite)
@@ -66,6 +66,21 @@ def test_config_roundtrip(tmp_path):
     for key in ("grid", "tolerances"):
         assert not hasattr(cfg, key)
     assert not hasattr(CheckContext(cfg), "tol")
+
+
+def test_ho_ground_memo_keys_on_the_whole_grid():
+    ctx = CheckContext(small_cfg())
+    ctx.ho_ground(Grid1D(-8.0, 8.0, 801))
+    wider = Grid1D(-8.0, 10.0, 801)
+    assert ctx.ho_ground(wider).grid == wider
+
+
+def test_ou_drift_memo_keys_on_the_whole_grid():
+    ctx = CheckContext(small_cfg())
+    ctx.ou_drift(0.5)                                   # on ctx.grid
+    narrow = Grid1D(-6.0, 6.0, 801)
+    assert ctx.ou_drift(0.5, narrow).grid == narrow
+    assert ctx.ou_drift(0.5) is ctx.ou_drift(0.5, ctx.grid)
 
 
 def test_run_experiment_writes_report_and_artifacts(tmp_path):

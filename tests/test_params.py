@@ -62,7 +62,8 @@ def test_every_member_keeps_the_family_relations(nu):
         return
     assert 2 * p.nu / p.z == HBAR / MASS
     assert p.is_real == (p.beta < 2)
-    assert p.is_real == (p.mode == MODE_REAL) == (p.sign == 0)
+    assert p.is_real == (p.mode == MODE_REAL)
+    assert p.z == 2 * MASS * p.nu / HBAR
 
 
 @given(st.floats(min_value=-10.0, max_value=1.99, exclude_max=True,

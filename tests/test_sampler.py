@@ -1,5 +1,6 @@
 import csv
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_nonfinite_report_is_partition_independent(n_workers, late, early,
     with pytest.raises(NumericalBreakdownError, match=expected):
         simulate_ensemble(df, x0, df.params, 1e-3, 3, seed=1,
                           n_workers=n_workers)
-    steps = ensemble_steps(df, x0, df.params, 1e-3, 3, seed=1,
+    steps = ensemble_steps(df, x0, 1e-3, 3, seed=1,
                            n_workers=n_workers)
     next(steps)                                      # step 0 is the input
     with pytest.raises(NumericalBreakdownError, match=expected):
@@ -163,7 +164,7 @@ def test_ensemble_steps_yield_the_stored_paths(grid801, ground, p_half,
     df = drift_fields(ground, p_half)
     x0 = sample_initial(ho_ground_density(grid801.x), grid801, 40_000, seed=7)
     x0[:200] = 7.99                       # reflect at the right wall
-    steps = ensemble_steps(df, x0, p_half, 5e-3, 6, seed=7,
+    steps = ensemble_steps(df, x0, 5e-3, 6, seed=7,
                            n_workers=n_workers)
     snaps = [(id(x), x.copy()) for x in steps]
     assert len({i for i, _ in snaps}) == 1
@@ -187,23 +188,23 @@ def test_ensemble_steps_checks_arguments_on_the_call(grid801, ground, p_half,
                                                      args, kwargs, error):
     df = drift_fields(ground, p_half)
     init, mode, dt, n_steps = args
-    p = {"real": p_half,
-         "continued": continue_to_imaginary(p_half, "minus")}[mode]
+    if mode == "continued":              # a drift built by hand at -i/2
+        df = replace(df, params=continue_to_imaginary(p_half, "minus"))
     with pytest.raises(error):
-        ensemble_steps(df, init, p, dt, n_steps, 1, **kwargs)   # no next()
+        ensemble_steps(df, init, dt, n_steps, 1, **kwargs)   # no next()
 
 
 @pytest.mark.parametrize("n_workers", [None, 3])
 def test_empty_ensemble_and_zero_steps(grid801, ground, p_half, n_workers):
     df = drift_fields(ground, p_half)
-    empty = list(ensemble_steps(df, np.empty(0), p_half, 1e-3, 4, seed=1,
+    empty = list(ensemble_steps(df, np.empty(0), 1e-3, 4, seed=1,
                                 n_workers=n_workers))
     assert len(empty) == 5 and all(x.shape == (0,) for x in empty)
     e = simulate_ensemble(df, np.empty(0), p_half, 1e-3, 4, seed=1,
                           n_workers=n_workers)
     assert e.paths.shape == (0, 5)
     x0 = np.array([-9.0, 0.5, 8.25])
-    only = list(ensemble_steps(df, x0, p_half, 1e-3, 0, seed=1,
+    only = list(ensemble_steps(df, x0, 1e-3, 0, seed=1,
                                n_workers=n_workers))
     assert len(only) == 1
     assert np.array_equal(only[0], reflect(x0, grid801.x_min, grid801.x_max))
@@ -212,7 +213,7 @@ def test_empty_ensemble_and_zero_steps(grid801, ground, p_half, n_workers):
 def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half):
     df = drift_fields(ground, p_half)
     baseline = set(threading.enumerate())
-    steps = ensemble_steps(df, np.zeros(3000), p_half, 1e-3, 10, seed=1,
+    steps = ensemble_steps(df, np.zeros(3000), 1e-3, 10, seed=1,
                            n_workers=3)
     assert set(threading.enumerate()) == baseline   # no thread on the call
     next(steps)
@@ -227,7 +228,7 @@ def test_nan_drift_node_is_rejected_before_any_step():
     with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
         simulate_ensemble(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
     with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
-        ensemble_steps(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
+        ensemble_steps(df, np.full(12, -5.0), 1e-3, 3, seed=1)
 
 
 def test_store_every_matches_dense_run(grid801, ground, p_half):
@@ -275,6 +276,11 @@ def test_guards(grid801, ground, p_half):
     with pytest.raises(UnsupportedConfigError):
         simulate_ensemble(df, np.zeros(5),
                           continue_to_imaginary(p_half, "minus"), 1e-3, 5, 1)
+    # a p other than the drift's own member: the noise would be of another
+    # member than the osmotic part
+    with pytest.raises(InputError, match="drift was built at"):
+        simulate_ensemble(df, np.zeros(5), diffusion_params("nu", 1.0),
+                          1e-3, 5, 1)
     with pytest.raises(InputError):
         simulate_ensemble(df, np.zeros(5), p_half, 1.0, 5, 1)  # max|b| dt
     with pytest.raises(NumericalBreakdownError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nelsonlab import EmptyMaskError, Grid1D, InputError
-from nelsonlab.fields import WaveSolution, decompose
+from nelsonlab.fields import WaveSolution, analytic_oracle, decompose
 
 TWO_PI = 2 * np.pi
 
@@ -91,6 +91,14 @@ def test_wave_solution_shapes_and_norms(grid801, ground):
     with pytest.raises(InputError):
         WaveSolution(grid=grid801, times=np.array([0.0]),
                      psi=np.ones((2, grid801.n), dtype=complex))
+    # times must be finite and strictly increasing: a drift brackets its
+    # times by bisection, and would read the wrong row otherwise
+    psi = np.ones((2, grid801.n), dtype=complex)
+    for times in ([1.0, 0.0], [0.5, 0.5], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(InputError, match="strictly increasing"):
+            WaveSolution(grid801, times, psi)
+    with pytest.raises(InputError, match="strictly increasing"):
+        analytic_oracle("ho_coherent", {"x0": 1.0}, grid801, [1.0, 0.0])
 
 
 def test_wave_solution_is_built_from_psi_alone(grid801, ground):

@@ -21,13 +21,23 @@ is LAPACK ``stevd`` (divide and conquer) for the full spectrum, and
 it chosen by index; the choice in older scipy releases down to the 1.13
 floor has not been checked.
 
-A Hamiltonian's eigensystem comes from ``_eigh_bands``, which keeps the
-last one it computed: both continued branches and the dense and state
-forms of the conjugation share one Hamiltonian, so consecutive calls on
-it diagonalize it once.  The exact conjugation acts on states:
-``heisenberg_action`` applies the eigenvectors to state vectors, O(n^2)
-per state and lag.  Only ``heisenberg_operator`` forms the full evolved
-matrix, for the checks that test a dense X(s) itself.
+A Hamiltonian's eigensystem is a list of sectors.  Every Hamiltonian the
+checks and the benchmark build has an even potential on a box centred at
+0, so its interior commutes with the mirror J (node i to node m-1-i) and
+the position is odd under it.  Such an H splits exactly into an even and an odd sector
+of half the size (Cantoni and Butler, Linear Algebra Appl. 13, 275
+(1976), on centrosymmetric matrices), and X couples only the even sector
+to the odd one.  The split is taken when the bands equal their mirror
+image, and x is mirror-odd, to ``_MIRROR_TOL``; any other H is one sector
+with the identity fold, on the same code.  ``_eigh_bands`` solves the
+sectors and keeps the last ones it computed: both continued branches and
+the dense and state forms of the conjugation share one Hamiltonian, so
+consecutive calls on it diagonalize it once.  The exact conjugation acts
+on states: ``heisenberg_action`` folds them into the sectors in O(n) and
+applies the sector eigenvectors, O(n^2) per state and lag.  Only
+``heisenberg_operator`` forms the full evolved matrix, for the checks
+that test a dense X(s) itself: one product ``L_r A L_c^H`` of the sector
+sizes and an O(n^2) unfold.
 
 The two-time element of every member, real or continued, is one formula,
 ``dx sum_k w_k^2 exp(conj(nu) mu_k s)``, over the eigenpairs of the
@@ -73,32 +83,120 @@ def _interior_bands(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     return diag.real, upper.real
 
 
+# largest mirror defect accepted, relative to ||H|| = max|d| + 2 max|e|
+# for the bands and to max|x| for the position.  Measured on n = 21 to
+# 16001 and the boxes [-L, L], L = 6, 8, 10, 16: the oscillator's bands
+# reach 2.5 eps ||H||, the double well's (x^2 - 4)^2 / 16 6.9 eps ||H||,
+# and x 1.7 eps max|x|.
+_MIRROR_TOL = 16 * np.finfo(float).eps
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _mirrored(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the tridiagonal H of bands ``diag``, ``off`` commutes with
+    the mirror J to rounding and the diagonal x anticommutes with it.
+
+    Both are asked to ``_MIRROR_TOL``.  The split then conjugates by H',
+    the mirror image of H's first half, and the mirror-odd part of x,
+    ``(x - Jx) / 2``.  Dropping x's even part moves X(s) by at most its
+    largest entry, ``_MIRROR_TOL max|x|`` (conjugation is unitary), and
+    ``||H - H'|| <= 3 _MIRROR_TOL ||H||`` moves it by at most
+    ``2 |s| ||H - H'|| max|x| / hbar``.
+    """
+    if diag.size < 2:
+        return False
+    scale = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    return (max(np.max(np.abs(diag - diag[::-1])),
+                np.max(np.abs(off - off[::-1]))) <= _MIRROR_TOL * scale
+            and np.max(np.abs(x + x[::-1])) <= _MIRROR_TOL * np.max(np.abs(x)))
+
+
+def _sector_bands(diag: np.ndarray, off: np.ndarray, split: bool
+                  ) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """``(parity, diag, off)`` of each sector of the tridiagonal H.
+
+    Without the split, H itself with parity 0, the identity fold.  With
+    it, the even (+1) and odd (-1) blocks, of the sizes ``ceil(m/2)`` and
+    ``floor(m/2)``, from the first half of the bands: for ``m = 2h`` the
+    even block ends in ``d[h-1] + e[h-1]`` and the odd one in
+    ``d[h-1] - e[h-1]``; for ``m = 2h + 1`` the centre node joins the even
+    block through ``sqrt(2) e[h-1]``.
+    """
+    if not split:
+        return ((0, diag, off),)
+    h = diag.size // 2
+    if diag.size % 2:
+        even_off = off[:h].copy()
+        even_off[-1] *= np.sqrt(2.0)
+        return ((1, diag[:h + 1], even_off), (-1, diag[:h], off[:h - 1]))
+    even, odd = diag[:h].copy(), diag[:h].copy()
+    even[-1] += off[h - 1]
+    odd[-1] -= off[h - 1]
+    return ((1, even, off[:h - 1]), (-1, odd, off[:h - 1]))
+
+
+def _restrict(v: np.ndarray, parity: int) -> np.ndarray:
+    """``v Q``: the m interior values on v's last axis in the orthonormal
+    coordinates of the sector of ``parity`` (0 is the identity fold)."""
+    if not parity:
+        return v
+    h = v.shape[-1] // 2
+    out = (v[..., :h] + parity * v[..., :-h - 1:-1]) * _HALF_SQRT2
+    if parity > 0 and v.shape[-1] % 2:
+        out = np.concatenate((out, v[..., h:h + 1]), axis=-1)
+    return out
+
+
+def _expand(w: np.ndarray, parity: int, m: int, axis: int = -1
+            ) -> np.ndarray:
+    """``Q w`` along ``axis``: sector coordinates back to the m interior
+    values; the inverse of ``_restrict`` on its sector."""
+    if not parity:
+        return w
+    h = m // 2
+    shape = list(w.shape)
+    shape[axis] = m
+    out = np.zeros(shape, w.dtype)
+    # written through views with the sector axis last; out keeps its layout
+    o, w = np.moveaxis(out, axis, -1), np.moveaxis(w, axis, -1)
+    o[..., :h] = w[..., :h] * _HALF_SQRT2
+    o[..., :-h - 1:-1] = parity * o[..., :h]
+    if parity > 0 and m % 2:
+        o[..., h] = w[..., h]
+    return out
+
+
 # (key, result) of the last solve: one entry, replaced by one assignment
 _last_eigensystem: tuple | None = None
 
 
-def _eigh_bands(diag: np.ndarray, off: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``(lam, U)`` of ``eigh_tridiagonal`` on the two bands of a real
-    symmetric matrix.
+def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
+                ) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """``(parity, lam, U)`` of each sector of ``_sector_bands``, from
+    ``eigh_tridiagonal`` on the sector's bands.
 
-    The last eigensystem is kept, keyed on the exact bytes of both bands,
-    so a repeat call on the same matrix returns it without a new solve; the
-    solver is deterministic, so the result is the one a fresh solve gives.
-    The returned arrays are read-only.
+    The last sectors are kept, keyed on the split and the exact bytes of
+    both bands, so a repeat call on the same matrix returns them without a
+    new solve; the solver is deterministic, so the result is the one fresh
+    solves give.  The returned arrays are read-only.
     """
     global _last_eigensystem
-    key = (diag.dtype.str, diag.tobytes(), off.dtype.str, off.tobytes())
+    key = (split, diag.dtype.str, diag.tobytes(), off.dtype.str,
+           off.tobytes())
     last = _last_eigensystem
     if last is not None and last[0] == key:
         return last[1]
-    try:
-        lam, U = eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalBreakdownError("eigendecomposition failed") from exc
-    lam.flags.writeable = U.flags.writeable = False
-    _last_eigensystem = (key, (lam, U))
-    return lam, U
+    sectors = []
+    for parity, d, e in _sector_bands(diag, off, split):
+        try:
+            lam, U = eigh_tridiagonal(d, e)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise NumericalBreakdownError("eigendecomposition failed") from exc
+        lam.flags.writeable = U.flags.writeable = False
+        sectors.append((parity, lam, U))
+    sectors = tuple(sectors)
+    _last_eigensystem = (key, sectors)
+    return sectors
 
 
 # bound on the weight a window leaves out, relative to ||x theta||^2
@@ -219,9 +317,15 @@ def _lags(s: float | Sequence[float]) -> np.ndarray:
 
 def _conjugation_eigensystem(X: OperatorMatrix, H: OperatorMatrix,
                              p: DiffusionParams):
-    """``(lam, U)`` of the interior of H, after the checks the exact
-    conjugation needs: a continued branch, a diagonal X and an H that is
-    real symmetric tridiagonal on the interior."""
+    """``(sectors, (r, c, a))`` for the exact conjugation, after the checks
+    it needs: a continued branch, a real diagonal X and an H that is real
+    symmetric tridiagonal on the interior.
+
+    ``sectors`` are those of ``_eigh_bands``.  In their coordinates X is
+    the diagonal ``a`` from sector c to sector r and its transpose back:
+    x itself on the one sector, or x's mirror-odd part on the first half
+    of the nodes from the odd sector to the even one.
+    """
     if p.is_real:
         raise UnsupportedConfigError(
             "exact conjugation is a continued-branch operation; use "
@@ -230,7 +334,17 @@ def _conjugation_eigensystem(X: OperatorMatrix, H: OperatorMatrix,
         raise InputError("X and H act on different grids")
     if any(d.any() for k, d in X.diagonals.items() if k != 0):
         raise InputError("exact conjugation needs a diagonal position operator")
-    return _eigh_bands(*_interior_bands(H))
+    x = X.diagonal(0)
+    if np.iscomplexobj(x) and x.imag.any():
+        raise InputError("exact conjugation needs a real position operator")
+    diag, off = _interior_bands(H)
+    x = x.real[1:-1]
+    split = _mirrored(diag, off, x)
+    sectors = _eigh_bands(diag, off, split)
+    if not split:
+        return sectors, (0, 0, x)
+    h = x.size // 2
+    return sectors, (0, 1, (x[:h] - x[:-h - 1:-1]) / 2.0)
 
 
 def time_derivative_recursion(X0: OperatorMatrix, H: OperatorMatrix,
@@ -275,24 +389,37 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
 
     ``X(s) = L X L^H`` with ``L = exp(s H / 2 m nu)``, on the recursion's
     scale: ``exp(+i H s / hbar)`` on the minus branch (the standard
-    convention), realized by the eigensystem of the Hamiltonian on the
-    interior nodes (hard walls).  Boundary rows are those of X.
+    convention), realized by the sector eigensystems of the Hamiltonian on
+    the interior nodes (hard walls).  Boundary rows are those of X.
 
-    The interior of H must be real symmetric tridiagonal and X diagonal,
-    as ``hamiltonian`` and ``position_operator`` build them.  X(s) is a
-    full matrix: it is formed dense and stored through ``from_dense``.
-    Where only its action on states is needed, ``heisenberg_action``
-    gives it in O(n^2) per state.
+    L is block diagonal on the sectors, ``L_r = U_r e^{i phi_r} U_r^T``,
+    and X couples sector c to sector r through the diagonal A, so the one
+    block ``B = L_r A L_c^H = U_r (e^{i phi_r} U_r^T A U_c e^{-i phi_c})
+    U_c^T`` is three products of the sector sizes; on a mirrored H the
+    interior is ``Q_r B Q_c^T`` plus its adjoint, an O(n^2) unfold.  The
+    split and what it may move are stated at ``_mirrored``.
+
+    The interior of H must be real symmetric tridiagonal and X real
+    diagonal, as ``hamiltonian`` and ``position_operator`` build them.
+    X(s) is a full matrix: it is formed dense and stored through
+    ``from_dense``.  Where only its action on states is needed,
+    ``heisenberg_action`` gives it in O(n^2) per state.
     """
-    lam, U = _conjugation_eigensystem(X, H, p)
-    x = X.diagonal(0)
-    # L = U e^{i phi} U^T with i phi = lam s / (2 m nu), imaginary
-    phi = (lam * (s / (2.0 * MASS * p.nu))).imag
-    left = np.empty(U.shape, dtype=complex)
-    left.real = (U * np.cos(phi)) @ U.T
-    left.imag = (U * np.sin(phi)) @ U.T
-    out = np.diag(x.astype(complex))
-    out[1:-1, 1:-1] = (left * x[1:-1]) @ left.conj()
+    sectors, (r, c, a) = _conjugation_eigensystem(X, H, p)
+    (parity_r, lam_r, U_r), (parity_c, lam_c, U_c) = sectors[r], sectors[c]
+    k, m = a.size, X.space.grid.n - 2
+    scale = s / (2.0 * MASS * p.nu)                 # i phi = lam scale
+    inner = U_r[:k].T @ (a[:, None] * U_c[:k])     # U_r^T A U_c
+    inner = np.exp(lam_r * scale)[:, None] * inner * np.exp(-lam_c * scale)
+    block = _real_right_matmul(_real_right_matmul(inner.T, U_r.T).T, U_c.T)
+    block = _expand(_expand(block, parity_c, m), parity_r, m, axis=0)
+    out = np.diag(X.diagonal(0).astype(complex))
+    interior = out[1:-1, 1:-1]
+    if r == c:
+        interior[...] = block
+    else:                                     # Q_r B Q_c^T and its adjoint
+        np.conjugate(block.T, out=interior)
+        interior += block
     return OperatorMatrix.from_dense(X.space, out)
 
 
@@ -303,33 +430,43 @@ def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,
     """``X(s) psi`` of ``heisenberg_operator`` for each state, without
     forming X(s).
 
-    On the interior ``X(s) = L x L^H`` with ``L = U e^{i phi} U^T``, so
-    ``X(s) psi`` there is ``L (x . L^H psi)``: four products by the
-    eigenvector matrix U, O(n^2) per state and lag.  The boundary rows are
-    those of X.  H is diagonalized at most once per call, and not at all
-    when the previous eigensolve was of the same interior bands.
+    On the interior ``X(s) = L X L^H`` with L block diagonal on the
+    sectors, ``L_r = U_r e^{i phi_r} U_r^T``.  Each state is folded into
+    the sectors in O(n); there ``L^H`` is applied, then X (x's diagonal
+    from each sector to its partner), then L, four products by the sector
+    eigenvectors, O(n^2) per state and lag; the result is unfolded.  The
+    boundary rows are those of X.  H is diagonalized at most once per
+    call, and not at all when the previous eigensolve was of the same
+    interior bands.
 
     ``states`` holds nodal fields as rows, shape ``(k, n)``.  ``s`` is a
     scalar or a 1-D sequence of lags; the result has shape ``(k, n)`` for a
     scalar and ``(len(s), k, n)`` for a sequence, and its element ``j`` is
     the scalar call at ``s[j]`` bit for bit.
     """
-    lam, U = _conjugation_eigensystem(X, H, p)
+    sectors, (r, c, a) = _conjugation_eigensystem(X, H, p)
     lags = _lags(s)
     states = np.asarray(states)
     n = X.space.grid.n
     if states.ndim != 2 or states.shape[1] != n:
         raise InputError(f"states must be rows of nodal fields of n={n}; "
                          f"got shape {states.shape}")
-    x = X.diagonal(0)
-    coeffs = _real_right_matmul(states[:, 1:-1], U)       # (U^T psi)^T
-    out = np.empty((lags.size, *states.shape), complex)
+    x, k = X.diagonal(0), a.size
+    coeffs = [_real_right_matmul(_restrict(states[:, 1:-1], parity), U)
+              for parity, _, U in sectors]                 # (U^T Q^T psi)^T
+    out = np.zeros((lags.size, *states.shape), complex)
     out[:, :, [0, -1]] = x[[0, -1]] * states[:, [0, -1]]
     for j, lag in enumerate(lags.ravel()):
-        phase = np.exp(-lam * (lag / (2.0 * MASS * p.nu)))   # e^{-i phi}
-        w = x[1:-1] * _real_right_matmul(coeffs * phase, U.T)
-        out[j, :, 1:-1] = _real_right_matmul(
-            _real_right_matmul(w, U) * phase.conj(), U.T)
+        phases = [np.exp(-lam * (lag / (2.0 * MASS * p.nu)))  # e^{-i phi}
+                  for _, lam, _ in sectors]
+        back = [_real_right_matmul(cf * ph, U.T)               # L^H psi
+                for cf, ph, (_, _, U) in zip(coeffs, phases, sectors)]
+        moved = [np.zeros_like(b) for b in back]
+        for i, i_from in {(r, c), (c, r)}:
+            moved[i][:, :k] = a * back[i_from][:, :k]
+        for w, ph, (parity, _, U) in zip(moved, phases, sectors):
+            out[j, :, 1:-1] += _expand(_real_right_matmul(
+                _real_right_matmul(w, U) * ph.conj(), U.T), parity, n - 2)
     return out[0] if lags.ndim == 0 else out
 
 

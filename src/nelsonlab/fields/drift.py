@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
 from ..finitediff import gradient, masked_gradient
 from ..grids import Grid1D
 from ..params import HBAR, MASS, DiffusionParams
@@ -30,7 +31,11 @@ DEFAULT_B_CAP = 1e3
 
 @dataclass
 class DriftField:
-    """Nodal forward/backward drifts at the stored times of a solution."""
+    """Nodal forward/backward drifts at the stored times of a solution.
+
+    ``times`` must be finite and strictly increasing, as a
+    ``WaveSolution``'s are: ``b_on_grid`` bisects them.
+    """
 
     grid: Grid1D
     times: np.ndarray
@@ -38,6 +43,13 @@ class DriftField:
     b_star: np.ndarray
     params: DiffusionParams
     provenance: str = ""
+
+    def __post_init__(self):
+        self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
+        if not (np.isfinite(self.times).all()
+                and (np.diff(self.times) > 0).all()):
+            raise InputError(f"times must be finite and strictly increasing, "
+                             f"got {self.times.tolist()}")
 
     @property
     def static(self) -> bool:

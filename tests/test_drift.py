@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nelsonlab import Grid1D, UnsupportedConfigError, diffusion_params, continue_to_imaginary
+from nelsonlab import (Grid1D, InputError, UnsupportedConfigError,
+                       continue_to_imaginary, diffusion_params)
 from nelsonlab.fields import WaveSolution, analytic_oracle, drift_fields
 from nelsonlab.fields.drift import (DEFAULT_B_CAP, DriftField,
                                     log_density_gradient)
@@ -78,6 +79,19 @@ def test_time_interpolation(grid801):
     # clamping at the ends of the stored range
     assert np.array_equal(df.b_on_grid(-1.0), df.b[0])
     assert np.array_equal(df.b_on_grid(2.0), df.b[1])
+
+
+@pytest.mark.parametrize("times", [[1.0, 0.0], [0.5, 0.5], [0.0, np.nan],
+                                   [0.0, np.inf]],
+                         ids=["decreasing", "repeated", "nan", "inf"])
+def test_hand_built_drift_refuses_times_it_cannot_bisect(grid801, p_half,
+                                                         times):
+    """Built by hand with ``times = [1, 0]``, ``b_on_grid(0.0)`` used to
+    return the t = 1 row; such times are now refused when built."""
+    b = np.zeros((2, grid801.n))
+    with pytest.raises(InputError, match="strictly increasing"):
+        DriftField(grid=grid801, times=np.array(times), b=b, b_star=b,
+                   params=p_half)
 
 
 def test_pointwise_interpolation_matches_linear(grid801, ground, p_half, rng):

@@ -327,6 +327,10 @@ def test_heisenberg_needs_tridiagonal_h_and_diagonal_x():
     with pytest.raises(InputError, match="diagonal"):
         heisenberg_operator(OperatorMatrix.from_dense(sp, smeared), H, 0.3,
                             pc)
+    # X(s) of a complex diagonal is not the adjoint pair the sectors form
+    with pytest.raises(InputError, match="real position"):
+        heisenberg_operator(OperatorMatrix(sp, {0: grid.x + 0.1j}), H, 0.3,
+                            pc)
     # the state action shares these checks
     states = np.ones((1, grid.n))
     with pytest.raises(InputError, match="tridiagonal"):
@@ -362,28 +366,34 @@ def test_heisenberg_action_equals_dense_conjugation(small, sign):
 
 @pytest.mark.parametrize("sign, i_sign", [("minus", 1), ("plus", -1)],
                          ids=["minus", "plus"])
-def test_conjugation_matches_expm_of_dense_hamiltonian(sign, i_sign):
+def test_conjugation_matches_expm_of_dense_hamiltonian(solves, sign, i_sign):
     """Independent oracle for the exact conjugation: on the interior,
     ``X(s) = L X L^H`` with ``L = expm(+i H s / hbar)`` of the dense
     interior H on the minus branch and ``expm(-i H s / hbar)`` on the plus
-    branch, no eigensystem involved."""
+    branch, no eigensystem involved.  Odd (n = 61) and even (n = 62)
+    interior counts, on the mirrored oscillator, which is solved as its
+    two sectors, and on a tilted one, which is solved whole."""
     from scipy.linalg import expm
-    grid = Grid1D(-8.0, 8.0, 61)
-    sp = build_space(grid, "L2")
-    X = position_operator(sp)
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
-    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
-    states = np.random.default_rng(3).standard_normal((3, grid.n)) + 0j
-    for s in (0.3, 1.7):
-        L = expm(i_sign * 1j * s / HBAR * H.matrix[1:-1, 1:-1].real)
-        ref = np.diag(grid.x.astype(complex))
-        ref[1:-1, 1:-1] = (L * grid.x[1:-1]) @ L.conj().T
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(heisenberg_operator(X, H, s, pc).matrix - ref)) \
-            < 1e-12 * scale
-        got = heisenberg_action(X, H, s, pc, states)
-        assert np.max(np.abs(got - states @ ref.T)) \
-            < 1e-12 * np.max(np.abs(states @ ref.T))
+    for n, tilt in ((61, 0.0), (62, 0.0), (61, 0.3), (62, 0.3)):
+        grid = Grid1D(-8.0, 8.0, n)
+        sp = build_space(grid, "L2")
+        X = position_operator(sp)
+        H = hamiltonian(None, pc, 0.5 * grid.x ** 2 + tilt * grid.x, sp)
+        states = np.random.default_rng(3).standard_normal((3, grid.n)) + 0j
+        count = len(solves)
+        for s in (0.3, 1.7):
+            L = expm(i_sign * 1j * s / HBAR * H.matrix[1:-1, 1:-1].real)
+            ref = np.diag(grid.x.astype(complex))
+            ref[1:-1, 1:-1] = (L * grid.x[1:-1]) @ L.conj().T
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(
+                heisenberg_operator(X, H, s, pc).matrix - ref)) < 1e-12 * scale
+            got = heisenberg_action(X, H, s, pc, states)
+            assert np.max(np.abs(got - states @ ref.T)) \
+                < 1e-12 * np.max(np.abs(states @ ref.T))
+        m = n - 2
+        assert solves[count:] == ([m] if tilt else [(m + 1) // 2, m // 2])
 
 
 def test_heisenberg_action_at_zero_lag_is_position(small):
@@ -479,17 +489,27 @@ def solves(monkeypatch):
     return calls
 
 
-def _fresh(H):
+def _fresh(H, split):
+    """``(parity, lam, U)`` of each sector of H from fresh solves that
+    bypass the kept eigensystem."""
     from scipy import linalg
 
-    from nelsonlab.algebra.evolution import _interior_bands
-    return linalg.eigh_tridiagonal(*_interior_bands(H))
+    from nelsonlab.algebra.evolution import _interior_bands, _sector_bands
+    return [(parity, *linalg.eigh_tridiagonal(d, e))
+            for parity, d, e in _sector_bands(*_interior_bands(H), split)]
+
+
+def _same_sectors(got, ref):
+    return len(got) == len(ref) and all(
+        pg == pr and np.array_equal(lg, lr) and np.array_equal(ug, ur)
+        for (pg, lg, ug), (pr, lr, ur) in zip(got, ref))
 
 
 def test_conjugation_paths_share_one_eigensolve(solves):
     """The dense and state conjugations and the Hamiltonian route of both
-    continued two-time branches on one grid and V diagonalize H once, and
-    every result equals the one from fresh solves bit for bit."""
+    continued two-time branches on one grid and V diagonalize H once, as
+    its two mirror sectors of 100 and 99 nodes, and every result equals
+    the one from fresh sector solves bit for bit."""
     from nelsonlab.algebra import evolution
     from nelsonlab.harness.checks import _hamiltonian_two_time
     grid = Grid1D(-8.0, 8.0, 201)
@@ -506,15 +526,15 @@ def test_conjugation_paths_share_one_eigensolve(solves):
              lambda: _hamiltonian_two_time(ws, pm, [0.25, 1.0], V),
              lambda: _hamiltonian_two_time(ws, pp, [0.25, 1.0], V))
     shared = [call() for call in calls]
-    assert solves == [grid.n - 2]
-    lam, U = evolution._eigh_bands(*evolution._interior_bands(H))
-    ref_lam, ref_U = _fresh(H)
-    assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
-    assert solves == [grid.n - 2]
+    assert solves == [100, 99]
+    bands = evolution._interior_bands(H)
+    assert evolution._mirrored(*bands, grid.x[1:-1])
+    assert _same_sectors(evolution._eigh_bands(*bands, True), _fresh(H, True))
+    assert solves == [100, 99]
     for call, got in zip(calls, shared):
         evolution._last_eigensystem = None
         assert np.array_equal(got, call())
-    assert len(solves) == 5
+    assert solves == [100, 99] * 5
 
 
 def test_one_ulp_change_in_v_is_a_new_eigensolve(solves):
@@ -530,34 +550,45 @@ def test_one_ulp_change_in_v_is_a_new_eigensolve(solves):
     states = [X.apply(np.exp(-grid.x ** 2))]
     heisenberg_action(X, H, 0.5, pc, states)
     got = heisenberg_action(X, Hb, 0.5, pc, states)
-    assert len(solves) == 2
+    assert solves == [100, 99] * 2     # both mirrored to rounding
     from nelsonlab.algebra import evolution
     evolution._last_eigensystem = None
     assert np.array_equal(got, heisenberg_action(X, Hb, 0.5, pc, states))
 
 
 def test_alternating_hamiltonians_match_fresh_solves(solves):
-    from nelsonlab.algebra.evolution import _eigh_bands, _interior_bands
+    """Mirrored Hamiltonians give their fresh sector solves and a tilted
+    one its fresh full solve, bit for bit, whatever was kept before."""
+    from nelsonlab.algebra.evolution import (_eigh_bands, _interior_bands,
+                                             _mirrored)
     grid = Grid1D(-8.0, 8.0, 201)
     sp = build_space(grid, "L2")
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     A = hamiltonian(None, pc, 0.5 * grid.x ** 2, sp)
     B = hamiltonian(None, pc, 0.25 * grid.x ** 2, sp)
-    for H in (A, B, A):
-        lam, U = _eigh_bands(*_interior_bands(H))
-        ref_lam, ref_U = _fresh(H)
-        assert np.array_equal(lam, ref_lam) and np.array_equal(U, ref_U)
-    assert len(solves) == 3
+    T = hamiltonian(None, pc, 0.5 * grid.x ** 2 + 0.3 * grid.x, sp)
+    for H, split in ((A, True), (T, False), (B, True), (A, True)):
+        bands = _interior_bands(H)
+        assert _mirrored(*bands, grid.x[1:-1]) == split
+        assert _same_sectors(_eigh_bands(*bands, split), _fresh(H, split))
+    assert solves == [100, 99, 199, 100, 99, 100, 99]
 
 
 def test_held_eigensystem_is_read_only(solves):
     from nelsonlab.algebra.evolution import _eigh_bands
-    lam, U = _eigh_bands(np.arange(5.0), np.ones(4))
-    assert not lam.flags.writeable and not U.flags.writeable
-    with pytest.raises(ValueError):
-        U[0, 0] = 1.0
-    again = _eigh_bands(np.arange(5.0), np.ones(4))
-    assert again[0] is lam and again[1] is U and len(solves) == 1
+    for diag, split in ((np.arange(5.0), False),
+                        (np.array([1.0, 2.0, 3.0, 2.0, 1.0]), True)):
+        count = len(solves)
+        sectors = _eigh_bands(diag, np.ones(4), split)
+        for _, lam, U in sectors:
+            assert not lam.flags.writeable and not U.flags.writeable
+            with pytest.raises(ValueError):
+                U[0, 0] = 1.0
+        again = _eigh_bands(diag, np.ones(4), split)
+        assert all(a[1] is b[1] and a[2] is b[2]
+                   for a, b in zip(again, sectors))
+        assert len(solves) == count + len(sectors)
+    assert solves == [5, 3, 2]
 
 
 def test_held_eigensystem_is_keyed_on_both_bands(solves):
@@ -565,13 +596,30 @@ def test_held_eigensystem_is_keyed_on_both_bands(solves):
     diag, off = np.arange(5.0), np.ones(4)
     for bands in ((diag, off), (diag, 2.0 * off), (diag + 1.0, 2.0 * off),
                   (diag + 1.0, 2.0 * off)):
-        _eigh_bands(*bands)
+        _eigh_bands(*bands, False)
     assert len(solves) == 3
 
 
 def test_threads_on_different_grids_get_their_serial_results():
     from concurrent.futures import ThreadPoolExecutor
     lags = [0.25, 1.0]
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    actions = []
+    for n, tilt in ((201, 0.0), (241, 0.3)):     # two sectors, and one
+        grid = Grid1D(-8.0, 8.0, n)
+        sp = build_space(grid, "L2")
+        X = position_operator(sp)
+        H = hamiltonian(None, pc, 0.5 * grid.x ** 2 + tilt * grid.x, sp)
+        actions.append((X, H, [X.apply(np.exp(-grid.x ** 2))]))
+    serial = [heisenberg_action(X, H, lags, pc, st) for X, H, st in actions]
+
+    def act(job):
+        X, H, st = job
+        return [heisenberg_action(X, H, lags, pc, st) for _ in range(20)]
+
+    with ThreadPoolExecutor(2) as pool:
+        for runs, ref in zip(pool.map(act, actions), serial):
+            assert all(np.array_equal(r, ref) for r in runs)
     jobs = []
     for n, p in ((201, continue_to_imaginary(diffusion_params("nu", 0.5),
                                              "minus")),
@@ -590,15 +638,17 @@ def test_threads_on_different_grids_get_their_serial_results():
 
 def test_fast_suite_makes_three_conjugation_eigensolves_per_run(solves):
     """Heisenberg Taylor (n = 25 and 31) and the n = 801 Hamiltonian shared
-    by the closed-form and continued two-time checks: three solves, and as
-    many again on a second run, so no Hamiltonian is reused across runs.
-    The continued two-time check solves one window of 64 stationary
-    eigenpairs, which the second run finds kept."""
+    by the closed-form and continued two-time checks: three Hamiltonians,
+    each mirrored and solved as its two sectors (interior counts 23, 29
+    and 799), and as many again on a second run, so no Hamiltonian is
+    reused across runs.  The continued two-time check solves one window
+    of 64 stationary eigenpairs, which the second run finds kept."""
     from nelsonlab.harness.suite import verify_suite
+    run = [12, 11, 15, 14, 400, 399]
     verify_suite("fast")
-    assert solves == [23, 29, 799] and solves.windows == [(799, 64)]
+    assert solves == run and solves.windows == [(799, 64)]
     verify_suite("fast")
-    assert solves == [23, 29, 799] * 2 and solves.windows == [(799, 64)]
+    assert solves == run * 2 and solves.windows == [(799, 64)]
 
 
 def test_lags_must_be_finite(small, grid801):
@@ -672,13 +722,13 @@ def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
     m = grid801.n - 2
     _hamiltonian_two_time(ws, pm, [0.5], V)
     held = evolution._last_eigensystem
-    assert solves == [m]
+    assert solves == [400, 399]
     for p in _members():
         for lag in (0.5, 0.005):
             two_time_position_correlation(ws, p, lag)
             assert evolution._last_eigensystem is held
             _hamiltonian_two_time(ws, pp, [0.5], V)
-            assert solves == [m]
+            assert solves == [400, 399]
     assert solves.windows == [(m, 64)]
 
 

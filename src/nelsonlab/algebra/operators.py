@@ -41,6 +41,7 @@ from ..errors import EmptyMaskError, InputError, UnsupportedConfigError
 from ..fields.drift import DriftField
 from ..fields.wave import WaveSolution
 from ..finitediff import gradient, laplacian, masked_gradient
+from ..grids import real_potential
 from ..params import HBAR, MASS, DiffusionParams
 from .spaces import WeightedSpace
 
@@ -334,9 +335,7 @@ def acceleration_function(ws: WaveSolution, p: DiffusionParams,
 
     a_drift = db_dt + nu * laplacian(b, grid.dx) + 0.5 * gradient(b * b, grid.dx)
 
-    V = np.asarray(V, dtype=float)
-    if V.shape != (grid.n,):
-        raise InputError("V must be a nodal field on the grid")
+    V = real_potential(V, grid)
     coeff = rho_term_coefficient(p).real
     q, _ = density_curvature(ws, t_index)
     a_pot = (-gradient(V, grid.dx) + gradient(coeff * q, grid.dx)) / MASS
@@ -360,10 +359,8 @@ def hamiltonian(ws: WaveSolution | None, p: DiffusionParams, V: np.ndarray,
     On the continued branches that term's coefficient is exactly zero, H
     is the standard ``-(hbar^2/2m) Lap + V`` and ``ws`` is not needed.
     """
-    V = np.asarray(V, dtype=float)
     grid = space.grid
-    if V.shape != (grid.n,):
-        raise InputError("V must be a nodal field on the grid")
+    V = real_potential(V, grid)
     coeff = rho_term_coefficient(p).real
     diag = V.copy()
     if coeff:

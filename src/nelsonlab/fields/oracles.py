@@ -101,6 +101,11 @@ def _free_gaussian_psi(x, t, sigma0, x0, k0):
     return envelope * np.exp(-(x - xc) ** 2 / (4.0 * sigma0 ** 2 * gamma)) * boost
 
 
+def ho_potential(x: np.ndarray) -> np.ndarray:
+    """The harmonic well ``m omega^2 x^2 / 2`` of the ``ho_*`` oracles."""
+    return 0.5 * MASS * OMEGA ** 2 * x ** 2
+
+
 def ho_ground_density(x: np.ndarray) -> np.ndarray:
     """Exact ground-state density (Gaussian of variance hbar/2m omega)."""
     a = MASS * OMEGA / HBAR

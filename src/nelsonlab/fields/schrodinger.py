@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InputError, NumericalBreakdownError
-from ..grids import Grid1D
+from ..grids import Grid1D, real_potential
 from ..params import HBAR, MASS
 from .stepping import crank_nicolson
 from .wave import WaveSolution
@@ -46,15 +46,16 @@ def solve_schrodinger(V: np.ndarray, psi0: np.ndarray, grid: Grid1D,
     Raises
     ------
     InputError
-        Non-normalized or non-finite psi0, non-finite or complex V, bad dt.
+        Non-normalized or non-finite psi0, non-finite or complex V, bad dt,
+        or a ``V`` or ``psi0`` that is not a nodal field on the grid.
     NumericalBreakdownError
         If LAPACK reports a singular factor or a failed solve, or a step
         leaves a non-finite value (reported with its step index).
     """
-    V = np.asarray(V, dtype=float)
+    V = real_potential(V, grid)
     psi0 = np.asarray(psi0, dtype=complex)
-    if V.shape != (grid.n,) or psi0.shape != (grid.n,):
-        raise InputError("V and psi0 must be nodal fields on the grid")
+    if psi0.shape != (grid.n,):
+        raise InputError("psi0 must be a nodal field on the grid")
     if not np.all(np.isfinite(V)):
         raise InputError("V must be finite")
     if not np.all(np.isfinite(psi0)):

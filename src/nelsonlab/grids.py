@@ -47,3 +47,18 @@ class Grid1D:
     def trapezoid(self, f: np.ndarray) -> float | complex:
         """Trapezoidal quadrature of a nodal field."""
         return np.trapezoid(f, dx=self.dx)
+
+
+def real_potential(V, grid: Grid1D) -> np.ndarray:
+    """``V`` as a float array of one value per node of ``grid``.
+
+    Raises InputError for any other shape, and for a nonzero imaginary
+    part, which a float conversion would drop without a word.
+    """
+    V = np.asarray(V)
+    if V.shape != (grid.n,):
+        raise InputError("V must be a nodal field on the grid")
+    if np.iscomplexobj(V) and np.any(V.imag != 0):
+        raise InputError("V must be real: a complex potential does not "
+                         "conserve the norm")
+    return np.asarray(V.real, dtype=float)

@@ -16,6 +16,8 @@ same content, which must pass.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
@@ -33,7 +35,8 @@ from ..errors import DomainError
 from ..fields import (analytic_oracle, decompose, diffusion_params,
                       continue_to_imaginary, drift_fields,
                       evolve_density_fokker_planck, free_gaussian_variance,
-                      ho_ground_density, l1_distance, solve_schrodinger)
+                      ho_ground_density, ho_potential, l1_distance,
+                      solve_schrodinger)
 from ..fields.drift import DriftField, log_density_gradient
 from ..fields.wave import WaveSolution
 from ..finitediff import gradient
@@ -49,7 +52,8 @@ from .report import FAIL, INCONCLUSIVE, PASS, CheckRecord, digest
 
 
 class CheckContext:
-    """Shared lazily-computed inputs for the checks of one run."""
+    """Shared lazily-computed inputs for the checks of one run: every
+    member, space and operator that two checks use is built here once."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -75,6 +79,31 @@ class CheckContext:
     def ho_ground(self, grid: Grid1D):
         return self.memo(("ho_ground", grid),
                          lambda: analytic_oracle("ho_ground", None, grid, [0.0]))
+
+    def continued(self, grid: Grid1D, sign: str) -> SimpleNamespace:
+        """The continued member ``p`` on ``sign``'s branch, with the flat
+        ``space`` on ``grid`` and its ``X``, ``P`` and oscillator ``H``."""
+        def build():
+            p = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
+            space = build_space(grid, "L2")
+            return SimpleNamespace(
+                p=p, space=space, X=position_operator(space),
+                P=momentum_operator(p, space),
+                H=hamiltonian(None, p, ho_potential(grid.x), space))
+        return self.memo(("continued", grid, sign), build)
+
+    def weighted(self, grid: Grid1D, nu: float) -> SimpleNamespace:
+        """The real member ``p`` at ``nu``, with the ground state's
+        density-weighted ``space`` on ``grid`` and its ``X`` and
+        oscillator ``H``."""
+        def build():
+            p = diffusion_params("nu", nu)
+            ws = self.ho_ground(grid)
+            space = build_space(grid, "H_t", ws.rho(0))
+            return SimpleNamespace(
+                p=p, space=space, X=position_operator(space),
+                H=hamiltonian(ws, p, ho_potential(grid.x), space))
+        return self.memo(("weighted", grid, nu), build)
 
     def ou_drift(self, nu: float, grid: Grid1D | None = None) -> DriftField:
         grid = grid or self.grid
@@ -112,13 +141,18 @@ def _status(value: float, tol: float) -> str:
     return PASS if value < tol else FAIL
 
 
-def _mc_status(dev: float, count: int, expected: float = 0.0,
+# noise alone gives a correct program a mean |deviation| of sqrt(2/pi) SE
+_NOISE_PER_SE = np.sqrt(2 / np.pi)
+
+
+def _mc_status(dev: float, count: int, se: float = 0.0,
                min_count: int = MIN_COUNT_ASSERT) -> tuple[str, str]:
     """The one Monte Carlo rule: (status, why it is inconclusive or "").
     ``dev``: the gate's worst deviation in units of its limit (|z|/3 for
     3-SE gates, value/tol for tolerance gates); ``count``: the samples
-    behind it; ``expected``: the deviation noise alone gives a correct
-    program, sqrt(2/pi) SE in the same units (zero for 3-SE gates)."""
+    behind it; ``se``: a tolerance gate's SE in the same units (zero for
+    3-SE gates, whose limit is already 3 SE)."""
+    expected = _NOISE_PER_SE * se
     if count < min_count:
         return INCONCLUSIVE, f"{count:.0f} samples, below {min_count}"
     if expected >= 1.0:
@@ -228,8 +262,8 @@ def check_schrodinger_stationary(ctx: CheckContext):
     tol = 1e-6
     grid = Grid1D(-8.0, 8.0, 6401)
     ws0 = ctx.ho_ground(grid)
-    V = 0.5 * grid.x ** 2
-    sol = solve_schrodinger(V, ws0.psi[0], grid, 1e-3, 1000, store_every=100)
+    sol = solve_schrodinger(ho_potential(grid.x), ws0.psi[0], grid, 1e-3,
+                            1000, store_every=100)
     dens_err = float(np.max(np.abs(np.abs(sol.psi[-1]) ** 2
                                    - np.abs(sol.psi[0]) ** 2)))
     norms = sol.norms()
@@ -361,17 +395,14 @@ def check_commutator_exact(ctx: CheckContext):
     """[velocity, X] = 2 nu A exactly (A = discrete averaging unit)."""
     tol = 1e-12
     grid = ctx.dyadic_grid
-    ws = ctx.ho_ground(grid)
     A = averaging_bands(grid.n)
     devs = {}
     for nu in (0.5, 1.0, 2.0):
-        df = ctx.ou_drift(nu, grid)
-        space = build_space(grid, "H_t", ws.rho(0))
-        X = position_operator(space)
-        vel = velocity_operator(df, space)
-        devs[f"nu={nu}"] = _gap(commutator(vel, X).diagonals,
+        m = ctx.weighted(grid, nu)
+        vel = velocity_operator(ctx.ou_drift(nu, grid), m.space)
+        devs[f"nu={nu}"] = _gap(commutator(vel, m.X).diagonals,
                                 {k: 2 * nu * d for k, d in A.items()})
-        devs[f"[X,X]_nu={nu}"] = _gap(commutator(X, X).diagonals, {})
+        devs[f"[X,X]_nu={nu}"] = _gap(commutator(m.X, m.X).diagonals, {})
     worst = float(max(devs.values()))
     return [ctx.record(
         "commutator_exact", "commutation-rules", _status(worst, tol),
@@ -394,18 +425,13 @@ def check_commutator_pointwise_literal(ctx: CheckContext):
     """
     tol = 1e-12
     grid = ctx.grid
-    ws = ctx.ho_ground(grid)
-    p = diffusion_params("nu", 0.5)
-    df = ctx.ou_drift(0.5, grid)
-    space = build_space(grid, "H_t", ws.rho(0))
-    X = position_operator(space)
-    vel = velocity_operator(df, space)
-    C = commutator(vel, X)
-    worst = max(float(np.max(np.abs((C @ f - 2 * p.nu_real * f)[1:-1])))
+    m = ctx.weighted(grid, 0.5)
+    C = commutator(velocity_operator(ctx.ou_drift(0.5, grid), m.space), m.X)
+    two_nu = 2 * m.p.nu_real
+    worst = max(float(np.max(np.abs((C @ f - two_nu * f)[1:-1])))
                 for f in _random_fields(grid.n, 20))
     smooth = np.exp(-grid.x ** 2 / 4) * np.sin(2 * grid.x)
-    smooth_resid = float(np.max(np.abs((C @ smooth
-                                        - 2 * p.nu_real * smooth)[1:-1])))
+    smooth_resid = float(np.max(np.abs((C @ smooth - two_nu * smooth)[1:-1])))
     return [ctx.record(
         "commutator_pointwise_literal", "commutation-rules",
         _status(worst, tol), known_unattainable=True,
@@ -425,14 +451,11 @@ def check_canonical_algebra(ctx: CheckContext):
     grid = ctx.dyadic_grid
     A = averaging_bands(grid.n)
     devs = {}
-    base = diffusion_params("nu", 0.5)
     for sign in ("minus", "plus"):
-        pc = continue_to_imaginary(base, sign)
-        space = build_space(grid, "L2")
-        X = position_operator(space)
-        P = momentum_operator(pc, space)
+        c = ctx.continued(grid, sign)
+        pc, P = c.p, c.P
         want = 1j * HBAR if sign == "minus" else -1j * HBAR
-        devs[f"[X,P]-{sign}"] = _gap(commutator(X, P).diagonals,
+        devs[f"[X,P]-{sign}"] = _gap(commutator(c.X, P).diagonals,
                                      {k: want * d for k, d in A.items()})
         coeff = rho_term_coefficient(pc)
         devs[f"rho_coefficient_{sign}"] = abs(coeff)
@@ -440,7 +463,7 @@ def check_canonical_algebra(ctx: CheckContext):
         S = np.sin(grid.x)
         devs[f"phase_invariant_{sign}"] = float(np.max(np.abs(
             pc.z * (S / pc.z) - S)))
-        mv = mapped_velocity_operator(pc, space)
+        mv = mapped_velocity_operator(pc, c.space)
         devs[f"P=m*mapped_{sign}"] = _gap(P.diagonals, {
             k: MASS * d for k, d in mv.diagonals.items()})
         # momentum is exactly hermitian in the flat space
@@ -462,14 +485,11 @@ def check_canonical_pointwise_literal(ctx: CheckContext):
     twin for why this cannot hold in finite dimensions."""
     tol = 1e-12
     grid = ctx.grid
-    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    space = build_space(grid, "L2")
-    X = position_operator(space)
-    P = momentum_operator(pc, space)
-    C = commutator(X, P)
+    c = ctx.continued(grid, "minus")
+    C = commutator(c.X, c.P)
     worst = max(float(np.max(np.abs((C @ f - 1j * HBAR * f)[1:-1])))
                 for f in _random_fields(grid.n, 20, complex_fields=True))
-    coeff = abs(rho_term_coefficient(pc))
+    coeff = abs(rho_term_coefficient(c.p))
     return [ctx.record(
         "canonical_pointwise_literal", "continuation-algebra",
         _status(worst, tol), known_unattainable=True,
@@ -493,15 +513,13 @@ def check_tmap_unitarity(ctx: CheckContext):
                                               grid, [0.7]),
     }
     plist = [diffusion_params("nu", 0.5), diffusion_params("nu", 2.0),
-             continue_to_imaginary(diffusion_params("nu", 0.5), "minus"),
-             continue_to_imaginary(diffusion_params("nu", 0.5), "plus")]
+             ctx.continued(grid, "minus").p, ctx.continued(grid, "plus").p]
     g = np.random.default_rng(11)
     worst = 0.0
     details = {}
     for sname, ws in states.items():
-        rho = ws.rho(0)
+        Ht = build_space(grid, "H_t", ws.rho(0))
         for p in plist:
-            Ht = build_space(grid, "H_t", rho)
             It = build_space(grid, "I_t", ws.S[0], p)
             dev = 0.0
             for _ in range(25):
@@ -532,25 +550,15 @@ def check_tmap_unitarity(ctx: CheckContext):
 def check_recursion_velocity(ctx: CheckContext):
     tol = 1e-12
     grid = ctx.dyadic_grid
-    ws = ctx.ho_ground(grid)
-    V = 0.5 * grid.x ** 2
+    members = {**{f"nu={nu}": ctx.weighted(grid, nu)
+                  for nu in (0.5, 1.0, 2.0)},
+               **{sign: ctx.continued(grid, sign)
+                  for sign in ("minus", "plus")}}
     devs = {}
-    for nu in (0.5, 1.0, 2.0):
-        p = diffusion_params("nu", nu)
-        space = build_space(grid, "H_t", ws.rho(0))
-        H = hamiltonian(ws, p, V, space)
-        X = position_operator(space)
-        X1 = time_derivative_recursion(X, H, p, 1)[0]
-        mv = mapped_velocity_operator(p, space)
-        devs[f"nu={nu}"] = _gap(X1.diagonals, mv.diagonals)
-    for sign in ("minus", "plus"):
-        pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
-        space = build_space(grid, "L2")
-        Hc = hamiltonian(None, pc, V, space)
-        Xc = position_operator(space)
-        X1 = time_derivative_recursion(Xc, Hc, pc, 1)[0]
-        mv = mapped_velocity_operator(pc, space)
-        devs[sign] = _gap(X1.diagonals, mv.diagonals)
+    for name, m in members.items():
+        X1 = time_derivative_recursion(m.X, m.H, m.p, 1)[0]
+        devs[name] = _gap(X1.diagonals,
+                          mapped_velocity_operator(m.p, m.space).diagonals)
     worst = float(max(devs.values()))
     return [ctx.record(
         "recursion_velocity", "hamiltonian-recursion", _status(worst, tol),
@@ -572,9 +580,8 @@ def check_acceleration_identity(ctx: CheckContext):
         gaps = {}
         for n in (801, 1601):
             grid = Grid1D(-8.0, 8.0, n)
-            ws = ctx.ho_ground(grid)
-            V = 0.5 * grid.x ** 2
-            acc = acceleration_function(ws, p, V)
+            acc = acceleration_function(ctx.ho_ground(grid), p,
+                                        ho_potential(grid.x))
             gaps[n] = acc.max_gap()
         results[f"gap_dx=0.02_nu={nu}"] = gaps[801]
         ratio = gaps[801] / gaps[1601]
@@ -583,9 +590,9 @@ def check_acceleration_identity(ctx: CheckContext):
         worst_ratio = min(worst_ratio, ratio)
     # closed-form spot value at nu = 0.5: acceleration(x) = x
     grid = ctx.grid
-    ws = ctx.ho_ground(grid)
-    acc = acceleration_function(ws, diffusion_params("nu", 0.5),
-                                0.5 * grid.x ** 2)
+    acc = acceleration_function(ctx.ho_ground(grid),
+                                diffusion_params("nu", 0.5),
+                                ho_potential(grid.x))
     i = int(np.argmin(np.abs(grid.x - 1.0)))
     spot = abs(acc.from_drift[i] - 1.0)
     results["spot_|a(1)-1|_nu=0.5"] = spot
@@ -605,10 +612,7 @@ def check_acceleration_identity(ctx: CheckContext):
 
 def check_hamiltonian_spectrum(ctx: CheckContext):
     tol = 1e-4
-    grid = ctx.grid
-    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    space = build_space(grid, "L2")
-    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
+    H = ctx.continued(ctx.grid, "minus").H
     lam = eigh_tridiagonal(H.diagonal(0)[1:-1], H.diagonal(1)[1:-1],
                            eigvals_only=True, select="i", select_range=(0, 1))
     err0 = abs(lam[0] - 0.5)
@@ -633,13 +637,10 @@ def check_heisenberg_taylor(ctx: CheckContext):
     whose full spectrum is order-resolvable at s = 0.1.
     """
     tol = 1e-8
-    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
     devs = {}
     for n in (25, 31):
-        grid = Grid1D(-6.0, 6.0, n)
-        space = build_space(grid, "L2")
-        H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
-        X = position_operator(space)
+        c = ctx.continued(Grid1D(-6.0, 6.0, n), "minus")
+        X, H, pc = c.X, c.H, c.p
         T10 = taylor_heisenberg(X, H, 0.1, 10, pc)
         E = heisenberg_operator(X, H, 0.1, pc)
         devs[f"n={n}"] = _gap(T10.diagonals, E.diagonals)
@@ -680,14 +681,11 @@ def check_heisenberg_closed_form(ctx: CheckContext):
     """
     tol = 5e-3
     grid = ctx.grid
-    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    space = build_space(grid, "L2")
-    H = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
-    X = position_operator(space)
-    P = momentum_operator(pc, space)
+    c = ctx.continued(grid, "minus")
+    X, P = c.X, c.P
     states = _smooth_test_states(grid)
     lags = (0.1, 1.0)
-    evolved = heisenberg_action(X, H, lags, pc, states)
+    evolved = heisenberg_action(X, c.H, lags, c.p, states)
     devs = {}
     for s, moved in zip(lags, evolved):
         devs[f"s={s}"] = max(float(np.max(np.abs(
@@ -708,32 +706,25 @@ def check_heisenberg_closed_form(ctx: CheckContext):
 def check_recursion_closed_forms(ctx: CheckContext):
     tol = 5e-3    # the O(dx^2) action gaps; X^1 = P/m is exact, to 1e-10
     grid = ctx.grid
-    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    space = build_space(grid, "L2")
+    c = ctx.continued(grid, "minus")
+    X, pc = c.X, c.p
     states = _smooth_test_states(grid)
     devs = {}
     # free particle: X^1 = P/m, X^2 = 0
-    H0 = hamiltonian(None, pc, np.zeros(grid.n), space)
-    X = position_operator(space)
+    H0 = hamiltonian(None, pc, np.zeros(grid.n), c.space)
     X1, X2 = time_derivative_recursion(X, H0, pc, 2)
-    P = momentum_operator(pc, space)
     devs["free_X1_vs_P/m"] = _gap(X1.diagonals, {
-        k: d / MASS for k, d in P.diagonals.items()})
+        k: d / MASS for k, d in c.P.diagonals.items()})
     devs["free_X2"] = max(float(np.max(np.abs(X2.apply(psi))))
                           for psi in states)
     # oscillator: X^2 = -X in action
-    Hh = hamiltonian(None, pc, 0.5 * grid.x ** 2, space)
-    _, X2h = time_derivative_recursion(X, Hh, pc, 2)
+    _, X2h = time_derivative_recursion(X, c.H, pc, 2)
     devs["ho_X2_plus_X"] = max(float(np.max(np.abs(
         X2h.apply(psi) + X.apply(psi)))) for psi in states)
     # real mode, ground state: X^2 = multiplication by the acceleration field
-    p = diffusion_params("nu", 0.5)
-    ws = ctx.ho_ground(grid)
-    Ht = build_space(grid, "H_t", ws.rho(0))
-    Hr = hamiltonian(ws, p, 0.5 * grid.x ** 2, Ht)
-    Xr = position_operator(Ht)
-    _, X2r = time_derivative_recursion(Xr, Hr, p, 2)
-    acc = acceleration_function(ws, p, 0.5 * grid.x ** 2)
+    r = ctx.weighted(grid, 0.5)
+    _, X2r = time_derivative_recursion(r.X, r.H, r.p, 2)
+    acc = acceleration_function(ctx.ho_ground(grid), r.p, ho_potential(grid.x))
     mult = np.where(acc.mask, acc.from_drift, 0.0)
     devs["real_X2_vs_acceleration"] = max(float(np.max(np.abs(
         X2r.apply(psi) - mult * psi)[acc.mask])) for psi in states)
@@ -758,15 +749,11 @@ def check_equal_time_value(ctx: CheckContext):
     computed once and stands for every family member and both branches.
     """
     tol = 1e-6
-    grid = ctx.grid
-    ws = ctx.ho_ground(grid)
-    space = build_space(grid, "L2")
-    X = position_operator(space)
-    theta = space.normalize(np.exp(ws.R[0]))
-    psi = space.normalize(np.exp(ws.R[0] + 1j * np.where(
-        np.isnan(ws.S[0]), 0.0, ws.S[0])))
-    real = correlation(theta, [X, X], space)
-    continued = correlation(psi, [X, X], space)
+    ws = ctx.ho_ground(ctx.grid)
+    c = ctx.continued(ctx.grid, "minus")
+    XX = [c.X, c.X]
+    real = correlation(c.space.normalize(np.exp(ws.R[0])), XX, c.space)
+    continued = correlation(_flat_state(ws, c.space), XX, c.space)
     devs = {"real": abs(real - 0.5), "continued": abs(continued - 0.5),
             "imag": abs(continued.imag)}
     worst = float(max(devs.values()))
@@ -778,16 +765,20 @@ def check_equal_time_value(ctx: CheckContext):
         tolerance=tol, oracle="stationary variance hbar/2 m omega")]
 
 
-def _hamiltonian_two_time(ws: WaveSolution, p, lags, V) -> np.ndarray:
-    """``(psi, X(s) X psi)`` at each lag through ``heisenberg_action`` on
-    ``H(V)``, with ``psi = exp(R + iS)`` at the first stored time: a route
-    that shares nothing with the stationary generator."""
-    space = build_space(ws.grid, "L2")
-    psi = space.normalize(np.exp(ws.R[0] + 1j * np.where(
+def _flat_state(ws: WaveSolution, space) -> np.ndarray:
+    """``psi = exp(R + iS)`` at the first stored time, normalized in the
+    flat ``space``."""
+    return space.normalize(np.exp(ws.R[0] + 1j * np.where(
         np.isnan(ws.S[0]), 0.0, ws.S[0])))
-    X = position_operator(space)
-    evolved = heisenberg_action(X, hamiltonian(None, p, V, space), lags, p,
-                                [X.apply(psi)])
+
+
+def _hamiltonian_two_time(ws: WaveSolution, c, lags) -> np.ndarray:
+    """``(psi, X(s) X psi)`` at each lag through ``heisenberg_action`` on
+    the oscillator ``H`` of the continued bundle ``c``, with ``psi`` the
+    flat state of ``ws``: a route that shares nothing with the stationary
+    generator."""
+    psi = _flat_state(ws, c.space)
+    evolved = heisenberg_action(c.X, c.H, lags, c.p, [c.X.apply(psi)])
     return np.sum(np.conj(psi) * evolved[:, 0], axis=-1) * ws.grid.dx
 
 
@@ -798,19 +789,16 @@ def check_continued_two_time(ctx: CheckContext):
     eigensystem that ``heisenberg_closed_form`` leaves on the same H.  The
     two routes differ by O(dx^2)."""
     tol = 5e-3
-    grid = ctx.grid
-    ws = ctx.ho_ground(grid)
-    V = 0.5 * grid.x ** 2
-    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    pp = continue_to_imaginary(diffusion_params("nu", 0.5), "plus")
+    ws = ctx.ho_ground(ctx.grid)
+    minus, plus = (ctx.continued(ctx.grid, sign) for sign in ("minus", "plus"))
     lags = (0.25, 0.5, 1.0)
     devs = {}
     curve = []
     for s, cm, cp, hm, hp in zip(
-            lags, two_time_position_correlation(ws, pm, lags),
-            two_time_position_correlation(ws, pp, lags),
-            _hamiltonian_two_time(ws, pm, lags, V),
-            _hamiltonian_two_time(ws, pp, lags, V)):
+            lags, two_time_position_correlation(ws, minus.p, lags),
+            two_time_position_correlation(ws, plus.p, lags),
+            _hamiltonian_two_time(ws, minus, lags),
+            _hamiltonian_two_time(ws, plus, lags)):
         cm, cp = complex(cm), complex(cp)
         ref = 0.5 * np.exp(-1j * s)
         devs[f"s={s}"] = abs(cm - ref)
@@ -871,8 +859,7 @@ def check_qvar_recovery(ctx: CheckContext):
     worst_r = max(v for k, v in devs.items() if k.startswith("richardson_rel"))
     return [ctx.record(
         "qvar_recovery", "quadratic-variation",
-        *_mc_status(max(worst / tol, worst_r / tol_rich), count,
-                    np.sqrt(2 / np.pi) * noise),
+        *_mc_status(max(worst / tol, worst_r / tol_rich), count, noise),
         measured=devs, reference={"value": "2 nu",
                                   "richardson": "O(dt) bias removed"},
         tolerance=tol, oracle="defining variance of the noise; "
@@ -1052,17 +1039,17 @@ def check_density_histogram_match(ctx: CheckContext):
     se_v = vref * np.sqrt(2.0 / ef.n_paths)
     devs["free_packet_var_dev_over_3se"] = abs(vhat - vref) / (3 * se_v)
     worst_l1 = max(v for k, v in devs.items() if k.startswith("L1"))
-    noise_l1 = np.sqrt(2 / np.pi) * l1_se
     return [ctx.record(
         "density_histogram_match", "density-law",
         *_mc_status(max(worst_l1 / tol,
                         devs["free_packet_var_dev_over_3se"]),
-                    ef.n_paths, noise_l1 / tol),
+                    ef.n_paths, l1_se / tol),
         measured=devs,
         reference={"L1": f"< {tol} vs exp(2R) at t = 10 for each nu",
                    "free_packet": "variance follows the spreading law"},
         tolerance=tol, oracle="ground-state density; spreading law",
-        notes=f"expected L1 from sampling noise alone {noise_l1:.3g}; "
+        notes="expected L1 from sampling noise alone "
+              f"{_NOISE_PER_SE * l1_se:.3g}; "
               "same-law hold at every nu is the measurable-statistics check")]
 
 
@@ -1104,7 +1091,7 @@ def check_fk_bridge_real(ctx: CheckContext):
     rel_se = max(se / abs(mat) for _, _, se, mat, _ in rows)
     return [ctx.record(
         "fk_bridge_real", "path-correlation-formula",
-        *_mc_status(worst / tol, e.n_paths, np.sqrt(2 / np.pi) * rel_se / tol),
+        *_mc_status(worst / tol, e.n_paths, rel_se / tol),
         measured=devs,
         reference={"autocovariance": "0.5 exp(-2 nu s)"},
         tolerance=tol,
@@ -1114,14 +1101,14 @@ def check_fk_bridge_real(ctx: CheckContext):
 
 
 def _coherent_steps(ctx, dt, n_steps, n_paths, seed):
-    """``ensemble_steps`` of the displaced oscillator packet (x0 = 1) at
-    nu = 1/2, its drift tabulated a step past the last one."""
+    """The drift of the displaced oscillator packet (x0 = 1) at nu = 1/2,
+    tabulated a step past the last one, and its ``ensemble_steps``."""
     grid = ctx.grid
     times = np.linspace(0.0, (n_steps + 1) * dt, 80)
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
-    p = diffusion_params("nu", 0.5)
+    df = drift_fields(ws, diffusion_params("nu", 0.5))
     x0 = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
-    return ensemble_steps(drift_fields(ws, p), x0, dt, n_steps, seed)
+    return df, ensemble_steps(df, x0, dt, n_steps, seed)
 
 
 def check_mean_acceleration_packet(ctx: CheckContext):
@@ -1147,8 +1134,9 @@ def check_mean_acceleration_packet(ctx: CheckContext):
     if _mc_status(worst, n_cfg, min_count=min_paths)[0] != INCONCLUSIVE:
         probes = [j for j in t_probe if abs(np.cos(j * dt)) >= 0.4]
         keep = {j + k for j in probes for k in (-stride, 0, stride)}
-        kept = {j: x.copy() for j, x in enumerate(_coherent_steps(
-            ctx, dt, n_total, n_paths, ctx.cfg.sde.seed + 2)) if j in keep}
+        _, steps = _coherent_steps(ctx, dt, n_total, n_paths,
+                                   ctx.cfg.sde.seed + 2)
+        kept = {j: x.copy() for j, x in enumerate(steps) if j in keep}
         worst = 0.0
         for j0 in probes:
             t = j0 * dt
@@ -1164,8 +1152,7 @@ def check_mean_acceleration_packet(ctx: CheckContext):
                              / (tau ** 2 * c1 * abs(xbar))))
     return [ctx.record(
         "mean_acceleration_packet", "mean-acceleration",
-        *_mc_status(worst / tol, n_cfg,
-                    np.sqrt(2 / np.pi) * max(ses, default=0.0) / tol,
+        *_mc_status(worst / tol, n_cfg, max(ses, default=0.0) / tol,
                     min_count=min_paths),
         measured=devs, std_error=max(ses, default=None),
         reference={"packet": "d2<x>/dt2 = -<x> for the displaced oscillator "
@@ -1192,14 +1179,12 @@ def check_mean_acceleration_binned_literal(ctx: CheckContext):
     dt = 0.01
     n_paths = ctx.cfg.sde.n_paths
     j0 = 100
-    steps = _coherent_steps(ctx, dt, j0 + 1, n_paths, ctx.cfg.sde.seed + 3)
+    df, steps = _coherent_steps(ctx, dt, j0 + 1, n_paths,
+                                ctx.cfg.sde.seed + 3)
     paths = np.stack([x.copy() for j, x in enumerate(steps) if j >= j0 - 1],
                      axis=1)
     e = Ensemble(paths=paths, dt=dt, t0=(j0 - 1) * dt,
-                 seed=ctx.cfg.sde.seed + 3,
-                 params=diffusion_params("nu", 0.5),
-                 provenance="coherent packet window", x_min=ctx.grid.x_min,
-                 x_max=ctx.grid.x_max)
+                 seed=ctx.cfg.sde.seed + 3, drift=df)
     tab = estimate_mean_acceleration(e, 1, bins=np.arange(-3.0, 3.01, 0.25),
                                      min_count=MIN_COUNT_ASSERT)
     use = tab.usable
@@ -1237,12 +1222,12 @@ def check_fp_schrodinger_consistency(ctx: CheckContext):
     grid = Grid1D(-8.0, 8.0, 1601)
     nus = (0.5, 1.0, 2.0)
     wc = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, [0.0])
-    V = 0.5 * grid.x ** 2
     dt = 1e-3
     period = 2 * np.pi
     n_steps = int(round(period / dt))
     n_steps -= n_steps % 40           # align snapshots and checkpoints
-    sol = solve_schrodinger(V, wc.psi[0], grid, dt, n_steps, store_every=10)
+    sol = solve_schrodinger(ho_potential(grid.x), wc.psi[0], grid, dt,
+                            n_steps, store_every=10)
     rho0 = np.exp(2 * sol.R[0])
     rho0 /= grid.trapezoid(rho0)
     quarters = range(n_steps // 4, n_steps + 1, n_steps // 4)

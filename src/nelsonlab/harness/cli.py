@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import InputError, NelsonlabError
 from ..fields import (analytic_oracle, diffusion_params, continue_to_imaginary,
-                      drift_fields, ho_ground_density, solve_schrodinger)
+                      drift_fields, ho_ground_density, ho_potential,
+                      solve_schrodinger)
 from ..grids import Grid1D
 from ..sampler import (density_histogram, estimate_backward_drift,
                        estimate_forward_drift, sample_initial,
@@ -19,8 +18,8 @@ from .checks import MONTE_CARLO_CHECKS
 from .config import MAX_SEED, ExperimentConfig, load_config
 from .files import (DEFAULT_OUT_ENV, SNAPSHOT_STEM, export_ensemble_binary,
                     export_ensemble_csv, export_snapshots, export_table_csv,
-                    make_dir, resolve_out_dir, write_float_csv)
-from .report import INCONCLUSIVE, CheckRecord, Report
+                    make_dir, read_report, resolve_out_dir, write_float_csv)
+from .report import INCONCLUSIVE, SCHEMA_VERSION, Report
 from .suite import run_experiment, verify_suite
 
 
@@ -68,7 +67,7 @@ def cmd_solve(args) -> int:
     state_params = {k: v for k in ("x0", "sigma0")
                     if (v := getattr(args, k)) is not None}
     ws0 = analytic_oracle(args.state, state_params, grid, [0.0])
-    V = 0.5 * grid.x ** 2 if args.state.startswith("ho") else np.zeros(grid.n)
+    V = ho_potential(grid.x) if args.state.startswith("ho") else np.zeros(grid.n)
     sol = solve_schrodinger(V, ws0.psi[0], grid, args.dt, args.steps,
                             store_every=max(1, args.steps // args.snapshots))
     files = export_snapshots(where, grid, sol.times, np.abs(sol.psi) ** 2)
@@ -182,13 +181,10 @@ def cmd_report(args) -> int:
             cfg, out_dir=resolve_out_dir(args.out, cfg.out_dir))
         _print_report(report)
         return 0 if report.passed else 1
-    path = args.path or resolve_out_dir(args.out) / "report.json"
-    raw = json.loads(Path(path).read_text())
-    print(f"schema {raw.get('schema_version')}, created {raw.get('created_at')}")
-    _print_report(Report(
-        records=[CheckRecord(**rec) for rec in raw.get("records", [])],
-        environment=raw.get("environment", {}),
-        created_at=raw.get("created_at", "")))
+    report = read_report(args.path
+                         or resolve_out_dir(args.out) / "report.json")
+    print(f"schema {SCHEMA_VERSION}, created {report.created_at}")
+    _print_report(report)
     return 0
 
 

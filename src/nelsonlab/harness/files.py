@@ -14,7 +14,8 @@ import numpy as np
 from ..errors import InputError, NelsonlabError
 from ..grids import Grid1D
 from ..sampler import ConditionalMomentTable, Ensemble
-from .report import Report
+from .report import (FAIL, INCONCLUSIVE, PASS, SCHEMA_VERSION, CheckRecord,
+                     Report)
 
 DEFAULT_OUT_ENV = "NELSONLAB_OUT"
 SNAPSHOT_STEM = "density"
@@ -119,7 +120,7 @@ def export_ensemble_binary(path: str | Path, e: Ensemble) -> Path:
     write_sidecar(path, {"dtype": "<f8", "order": "row-major",
                          "n_paths": e.n_paths, "n_steps": e.n_steps,
                          "dt": e.dt, "t0": e.t0, "seed": e.seed,
-                         "provenance": e.provenance})
+                         "provenance": e.drift.provenance})
     return path
 
 
@@ -129,6 +130,25 @@ def load_ensemble_binary(path: str | Path) -> np.ndarray:
     header = json.loads(_sidecar(path).read_text())
     flat = np.fromfile(path, dtype=header["dtype"])
     return flat.reshape(header["n_paths"], header["n_steps"] + 1)
+
+
+def read_report(path: str | Path) -> Report:
+    """Read back a report that ``Report.write`` stored.  A file that is not
+    one, of this schema version, is refused with an InputError naming it."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+        if not (isinstance(raw, dict)
+                and raw.get("schema_version") == SCHEMA_VERSION):
+            raise ValueError(f"not a schema {SCHEMA_VERSION} report object")
+        records = [CheckRecord(**rec) for rec in raw["records"]]
+        for r in records:
+            if r.status not in (PASS, FAIL, INCONCLUSIVE):
+                raise ValueError(f"record {r.name!r} has status {r.status!r}")
+        return Report(records=records, environment=raw["environment"],
+                      created_at=raw["created_at"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: not a stored report: {exc}") from exc
 
 
 def emit_plots_data(report: Report, out_dir: str | Path) -> list[Path]:

@@ -25,24 +25,34 @@ class Ensemble:
 
     ``dt`` is the spacing of the *stored* columns; when the integrator
     substeps (``store_every > 1``), ``sde_dt`` records the finer step it
-    actually took.  Regenerating with the same (seed, drift, steps,
-    n_paths) gives a bit-identical matrix regardless of how path chunks
-    were scheduled.
+    actually took.  The member, its provenance and the walls are read from
+    ``drift``.  Regenerating with the same (seed, drift, steps, n_paths)
+    gives a bit-identical matrix regardless of how path chunks were
+    scheduled.
     """
 
     paths: np.ndarray
     dt: float
     t0: float
     seed: int
-    params: DiffusionParams
-    provenance: str
-    x_min: float
-    x_max: float
+    drift: DriftField
     sde_dt: float | None = None
 
     def __post_init__(self):
         if self.sde_dt is None:
             self.sde_dt = self.dt
+
+    @property
+    def params(self) -> DiffusionParams:
+        return self.drift.params
+
+    @property
+    def x_min(self) -> float:
+        return self.drift.grid.x_min
+
+    @property
+    def x_max(self) -> float:
+        return self.drift.grid.x_max
 
     @property
     def n_paths(self) -> int:
@@ -244,5 +254,4 @@ def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
         if j % store_every == 0:
             paths[:, j // store_every] = x
     return Ensemble(paths=paths, dt=dt * store_every, t0=0.0, seed=seed,
-                    params=p, provenance=df.provenance, x_min=df.grid.x_min,
-                    x_max=df.grid.x_max, sde_dt=dt)
+                    drift=df, sde_dt=dt)

@@ -116,6 +116,29 @@ def test_report_path_prints_what_verify_prints(tmp_path, capsys):
         "", "1 passed, 0 failed, 1 failed-as-documented, 1 inconclusive"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "Expecting value"),
+    ('{"schema_version": 1, "environment": {}, "created_at": "t", '
+     '"records": [{"name": "a", "anchor": "x", "status": "pass", '
+     '"extra": 1}]}', "unexpected keyword argument 'extra'"),
+    ("[1, 2]", "not a schema 1 report object"),
+    ('{"schema_version": 1, "environment": {}, "created_at": "t", '
+     '"records": [{"name": "a", "anchor": "x", "status": "odd"}]}',
+     "status 'odd'"),
+], ids=["not_json", "unknown_key", "top_level_list", "unknown_status"])
+def test_report_path_refuses_a_malformed_report(text, message, tmp_path,
+                                                capsys):
+    """A stored report that cannot be read is an error line that names the
+    file, and exit 2, never a traceback."""
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert main(["report", "--path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert message in captured.err
+
+
 def test_solve_exports_densities(tmp_path):
     rc = main(["solve", "--state", "ho_coherent", "--x0", "1.0",
                "--grid-n", "401", "--dt", "0.002", "--steps", "100",

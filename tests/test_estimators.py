@@ -74,9 +74,11 @@ def test_quadratic_variation_recovers_2nu(grid801_module):
 def test_mean_acceleration_is_the_symmetric_second_difference():
     paths = np.array([[0.0, 1.0, 4.0],
                       [0.0, 1.2, 4.4]])
-    e = Ensemble(paths=paths, dt=0.5, t0=0.0, seed=0,
-                 params=diffusion_params("nu", 0.5), provenance="synthetic",
-                 x_min=-8.0, x_max=8.0)
+    grid = Grid1D(-8.0, 8.0, 17)
+    flat = DriftField(grid=grid, times=np.array([0.0]), b=np.zeros((1, grid.n)),
+                      b_star=np.zeros((1, grid.n)),
+                      params=diffusion_params("nu", 0.5), provenance="b=0")
+    e = Ensemble(paths=paths, dt=0.5, t0=0.0, seed=0, drift=flat)
     tab = estimate_mean_acceleration(e, 1, bins=np.array([0.5, 1.5]),
                                      min_count=1)
     # ((4 - 2 + 0) + (4.4 - 2.4 + 0)) / 2 / 0.25

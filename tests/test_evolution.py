@@ -11,6 +11,8 @@ from nelsonlab.algebra import (OperatorMatrix, build_space, correlation,
                                time_derivative_recursion,
                                two_time_position_correlation)
 from nelsonlab.fields import analytic_oracle
+from nelsonlab.harness.checks import CheckContext, _hamiltonian_two_time
+from nelsonlab.harness.config import ExperimentConfig
 from nelsonlab.params import HBAR
 
 
@@ -292,7 +294,7 @@ def test_real_mode_second_derivative_is_acceleration_multiplication():
 def test_two_time_continued_equals_dense_conjugation(grid801):
     """The Hamiltonian route of ``continued_two_time``, through the state
     action, equals the sandwich with the dense evolved operator."""
-    from nelsonlab.harness.checks import _hamiltonian_two_time
+    ctx = CheckContext(ExperimentConfig())
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     V = 0.5 * grid801.x ** 2
     sp = build_space(grid801, "L2")
@@ -304,7 +306,8 @@ def test_two_time_continued_equals_dense_conjugation(grid801):
         H = hamiltonian(None, pc, V, sp)
         for s in (0.25, 1.0):
             ref = correlation(psi, [heisenberg_operator(X, H, s, pc), X], sp)
-            got = _hamiltonian_two_time(ws, pc, [s], V)[0]
+            got = _hamiltonian_two_time(ws, ctx.continued(grid801, sign),
+                                        [s])[0]
             assert abs(got - ref) < 1e-12
 
 
@@ -511,20 +514,21 @@ def test_conjugation_paths_share_one_eigensolve(solves):
     its two mirror sectors of 100 and 99 nodes, and every result equals
     the one from fresh sector solves bit for bit."""
     from nelsonlab.algebra import evolution
-    from nelsonlab.harness.checks import _hamiltonian_two_time
+    ctx = CheckContext(ExperimentConfig())
     grid = Grid1D(-8.0, 8.0, 201)
     ws = analytic_oracle("ho_ground", None, grid, [0.0])
     V = 0.5 * grid.x ** 2
     sp = build_space(grid, "L2")
     X = position_operator(sp)
     pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    pp = continue_to_imaginary(pm, "plus")
     H = hamiltonian(None, pm, V, sp)
     calls = (lambda: heisenberg_operator(X, H, 0.3, pm).matrix,
              lambda: heisenberg_action(X, H, [0.3, 1.0], pm,
                                        [X.apply(ws.R[0])]),
-             lambda: _hamiltonian_two_time(ws, pm, [0.25, 1.0], V),
-             lambda: _hamiltonian_two_time(ws, pp, [0.25, 1.0], V))
+             lambda: _hamiltonian_two_time(ws, ctx.continued(grid, "minus"),
+                                           [0.25, 1.0]),
+             lambda: _hamiltonian_two_time(ws, ctx.continued(grid, "plus"),
+                                           [0.25, 1.0]))
     shared = [call() for call in calls]
     assert solves == [100, 99]
     bands = evolution._interior_bands(H)
@@ -714,20 +718,17 @@ def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
     grid leave the kept eigensystem in place: the Hamiltonian route of the
     other branch diagonalizes nothing new."""
     from nelsonlab.algebra import evolution
-    from nelsonlab.harness.checks import _hamiltonian_two_time
+    ctx = CheckContext(ExperimentConfig())
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    V = 0.5 * grid801.x ** 2
-    pm = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
-    pp = continue_to_imaginary(pm, "plus")
     m = grid801.n - 2
-    _hamiltonian_two_time(ws, pm, [0.5], V)
+    _hamiltonian_two_time(ws, ctx.continued(grid801, "minus"), [0.5])
     held = evolution._last_eigensystem
     assert solves == [400, 399]
     for p in _members():
         for lag in (0.5, 0.005):
             two_time_position_correlation(ws, p, lag)
             assert evolution._last_eigensystem is held
-            _hamiltonian_two_time(ws, pp, [0.5], V)
+            _hamiltonian_two_time(ws, ctx.continued(grid801, "plus"), [0.5])
             assert solves == [400, 399]
     assert solves.windows == [(m, 64)]
 

@@ -51,7 +51,7 @@ def test_ensemble_header_round_trips(tmp_path, grid801, ground, p_half):
     header = json.loads((tmp_path / "e.bin.json").read_text())
     assert header == {"dtype": "<f8", "order": "row-major",
                       "n_paths": 30, "n_steps": 7, "dt": e.dt, "t0": e.t0,
-                      "seed": 4, "provenance": e.provenance}
+                      "seed": 4, "provenance": df.provenance}
     back = load_ensemble_binary(path)
     assert back.shape == (header["n_paths"], header["n_steps"] + 1)
     assert np.array_equal(back, e.paths)

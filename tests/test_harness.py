@@ -95,6 +95,30 @@ def test_run_experiment_writes_report_and_artifacts(tmp_path):
     assert report.passed
 
 
+def test_fast_run_builds_each_shared_operator_once(monkeypatch):
+    """The checks take members and operators from ``CheckContext``: one
+    fast run builds no Hamiltonian twice on the same grid, space, member
+    and potential, and at most 10 position operators."""
+    from nelsonlab.harness import checks
+    hams, xs = [], []
+    build_h, build_x = checks.hamiltonian, checks.position_operator
+
+    def hamiltonian(ws, p, V, space):
+        hams.append((space.grid, space.weight.tobytes(), p,
+                     np.asarray(V).tobytes()))
+        return build_h(ws, p, V, space)
+
+    def position_operator(space):
+        xs.append(space.grid)
+        return build_x(space)
+
+    monkeypatch.setattr(checks, "hamiltonian", hamiltonian)
+    monkeypatch.setattr(checks, "position_operator", position_operator)
+    verify_suite("fast")
+    assert len(set(hams)) == len(hams) <= 11
+    assert len(xs) <= 10
+
+
 def test_report_body_is_deterministic():
     cfg = small_cfg(checks=["equal_time_value"])
     r1 = run_experiment(cfg)
@@ -102,18 +126,24 @@ def test_report_body_is_deterministic():
     assert r1.to_json(include_timestamp=False) == r2.to_json(include_timestamp=False)
 
 
-@pytest.mark.parametrize("dev, count, expected, min_count, status", [
+# noise alone reaches the limit at an SE of sqrt(pi/2) of the limit
+SE_AT_LIMIT = np.sqrt(np.pi / 2)
+
+
+@pytest.mark.parametrize("dev, count, se, min_count, status", [
     (0.99, MIN_COUNT_ASSERT, 0.0, MIN_COUNT_ASSERT, PASS),
     (1.0, MIN_COUNT_ASSERT, 0.0, MIN_COUNT_ASSERT, FAIL),
     (float("nan"), 10 ** 6, 0.0, MIN_COUNT_ASSERT, FAIL),
     (5.0, MIN_COUNT_ASSERT - 1, 0.0, MIN_COUNT_ASSERT, INCONCLUSIVE),
-    (5.0, 10 ** 6, 1.0, MIN_COUNT_ASSERT, INCONCLUSIVE),
-    (0.5, 10 ** 6, 0.99, MIN_COUNT_ASSERT, PASS),
+    (5.0, 10 ** 6, SE_AT_LIMIT, MIN_COUNT_ASSERT, INCONCLUSIVE),
+    (0.5, 10 ** 6, 0.99 * SE_AT_LIMIT, MIN_COUNT_ASSERT, PASS),
     (0.5, 49_999, 0.0, 50_000, INCONCLUSIVE),
 ], ids=["below_limit", "at_limit_fails", "nan_fails", "low_count",
         "noise_reaches_limit", "noise_below_limit", "caller_min_count"])
-def test_monte_carlo_status_rule(dev, count, expected, min_count, status):
-    got, cause = _mc_status(dev, count, expected, min_count)
+def test_monte_carlo_status_rule(dev, count, se, min_count, status):
+    """``se`` is the gate's SE in units of its limit; noise alone gives
+    sqrt(2/pi) of it, so the gate cannot decide from sqrt(pi/2) on."""
+    got, cause = _mc_status(dev, count, se, min_count)
     assert got == status
     assert bool(cause) == (status == INCONCLUSIVE)
 

@@ -367,3 +367,23 @@ def test_dense_view_is_read_only_and_cached():
     with pytest.raises(ValueError):
         op.matrix[0, 1] = 7.0
     assert op.matrix is op.matrix
+
+
+
+@pytest.mark.parametrize("call", ["solve_schrodinger", "hamiltonian",
+                                  "acceleration_function"])
+def test_a_complex_potential_is_refused(call, ground, grid801, p_half):
+    """A nonzero imaginary part of V is refused, not dropped, by each of
+    the three callers of a potential; a zero one is a real potential."""
+    from nelsonlab.fields import solve_schrodinger
+    space = build_space(grid801, "H_t", ground.rho(0))
+    run = {"solve_schrodinger": lambda V: solve_schrodinger(
+               V, ground.psi[0], grid801, 1e-3, 2).psi,
+           "hamiltonian": lambda V: hamiltonian(
+               ground, p_half, V, space).diagonal(0),
+           "acceleration_function": lambda V: acceleration_function(
+               ground, p_half, V).from_potential}[call]
+    V = 0.5 * grid801.x ** 2
+    with pytest.raises(InputError, match="V must be real"):
+        run(V + 0.3j * grid801.x)
+    assert np.array_equal(run(V + 0j), run(V))

@@ -239,6 +239,9 @@ def test_store_every_matches_dense_run(grid801, ground, p_half):
     assert np.array_equal(thin.paths, dense.paths[:, ::10])
     assert thin.dt == pytest.approx(1e-2)
     assert thin.sde_dt == pytest.approx(1e-3)
+    # the member and the walls are the drift's, held once
+    assert thin.drift is df and thin.params is thin.drift.params
+    assert (thin.x_min, thin.x_max) == (grid801.x_min, grid801.x_max)
     with pytest.raises(InputError):
         simulate_ensemble(df, x0, p_half, 1e-3, 41, seed=4, store_every=10)
 

@@ -15,11 +15,26 @@ recursion or, on the continued branches, the exact conjugation by
 Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
 tridiagonal, so their eigensystems come from their two bands through
-``scipy.linalg.eigh_tridiagonal``.  Its default driver, in scipy 1.17.1,
-is LAPACK ``stevd`` (divide and conquer) for the full spectrum, and
-``stebz`` (bisection) with ``stein`` (inverse iteration) for a window of
-it chosen by index; the choice in older scipy releases down to the 1.13
-floor has not been checked.
+``scipy.linalg.eigh_tridiagonal``, by one of three LAPACK drivers:
+
+* Every Hamiltonian sector by ``stemr``, MRRR (Dhillon and Parlett,
+  Linear Algebra Appl. 387, 1 (2004); Dhillon, Parlett and Voemel, ACM
+  TOMS 32, 533 (2006)), named once as ``_SECTOR_DRIVER``.  It makes no
+  level-3 BLAS call.  The divide and conquer of ``stevd`` does, in its
+  merges, on scipy's own threaded BLAS, whose threads contend with
+  numpy's pool right after a numpy product; ``stemr``'s time does not
+  depend on what ran before it.  On the oscillator and the double well
+  ``(x^2 - 4)^2 / 16`` at n = 201 to 1601 its eigenvectors are
+  orthonormal to 3.3e-13 (``stevd``: 4e-15), and its residuals are within
+  7.2e-15 of ``||T||``.
+* A window of the stationary generator, chosen by index, by ``stebz``
+  (bisection) and ``stein`` (inverse iteration), the default for a
+  window.  The window's 1e-15 tail certificate needs eigenvectors
+  orthonormal to about eps, which ``stemr`` does not give.
+* The full spectrum of the stationary generator, past a tenth of it, by
+  the default driver, ``stevd`` (divide and conquer) in scipy 1.17.1.
+  Which driver older releases, down to the 1.13 floor, choose for this
+  one solve has not been checked.
 
 A Hamiltonian's eigensystem is a list of sectors.  Every Hamiltonian the
 checks and the benchmark build has an even potential on a box centred at
@@ -37,7 +52,7 @@ on states: ``heisenberg_action`` folds them into the sectors in O(n) and
 applies the sector eigenvectors, O(n^2) per state and lag.  Only
 ``heisenberg_operator`` forms the full evolved matrix, for the checks
 that test a dense X(s) itself: one product ``L_r A L_c^H`` of the sector
-sizes and an O(n^2) unfold.
+sizes, unfolded with its adjoint straight into the output in O(n^2).
 
 The two-time element of every member, real or continued, is one formula,
 ``dx sum_k w_k^2 exp(conj(nu) mu_k s)``, over the eigenpairs of the
@@ -166,6 +181,9 @@ def _expand(w: np.ndarray, parity: int, m: int, axis: int = -1
     return out
 
 
+# LAPACK driver of every Hamiltonian sector solve: MRRR, which makes no
+# level-3 BLAS call, so its time does not depend on the products around it
+_SECTOR_DRIVER = "stemr"
 # (key, result) of the last solve: one entry, replaced by one assignment
 _last_eigensystem: tuple | None = None
 
@@ -173,7 +191,7 @@ _last_eigensystem: tuple | None = None
 def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
                 ) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """``(parity, lam, U)`` of each sector of ``_sector_bands``, from
-    ``eigh_tridiagonal`` on the sector's bands.
+    ``eigh_tridiagonal`` on the sector's bands by ``_SECTOR_DRIVER``.
 
     The last sectors are kept, keyed on the split and the exact bytes of
     both bands, so a repeat call on the same matrix returns them without a
@@ -189,7 +207,7 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
     sectors = []
     for parity, d, e in _sector_bands(diag, off, split):
         try:
-            lam, U = eigh_tridiagonal(d, e)
+            lam, U = eigh_tridiagonal(d, e, lapack_driver=_SECTOR_DRIVER)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise NumericalBreakdownError("eigendecomposition failed") from exc
         lam.flags.writeable = U.flags.writeable = False
@@ -383,6 +401,33 @@ def taylor_heisenberg(X: OperatorMatrix, H: OperatorMatrix, s: float,
     return OperatorMatrix(X.space, total)
 
 
+def _unfold_mirror_pair(block: np.ndarray, out: np.ndarray) -> None:
+    """Write ``E + E^H``, ``E = Q_e B Q_o^T``, into the m x m ``out``: the
+    even-from-odd sector block ``B`` unfolded, with its adjoint.
+
+    With ``h = m // 2`` and ``T = B[:h] / 2`` (the two folds' ``sqrt(1/2)``),
+    the first h rows hold ``S = T + T^H`` and, on the mirrored columns,
+    ``D = T^H - T``; the last h rows, mirrored, hold ``-D`` and ``-S``.  An
+    odd m adds the centre row ``B[h] sqrt(1/2)``, mirror-odd, and its
+    adjoint as the centre column.  Every entry is the sum that
+    ``_expand`` twice and the adjoint sum would form, so the result is
+    theirs bit for bit, up to the sign of a zero.
+    """
+    m = out.shape[0]
+    h = m // 2
+    T = block[:h] * _HALF_SQRT2 * _HALF_SQRT2
+    Th = T.conj().T
+    top, bottom = out[:h], out[:-h - 1:-1]        # bottom: rows m-1 .. m-h
+    np.add(T, Th, out=top[:, :h])
+    np.subtract(Th, T, out=top[:, :-h - 1:-1])
+    np.subtract(T, Th, out=bottom[:, :h])
+    np.negative(top[:, :h], out=bottom[:, :-h - 1:-1])
+    if m % 2:
+        centre = block[h] * _HALF_SQRT2
+        out[h, :h], out[h, :-h - 1:-1], out[h, h] = centre, -centre, 0.0
+        out[:h, h], out[:-h - 1:-1, h] = centre.conj(), -centre.conj()
+
+
 def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
                         p: DiffusionParams) -> OperatorMatrix:
     """Exact evolved position on a continued branch, as a full matrix.
@@ -396,31 +441,30 @@ def heisenberg_operator(X: OperatorMatrix, H: OperatorMatrix, s: float,
     and X couples sector c to sector r through the diagonal A, so the one
     block ``B = L_r A L_c^H = U_r (e^{i phi_r} U_r^T A U_c e^{-i phi_c})
     U_c^T`` is three products of the sector sizes; on a mirrored H the
-    interior is ``Q_r B Q_c^T`` plus its adjoint, an O(n^2) unfold.  The
-    split and what it may move are stated at ``_mirrored``.
+    interior is ``Q_r B Q_c^T`` plus its adjoint, written into the output
+    in one O(n^2) pass (``_unfold_mirror_pair``).  The split and what it
+    may move are stated at ``_mirrored``.
 
     The interior of H must be real symmetric tridiagonal and X real
     diagonal, as ``hamiltonian`` and ``position_operator`` build them.
-    X(s) is a full matrix: it is formed dense and stored through
-    ``from_dense``.  Where only its action on states is needed,
+    X(s) is a full matrix: it is formed dense, and the operator keeps that
+    array without a copy.  Where only its action on states is needed,
     ``heisenberg_action`` gives it in O(n^2) per state.
     """
     sectors, (r, c, a) = _conjugation_eigensystem(X, H, p)
-    (parity_r, lam_r, U_r), (parity_c, lam_c, U_c) = sectors[r], sectors[c]
-    k, m = a.size, X.space.grid.n - 2
+    (_, lam_r, U_r), (_, lam_c, U_c) = sectors[r], sectors[c]
+    k, n = a.size, X.space.grid.n
     scale = s / (2.0 * MASS * p.nu)                 # i phi = lam scale
     inner = U_r[:k].T @ (a[:, None] * U_c[:k])     # U_r^T A U_c
     inner = np.exp(lam_r * scale)[:, None] * inner * np.exp(-lam_c * scale)
     block = _real_right_matmul(_real_right_matmul(inner.T, U_r.T).T, U_c.T)
-    block = _expand(_expand(block, parity_c, m), parity_r, m, axis=0)
-    out = np.diag(X.diagonal(0).astype(complex))
-    interior = out[1:-1, 1:-1]
+    out = np.zeros((n, n), complex)
+    out[0, 0], out[-1, -1] = X.diagonal(0)[[0, -1]]
     if r == c:
-        interior[...] = block
-    else:                                     # Q_r B Q_c^T and its adjoint
-        np.conjugate(block.T, out=interior)
-        interior += block
-    return OperatorMatrix.from_dense(X.space, out)
+        out[1:-1, 1:-1] = block
+    else:
+        _unfold_mirror_pair(block, out[1:-1, 1:-1])
+    return OperatorMatrix._owning(X.space, out)
 
 
 def heisenberg_action(X: OperatorMatrix, H: OperatorMatrix,

@@ -5,7 +5,8 @@ or tridiagonal and the recursion terms stay banded (order k has 2k + 1
 diagonals), so ``commutator`` forms its products diagonal by diagonal, band
 in and band out.  The exact Heisenberg conjugation is applied to states
 (``evolution.heisenberg_action``); only ``heisenberg_operator``, kept for
-the checks of a dense X(s), stores a full matrix, through ``from_dense``.
+the checks of a dense X(s), stores a full matrix, which the operator
+takes as its own without a copy.
 
 Each operator reads the member from ``nu`` alone: the Hamiltonian is one
 formula in ``nu``, and the velocity operator takes ``nu`` from its drift.
@@ -87,11 +88,17 @@ class OperatorMatrix:
         every other diagonal that has a nonzero entry.
 
         ``m`` is copied once, read-only; that copy is the operator's
-        ``matrix`` and the stored diagonals are views of it.  The copy is
+        ``matrix`` and the stored diagonals are views of it."""
+        m = np.asarray(m)
+        return cls._owning(space, m.astype(np.result_type(float, m)))
+
+    @classmethod
+    def _owning(cls, space: WeightedSpace, m: np.ndarray) -> OperatorMatrix:
+        """The operator of the float or complex matrix ``m``, which it
+        takes without a copy: ``m`` is made read-only and becomes
+        ``matrix``, and the stored diagonals are views of it.  ``m`` is
         checked once and its nonzero diagonals found in one pass, so the
         per-diagonal checks of the constructor are not repeated."""
-        m = np.asarray(m)
-        m = m.astype(np.result_type(float, m))
         m.flags.writeable = False
         n = space.grid.n
         if m.shape != (n, n):
@@ -109,7 +116,7 @@ class OperatorMatrix:
             n, 2 * n - 1).any(axis=0)
         offsets = sorted({0, *(n - 1 - np.flatnonzero(nonzero)).tolist()})
         op = object.__new__(cls)
-        # the fields as the constructor would set them, and the copy where
+        # the fields as the constructor would set them, and m where
         # cached_property keeps ``matrix``
         op.__dict__.update(space=space, matrix=m,
                            diagonals={k: np.diagonal(m, k) for k in offsets})
@@ -123,7 +130,7 @@ class OperatorMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Read-only dense view, built from the diagonals on first use
-        (``from_dense`` sets it to its copy of the dense matrix)."""
+        (an operator built from a dense matrix keeps that matrix here)."""
         n = self.space.grid.n
         m = np.zeros((n, n), np.result_type(float, *self.diagonals.values()))
         flat = m.reshape(-1)

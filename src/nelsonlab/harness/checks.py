@@ -80,15 +80,25 @@ class CheckContext:
         return self.memo(("ho_ground", grid),
                          lambda: analytic_oracle("ho_ground", None, grid, [0.0]))
 
+    def position(self, grid: Grid1D, kind: str) -> tuple:
+        """``(space, X)``: the flat (``"L2"``) or the ground state's
+        density-weighted (``"H_t"``) space on ``grid`` and its position
+        operator.  Neither depends on the member, so every member on
+        ``grid`` shares them."""
+        def build():
+            field = self.ho_ground(grid).rho(0) if kind == "H_t" else None
+            space = build_space(grid, kind, field)
+            return space, position_operator(space)
+        return self.memo(("position", grid, kind), build)
+
     def continued(self, grid: Grid1D, sign: str) -> SimpleNamespace:
         """The continued member ``p`` on ``sign``'s branch, with the flat
         ``space`` on ``grid`` and its ``X``, ``P`` and oscillator ``H``."""
         def build():
             p = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
-            space = build_space(grid, "L2")
+            space, X = self.position(grid, "L2")
             return SimpleNamespace(
-                p=p, space=space, X=position_operator(space),
-                P=momentum_operator(p, space),
+                p=p, space=space, X=X, P=momentum_operator(p, space),
                 H=hamiltonian(None, p, ho_potential(grid.x), space))
         return self.memo(("continued", grid, sign), build)
 
@@ -99,9 +109,9 @@ class CheckContext:
         def build():
             p = diffusion_params("nu", nu)
             ws = self.ho_ground(grid)
-            space = build_space(grid, "H_t", ws.rho(0))
+            space, X = self.position(grid, "H_t")
             return SimpleNamespace(
-                p=p, space=space, X=position_operator(space),
+                p=p, space=space, X=X,
                 H=hamiltonian(ws, p, ho_potential(grid.x), space))
         return self.memo(("weighted", grid, nu), build)
 

@@ -399,6 +399,77 @@ def test_conjugation_matches_expm_of_dense_hamiltonian(solves, sign, i_sign):
         assert solves[count:] == ([m] if tilt else [(m + 1) // 2, m // 2])
 
 
+@pytest.mark.parametrize("n, tilt", [(21, 0.0), (22, 0.0), (201, 0.0),
+                                     (201, 0.3)])
+def test_dense_conjugation_equals_the_expand_unfold_bit_for_bit(n, tilt):
+    """The dense X(s), written into its output quadrant by quadrant,
+    equals the sector block unfolded by ``_expand`` twice and added to its
+    adjoint, on the same sectors, bit for bit: odd (n = 21) and even
+    (n = 22) interior counts, n = 201, and a tilted H, which is one
+    sector."""
+    from nelsonlab.algebra.evolution import (_conjugation_eigensystem,
+                                             _expand, _real_right_matmul)
+    from nelsonlab.params import MASS
+    grid = Grid1D(-8.0, 8.0, n)
+    sp = build_space(grid, "L2")
+    X = position_operator(sp)
+    for sign in ("minus", "plus"):
+        pc = continue_to_imaginary(diffusion_params("nu", 0.5), sign)
+        H = hamiltonian(None, pc, 0.5 * grid.x ** 2 + tilt * grid.x, sp)
+        sectors, (r, c, a) = _conjugation_eigensystem(X, H, pc)
+        assert len(sectors) == (1 if tilt else 2)
+        (parity_r, lam_r, U_r), (parity_c, lam_c, U_c) = (sectors[r],
+                                                          sectors[c])
+        for s in (0.3, 1.7):
+            # the sector block, as heisenberg_operator forms it
+            scale = s / (2.0 * MASS * pc.nu)
+            inner = U_r[:a.size].T @ (a[:, None] * U_c[:a.size])
+            inner = np.exp(lam_r * scale)[:, None] * inner \
+                * np.exp(-lam_c * scale)
+            block = _real_right_matmul(
+                _real_right_matmul(inner.T, U_r.T).T, U_c.T)
+            # the reference unfold: Q_r B Q_c^T, then its adjoint added
+            block = _expand(_expand(block, parity_c, n - 2), parity_r, n - 2,
+                            axis=0)
+            ref = np.diag(X.diagonal(0).astype(complex))
+            interior = ref[1:-1, 1:-1]
+            if r == c:
+                interior[...] = block
+            else:
+                np.conjugate(block.T, out=interior)
+                interior += block
+            assert np.array_equal(heisenberg_operator(X, H, s, pc).matrix,
+                                  ref)
+
+
+@pytest.mark.parametrize("n", [201, 801, 1601])
+@pytest.mark.parametrize("well", ["oscillator", "double_well"])
+def test_sector_driver_gives_orthonormal_eigenpairs(solves, well, n):
+    """Every sector that ``_SECTOR_DRIVER`` solves has orthonormal
+    eigenvectors, ``max|U^T U - I| < 1e-11``, and a residual
+    ``max|T U - U Lambda| < 1e-13 ||T||``, with
+    ``||T|| = max|d| + 2 max|e|``, on the oscillator and on the double
+    well ``(x^2 - 4)^2 / 16``."""
+    from nelsonlab.algebra.evolution import (_eigh_bands, _interior_bands,
+                                             _mirrored, _sector_bands)
+    grid = Grid1D(-8.0, 8.0, n)
+    sp = build_space(grid, "L2")
+    pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
+    V = (0.5 * grid.x ** 2 if well == "oscillator"
+         else (grid.x ** 2 - 4.0) ** 2 / 16.0)
+    diag, off = _interior_bands(hamiltonian(None, pc, V, sp))
+    assert _mirrored(diag, off, grid.x[1:-1])
+    for (parity, d, e), (_, lam, U) in zip(
+            _sector_bands(diag, off, True), _eigh_bands(diag, off, True)):
+        norm = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+        TU = d[:, None] * U
+        TU[:-1] += e[:, None] * U[1:]
+        TU[1:] += e[:, None] * U[:-1]
+        assert np.max(np.abs(U.T @ U - np.eye(d.size))) < 1e-11
+        assert np.max(np.abs(TU - U * lam)) < 1e-13 * norm
+    assert solves == [(n - 1) // 2, (n - 2) // 2]
+
+
 def test_heisenberg_action_at_zero_lag_is_position(small):
     grid, sp, X, states = small
     pc = continue_to_imaginary(diffusion_params("nu", 0.5), "minus")
@@ -497,8 +568,10 @@ def _fresh(H, split):
     bypass the kept eigensystem."""
     from scipy import linalg
 
-    from nelsonlab.algebra.evolution import _interior_bands, _sector_bands
-    return [(parity, *linalg.eigh_tridiagonal(d, e))
+    from nelsonlab.algebra.evolution import (_SECTOR_DRIVER, _interior_bands,
+                                             _sector_bands)
+    return [(parity, *linalg.eigh_tridiagonal(d, e,
+                                              lapack_driver=_SECTOR_DRIVER))
             for parity, d, e in _sector_bands(*_interior_bands(H), split)]
 
 

@@ -119,6 +119,30 @@ def test_fast_run_builds_each_shared_operator_once(monkeypatch):
     assert len(xs) <= 10
 
 
+def test_fast_run_builds_one_space_and_x_per_grid_and_kind(monkeypatch):
+    """Every member on a grid shares that grid's flat or density-weighted
+    space and its X: one fast run builds 6 position operators, one per
+    (grid, kind), where building them per member made 10, and its report
+    is byte-identical to the run that builds them per member."""
+    from nelsonlab.harness import checks
+    built = []
+    build_x = checks.position_operator
+
+    def position_operator(space):
+        built.append((space.grid, space.weight.tobytes()))
+        return build_x(space)
+
+    monkeypatch.setattr(checks, "position_operator", position_operator)
+    shared = verify_suite("fast").to_json(include_timestamp=False)
+    assert len(built) == len(set(built)) == 6
+    position = CheckContext.position
+    monkeypatch.setattr(CheckContext, "position", lambda self, grid, kind:
+                        position(CheckContext(self.cfg), grid, kind))
+    per_member = verify_suite("fast").to_json(include_timestamp=False)
+    assert len(built) == 6 + 10
+    assert per_member == shared
+
+
 def test_report_body_is_deterministic():
     cfg = small_cfg(checks=["equal_time_value"])
     r1 = run_experiment(cfg)

@@ -49,7 +49,7 @@ def verify_suite(level: str = "fast", cfg: ExperimentConfig | None = None
     """Run the built-in verification suite.
 
     ``fast`` covers the deterministic identity and solver checks (seconds);
-    ``full`` adds the seeded Monte Carlo checks (about 45 s at the default
+    ``full`` adds the seeded Monte Carlo checks (about 20 s at the default
     path count).  Statistical checks at starved path counts come back
     inconclusive rather than failed.  The config is validated first.
     """

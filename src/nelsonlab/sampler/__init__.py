@@ -10,7 +10,7 @@ from .estimators import (MIN_COUNT_ASSERT, MIN_COUNT_DEFAULT,
                          density_histogram, estimate_backward_drift,
                          estimate_forward_drift, estimate_mean_acceleration,
                          estimate_quadratic_variation, histogram_l1_distance)
-from .rng import step_normals, stream_normals, stream_uniforms
+from .rng import step_normals, stream_uniforms
 
 __all__ = [
     "MIN_COUNT_ASSERT",
@@ -29,6 +29,5 @@ __all__ = [
     "sample_initial",
     "simulate_ensemble",
     "step_normals",
-    "stream_normals",
     "stream_uniforms",
 ]

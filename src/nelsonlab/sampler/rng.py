@@ -49,17 +49,13 @@ def stream_uniforms(seed: int, tag: int | np.uint64, n: int) -> np.ndarray:
     return _uniform_slice(seed, tag, 0, n)
 
 
-def stream_normals(seed: int, tag: int | np.uint64, n: int) -> np.ndarray:
-    """n standard normals, inverse-CDF transform of the uniform stream."""
-    return ndtri(stream_uniforms(seed, tag, n))
-
-
 def step_normals(seed: int, step_index: int, n_paths: int,
                  lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Normals for paths [lo, hi) at one time step.
 
     Only the slice is generated, by skipping ahead in the step's stream;
-    it is bit-equal to ``stream_normals(seed, step_index, n_paths)[lo:hi]``.
+    it is bit-equal to ``ndtri(stream_uniforms(seed, step_index,
+    n_paths))[lo:hi]``, the normals of the step's full row.
     """
     hi = n_paths if hi is None else hi
     if not 0 <= lo <= hi <= n_paths:

@@ -32,6 +32,7 @@ from nelsonlab.harness.checks import (CheckContext,
                                       check_recursion_closed_forms,
                                       check_recursion_velocity,
                                       check_stationary_variance,
+                                      check_time_change,
                                       check_tmap_unitarity)
 from nelsonlab.harness.report import FAIL, PASS
 
@@ -156,9 +157,10 @@ def test_criterion_9b_mean_acceleration_packet(ctx):
 # 10. member-independence of measurable statistics ---------------------------------
 
 def test_criterion_10_measurable_statistics(ctx):
-    _require_pass("10", check_stationary_variance(ctx) +
-                  check_equal_time_value(ctx),
-                  ("max_dev_over_3se", "pairwise_dev_over_3se"))
+    recs = (check_stationary_variance(ctx) + check_time_change(ctx)
+            + check_equal_time_value(ctx))
+    assert "time_change" in [r.name for r in recs]
+    _require_pass("10", recs, ("max_dev_over_3se",))
 
 
 # 11. path-correlation bridge ---------------------------------------------------------

@@ -179,6 +179,7 @@ def test_verify_says_when_no_monte_carlo_check_was_decided(
     def starved_suite(level, cfg):
         return Report(environment={}, records=[
             CheckRecord(name="equal_time_value", anchor="a", status="pass"),
+            CheckRecord(name="time_change", anchor="a", status="pass"),
             CheckRecord(name="stationary_variance[nu=0.5]", anchor="b",
                         status=sampled),
             CheckRecord(name="drift_recovery", anchor="c",

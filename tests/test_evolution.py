@@ -211,6 +211,21 @@ def test_two_time_real_mode_matches_autocovariance(grid801):
         ws, diffusion_params("nu", 2.0), 0.0) - 0.5) < 1e-6
 
 
+def test_real_two_time_depends_only_on_nu_s(grid801):
+    """nu sets only the clock: the element at (nu, s) is the one at
+    (1/2, 2 nu s) bit for bit, at power-of-two ratios and every lag."""
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    lags = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+    half = two_time_position_correlation(ws, diffusion_params("nu", 0.5),
+                                         lags)
+    for nu in (0.25, 1.0, 2.0, 4.0):
+        got = two_time_position_correlation(ws, diffusion_params("nu", nu),
+                                            lags / (2 * nu))
+        assert np.array_equal(got, half), nu
+    # and it does depend on s: another lag at the same nu is another value
+    assert np.all(np.diff(half.real) < 0)
+
+
 def test_two_time_continued_matches_quantum_ladder(grid801):
     """The sign convention: the minus branch is the standard two-point
     function ``0.5 exp(-i s)``, not its conjugate, and the plus branch is

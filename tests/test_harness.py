@@ -1,19 +1,22 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nelsonlab import Grid1D, InputError
+from nelsonlab import Grid1D, InputError, diffusion_params
 from nelsonlab.harness import (FAST_CHECKS, FULL_CHECKS, CheckContext,
                                ExperimentConfig, Report, config_from_dict,
                                load_config, run_experiment, verify_suite)
+import nelsonlab.harness.checks as checks
 from nelsonlab.harness.files import emit_plots_data
 from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status, _pooled,
                                       check_continued_two_time,
-                                      check_equal_time_value)
+                                      check_equal_time_value,
+                                      check_time_change)
 from nelsonlab.harness.report import FAIL, INCONCLUSIVE, PASS, CheckRecord
 from nelsonlab.sampler import MIN_COUNT_ASSERT
 
@@ -174,9 +177,36 @@ def test_monte_carlo_status_rule(dev, count, se, min_count, status):
 
 def test_monte_carlo_checks_are_the_full_checks_that_sample():
     assert MONTE_CARLO_CHECKS == (set(FULL_CHECKS) - set(FAST_CHECKS)
-                                  - {"determinism",
+                                  - {"determinism", "time_change",
                                      "fp_schrodinger_consistency"})
     assert len(MONTE_CARLO_CHECKS) == 8
+
+
+def test_time_change_sees_noise_of_another_member(monkeypatch):
+    """A nu = 1 drift whose table was built at nu = 1/2: its osmotic part
+    is of one member and its noise of another."""
+    ctx = CheckContext(small_cfg())
+    built = ctx.ou_drift
+    monkeypatch.setattr(ctx, "ou_drift", lambda nu, grid=None: replace(
+        built(0.5, grid), params=diffusion_params("nu", nu))
+        if nu == 1.0 else built(nu, grid))
+    rec, = check_time_change(ctx)
+    assert rec.status == FAIL
+    assert not rec.measured["paths_nu=1.0_dt=0.001"]
+    assert rec.measured["paths_nu=2.0_dt=0.001"]
+
+
+def test_time_change_sees_a_lag_that_nu_does_not_scale(monkeypatch):
+    """A two-time element that ignores nu compares s with 2 nu s."""
+    element = checks.two_time_position_correlation
+    monkeypatch.setattr(checks, "two_time_position_correlation",
+                        lambda ws, p, s: element(
+                            ws, diffusion_params("nu", 0.5), s))
+    rec, = check_time_change(CheckContext(small_cfg()))
+    assert rec.status == FAIL
+    assert not rec.measured["two_time_nu=1.0"]
+    assert not rec.measured["two_time_nu=2.0"]
+    assert rec.measured["paths_nu=1.0_dt=0.001"]
 
 
 @pytest.fixture(scope="module")

@@ -5,16 +5,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 from nelsonlab import (Grid1D, InputError, NumericalBreakdownError,
                        UnsupportedConfigError, diffusion_params,
                        continue_to_imaginary)
 from nelsonlab.fields import drift_fields, ho_ground_density
 from nelsonlab.sampler import (ensemble_steps, reflect, sample_initial,
-                               simulate_ensemble, step_normals, stream_normals)
+                               simulate_ensemble, step_normals,
+                               stream_uniforms)
 from nelsonlab.fields.drift import DriftField
 from nelsonlab.harness.files import (export_ensemble_binary,
                                      export_ensemble_csv, load_ensemble_binary)
+
+
+def _stream_normals(seed, tag, n):
+    """The full row of normals that ``step_normals`` slices."""
+    return ndtri(stream_uniforms(seed, tag, n))
 
 
 def _flat_drift(grid, nu=0.5):
@@ -91,6 +98,23 @@ def test_schedule_independence(grid801, ground, p_half):
     assert np.array_equal(runs[0].paths, runs[2].paths)
 
 
+@pytest.mark.parametrize("dt", [1e-3, 2e-3])
+def test_member_is_half_member_on_another_clock(grid801, ground, p_half, dt):
+    """On a one-time drift table the member at (nu, dt) is the nu = 1/2
+    member at 2 nu dt, bit for bit: the drift and the noise variance both
+    scale by 2 nu."""
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 3000, seed=4)
+    half = drift_fields(ground, p_half)
+    for nu in (1.0, 2.0, 4.0):
+        p = diffusion_params("nu", nu)
+        df = drift_fields(ground, p)
+        for w in (1, 3):
+            e = simulate_ensemble(df, x0, p, dt, 30, seed=4, n_workers=w)
+            ref = simulate_ensemble(half, x0, p_half, 2 * nu * dt, 30,
+                                    seed=4, n_workers=w)
+            assert np.array_equal(e.paths, ref.paths), (nu, w)
+
+
 def _serial_reference(df, x0, p, dt, n_steps, seed):
     """Unsharded Euler-Maruyama loop on full noise rows, every step kept."""
     lo, hi = df.grid.x_min, df.grid.x_max
@@ -98,7 +122,7 @@ def _serial_reference(df, x0, p, dt, n_steps, seed):
     x = reflect(x0, lo, hi)
     cols = [x]
     for j in range(n_steps):
-        z = stream_normals(seed, j, x.size)
+        z = _stream_normals(seed, j, x.size)
         x = reflect(x + df.b_at(j * dt, x) * dt + sigma * z, lo, hi)
         cols.append(x)
     return np.stack(cols, axis=1)
@@ -112,7 +136,7 @@ def test_shards_and_blocks_match_serial_loop(grid801, ground, p_half):
     x0[:300] = 7.99                       # reflect at the right wall
     ref = _serial_reference(df, x0, p_half, 5e-3, 4, seed=5)
     first = (x0 + df.b_at(0.0, x0) * 5e-3
-             + np.sqrt(2 * 0.5 * 5e-3) * stream_normals(5, 0, x0.size))
+             + np.sqrt(2 * 0.5 * 5e-3) * _stream_normals(5, 0, x0.size))
     assert np.count_nonzero(first > grid801.x_max) > 10
     for w in (None, 1, 2, 3, 8):
         e = simulate_ensemble(df, x0, p_half, 5e-3, 4, seed=5, n_workers=w)
@@ -291,23 +315,23 @@ def test_guards(grid801, ground, p_half):
 
 
 def test_stream_normals_are_standard():
-    z = stream_normals(99, 0, 200_000)
+    z = _stream_normals(99, 0, 200_000)
     assert abs(z.mean()) < 3 / np.sqrt(z.size)
     assert abs(z.var() - 1.0) < 3 * np.sqrt(2.0 / z.size)
     # distinct steps decorrelate
-    z2 = stream_normals(99, 1, 200_000)
+    z2 = _stream_normals(99, 1, 200_000)
     assert abs(np.corrcoef(z, z2)[0, 1]) < 3 / np.sqrt(z.size)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1001), (1, 1000), (7, 503),
                                     (3, 4), (500, 500), (998, 1001)])
 def test_step_normals_shard_is_slice_of_row(lo, hi):
-    row = stream_normals(42, 7, 1001)
+    row = _stream_normals(42, 7, 1001)
     assert np.array_equal(step_normals(42, 7, 1001, lo, hi), row[lo:hi])
 
 
 def test_step_normals_shards_concatenate_to_row():
-    row = stream_normals(42, 3, 1001)
+    row = _stream_normals(42, 3, 1001)
     edges = [0, 1, 3, 3, 250, 667, 1001]
     parts = [step_normals(42, 3, 1001, a, b)
              for a, b in zip(edges, edges[1:])]
@@ -320,14 +344,14 @@ def test_step_normals_shards_concatenate_to_row():
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, np.int64(-3)])
 def test_a_seed_philox_cannot_key_is_an_input_error(seed):
     with pytest.raises(InputError, match="seed"):
-        stream_normals(seed, 3, 10)
+        _stream_normals(seed, 3, 10)
     with pytest.raises(InputError, match="seed"):
         step_normals(seed, 3, 10, 2, 5)
 
 
 def test_the_largest_seed_keys_philox():
     assert np.array_equal(step_normals(2 ** 64 - 1, 3, 10, 2, 5),
-                          stream_normals(2 ** 64 - 1, 3, 10)[2:5])
+                          _stream_normals(2 ** 64 - 1, 3, 10)[2:5])
 
 
 def test_binary_export_is_row_major(tmp_path, grid801, ground, p_half):

@@ -43,8 +43,8 @@ the position is odd under it.  Such an H splits exactly into an even and an odd 
 of half the size (Cantoni and Butler, Linear Algebra Appl. 13, 275
 (1976), on centrosymmetric matrices), and X couples only the even sector
 to the odd one.  The split is taken when the bands equal their mirror
-image, and x is mirror-odd, to ``_MIRROR_TOL``; any other H is one sector
-with the identity fold, on the same code.  ``_eigh_bands`` solves the
+image, and x is mirror-odd, to ``grids.MIRROR_TOL``; any other H is one
+sector with the identity fold, on the same code.  ``_eigh_bands`` solves the
 sectors and keeps the last ones it computed: both continued branches and
 the dense and state forms of the conjugation share one Hamiltonian, so
 consecutive calls on it diagonalize it once.  The exact conjugation acts
@@ -74,6 +74,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ..errors import InputError, NumericalBreakdownError, UnsupportedConfigError
 from ..fields.wave import WaveSolution
+from ..grids import commutes_with_mirror, has_mirror_parity
 from ..params import MASS, DiffusionParams
 from .operators import OperatorMatrix, _require_stationary, _scaled, commutator
 from .spaces import WeightedSpace
@@ -98,12 +99,6 @@ def _interior_bands(H: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     return diag.real, upper.real
 
 
-# largest mirror defect accepted, relative to ||H|| = max|d| + 2 max|e|
-# for the bands and to max|x| for the position.  Measured on n = 21 to
-# 16001 and the boxes [-L, L], L = 6, 8, 10, 16: the oscillator's bands
-# reach 2.5 eps ||H||, the double well's (x^2 - 4)^2 / 16 6.9 eps ||H||,
-# and x 1.7 eps max|x|.
-_MIRROR_TOL = 16 * np.finfo(float).eps
 _HALF_SQRT2 = np.sqrt(0.5)
 
 
@@ -111,19 +106,17 @@ def _mirrored(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> bool:
     """Whether the tridiagonal H of bands ``diag``, ``off`` commutes with
     the mirror J to rounding and the diagonal x anticommutes with it.
 
-    Both are asked to ``_MIRROR_TOL``.  The split then conjugates by H',
-    the mirror image of H's first half, and the mirror-odd part of x,
-    ``(x - Jx) / 2``.  Dropping x's even part moves X(s) by at most its
-    largest entry, ``_MIRROR_TOL max|x|`` (conjugation is unitary), and
-    ``||H - H'|| <= 3 _MIRROR_TOL ||H||`` moves it by at most
+    Both are asked to ``grids.MIRROR_TOL``, of ``||H|| = max|d| + 2 max|e|``
+    and of ``max|x|``.  The split then conjugates by H', the mirror image
+    of H's first half, and the mirror-odd part of x, ``(x - Jx) / 2``.
+    Dropping x's even part moves X(s) by at most its largest entry,
+    ``MIRROR_TOL max|x|`` (conjugation is unitary), and
+    ``||H - H'|| <= 3 MIRROR_TOL ||H||`` moves it by at most
     ``2 |s| ||H - H'|| max|x| / hbar``.
     """
     if diag.size < 2:
         return False
-    scale = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-    return (max(np.max(np.abs(diag - diag[::-1])),
-                np.max(np.abs(off - off[::-1]))) <= _MIRROR_TOL * scale
-            and np.max(np.abs(x + x[::-1])) <= _MIRROR_TOL * np.max(np.abs(x)))
+    return commutes_with_mirror(diag, off, off) and has_mirror_parity(x, -1)
 
 
 def _sector_bands(diag: np.ndarray, off: np.ndarray, split: bool

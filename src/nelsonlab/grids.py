@@ -8,6 +8,35 @@ import numpy as np
 
 from .errors import InputError
 
+# largest mirror defect accepted, relative to the norm of a tridiagonal
+# matrix for its bands and to the largest entry of a nodal field: within
+# it the matrix commutes with the mirror J (node i to node n-1-i), and the
+# field is mirror-even or mirror-odd.  The two tests below ask it for the
+# Hamiltonian's parity split (algebra) and the half-grid march (fields).
+# Measured on n = 21 to 16001 and the boxes [-L, L], L = 6, 8, 10, 16:
+# the oscillator's bands reach 2.5 eps ||H||, the double well's
+# (x^2 - 4)^2 / 16 6.9 eps ||H||, and x 1.7 eps max|x|.
+MIRROR_TOL = 16 * np.finfo(float).eps
+
+
+def commutes_with_mirror(main: np.ndarray, upper: np.ndarray,
+                         lower: np.ndarray) -> bool:
+    """Whether the tridiagonal matrix of bands ``main``, ``upper``,
+    ``lower`` commutes with the mirror J: ``main == main[::-1]`` and
+    ``upper == lower[::-1]``, to ``MIRROR_TOL`` of
+    ``max|main| + max|upper| + max|lower|``."""
+    scale = (np.max(np.abs(main)) + np.max(np.abs(upper))
+             + np.max(np.abs(lower)))
+    return max(np.max(np.abs(main - main[::-1])),
+               np.max(np.abs(upper - lower[::-1]))) <= MIRROR_TOL * scale
+
+
+def has_mirror_parity(y: np.ndarray, parity: int) -> bool:
+    """Whether the nodal field ``y`` equals ``parity * y[::-1]`` (1: even,
+    -1: odd) to ``MIRROR_TOL`` of ``max|y|``."""
+    return (np.max(np.abs(y - parity * y[::-1]))
+            <= MIRROR_TOL * np.max(np.abs(y)))
+
 
 @dataclass(frozen=True)
 class Grid1D:

@@ -160,7 +160,7 @@ def test_criterion_10_measurable_statistics(ctx):
     recs = (check_stationary_variance(ctx) + check_time_change(ctx)
             + check_equal_time_value(ctx))
     assert "time_change" in [r.name for r in recs]
-    _require_pass("10", recs, ("max_dev_over_3se",))
+    _require_pass("10", recs, ("dev_over_3se",))
 
 
 # 11. path-correlation bridge ---------------------------------------------------------

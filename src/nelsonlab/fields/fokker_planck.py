@@ -7,7 +7,14 @@ drift row interpolated in time between the snapshots of the DriftField.
 
 ``stepping.crank_nicolson`` marches the density: a static drift's step
 matrix is factored once, and a time-dependent drift's bands are built once
-per step, at its end time, and carried to the next step.
+per step, at its end time, and carried to the next step.  A static drift
+whose faces all pass mass both ways (``lower * upper > 0``) makes the step
+the generator of a reversible chain, and the march runs in its
+detailed-balance gauge ``rho = D z``, ``D`` proportional to the square
+root of the chain's stationary density, where ``1 - A`` is symmetric
+positive definite (LAPACK ``dpttrf`` and ``dpttrs``); the guard below
+passes every nonnegative density, so the march asks it only on a step
+with a negative or NaN entry.
 """
 from __future__ import annotations
 

@@ -3,7 +3,8 @@
 Both field solvers step ``dy/dt = G(t) y``, G tridiagonal, by the
 trapezoidal rule (Crank and Nicolson, 1947).  With ``A = (dt/2) G``, step j
 solves ``(1 - A(t_j)) y_j = (1 + A(t_{j-1})) y_{j-1}``: a constant ``A`` is
-factored once (LAPACK ``?gttrf``) and solved in place (``?gttrs``); a
+factored once (LAPACK ``?gttrf``, or ``dpttrf`` in the gauge below) and
+solved in place (``?gttrs`` or ``dpttrs``); a
 time-dependent ``A`` is built once per step, at its end time, carried to
 the next step, and solved with ``?gtsv``.
 
@@ -21,6 +22,27 @@ of ``max|main| + max|upper| + max|lower|`` for the bands and of
 march solves the first half's mirror image, so its states move by
 rounding only: at most 1.9e-13 (n = 6401 Schrodinger, 1000 steps) and
 5.8e-13 (n = 8001 Fokker-Planck) of their largest entry.
+
+A constant real ``A`` whose off-diagonal products ``lower * upper`` are
+all positive, as a static Fokker-Planck step's are, is the generator of a
+reversible chain.  After the fold, it is marched in the chain's
+detailed-balance gauge ``y = D z``, ``D[i+1] / D[i] = sqrt(lower[i] /
+upper[i])`` with a largest entry of 1, so ``D`` is proportional to the
+square root of the stationary density (Risken, The Fokker-Planck
+Equation, 2nd ed. 1989, sec. 5.4).  There ``D^-1 A D`` has the symmetric
+off-diagonal ``sqrt(lower * upper)``, so ``1 - D^-1 A D`` is symmetric
+positive definite: LAPACK ``dpttrf`` factors it once, and each step forms
+the explicit product on the symmetric bands and solves in place with
+``dpttrs``, in about half the time of ``dgttrs`` (31-36 against 60-73 us
+at 4001 nodes, each timed alone).  ``D > 0``, so ``z`` has the signs of
+``y``: the guard is handed ``D z`` only on a step where ``z`` has a
+negative or NaN entry, and each kept state is ``D z``.  A complex march, a
+product that is not positive (a NaN drift among them), a ``D`` that spans
+more than ``exp(_GAUGE_RANGE)`` and a factorization that ``dpttrf``
+refuses all keep ``?gttrf`` and ``?gttrs``, and with them their bits.  The
+gauge moves the kept states by rounding only: against the ``?gttrs``
+march, at most 4.4e-13 of their largest entry (n = 8001, OU drift, 1000
+steps) and 2.9e-14 with b = 0.
 """
 from __future__ import annotations
 
@@ -29,6 +51,10 @@ from scipy.linalg import lapack
 
 from ..errors import InputError, NumericalBreakdownError
 from ..grids import commutes_with_mirror, has_mirror_parity
+
+# the largest ln(max D / min D) of the gauge: exp(-600) is still a normal
+# float64, with room left for the states it scales
+_GAUGE_RANGE = 600.0
 
 
 def _mirror_even(bands, y: np.ndarray) -> bool:
@@ -53,6 +79,28 @@ def _fold(bands):
     return main, upper, lower
 
 
+def _gauge(bands):
+    """``(D, s, factors)`` for a real constant ``A`` of a reversible chain,
+    or None: ``D`` scales ``y = D z`` so that ``D^-1 A D`` has the
+    symmetric off-diagonal ``s = sqrt(lower * upper)``, and ``factors`` is
+    ``dpttrf``'s factorization of ``1 - D^-1 A D``.  None if a product
+    ``lower * upper`` is not positive, if ``D`` spans more than
+    ``exp(_GAUGE_RANGE)`` or if the factorization fails."""
+    main, upper, lower = bands
+    product = lower * upper
+    if not np.all(product > 0):     # a NaN fails too
+        return None
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
+    log_d -= log_d.max()
+    if not log_d.min() >= -_GAUGE_RANGE:
+        return None
+    symmetric = np.sqrt(product)
+    *factors, info = lapack.dpttrf(1.0 - main, -symmetric)
+    if info != 0:
+        return None
+    return np.exp(log_d), symmetric, factors
+
+
 def crank_nicolson(bands, y0: np.ndarray, dt: float, n_steps: int,
                    store_every: int, guard, keep=np.copy):
     """March ``y0`` for ``n_steps`` steps; return (times, kept states).
@@ -61,8 +109,10 @@ def crank_nicolson(bands, y0: np.ndarray, dt: float, n_steps: int,
     else a function of ``t`` that returns them; ``y0``'s dtype picks the
     real or complex routines.  ``guard(j, y)`` sees the state after each
     step ``j >= 1`` (on a folded march, its first half) and raises to stop
-    the march; ``keep`` copies the initial state, ``y0`` itself, every
-    ``store_every``-th and the last.  Bad ``n_steps``,
+    the march; a march in the detailed-balance gauge calls it only on a
+    step whose state has a negative or NaN entry, so a guard must pass
+    every nonnegative state.  ``keep`` copies the initial state, ``y0``
+    itself, every ``store_every``-th and the last.  Bad ``n_steps``,
     ``dt`` or ``store_every`` raise InputError, and a singular step matrix
     NumericalBreakdownError.
     """
@@ -85,11 +135,27 @@ def crank_nicolson(bands, y0: np.ndarray, dt: float, n_steps: int,
         def keep(half):     # the whole state, its mirror half appended
             return keep_whole(np.concatenate((half, half[:n // 2][::-1])))
     main, upper, lower = bands if static else bands(0.0)
-    if static:
-        *lu, info = getattr(lapack, kind + "gttrf")(-lower, 1.0 - main, -upper)
+    gauge = _gauge(bands) if static and kind == "d" else None
+    if gauge is not None:
+        scale, symmetric, factors = gauge
+        upper = lower = symmetric
+        y, keep_y, guard_y = y / scale, keep, guard
+        solve = lapack.dpttrs
+
+        def keep(z):
+            return keep_y(scale * z)
+
+        def guard(j, z):    # scale > 0: z has the signs of y = scale * z
+            if not z.min() >= 0:
+                guard_y(j, scale * z)
+    elif static:
+        *factors, info = getattr(lapack, kind + "gttrf")(-lower, 1.0 - main,
+                                                         -upper)
         if info != 0:
             raise NumericalBreakdownError(f"singular step matrix (info={info})")
-    solve = getattr(lapack, kind + ("gttrs" if static else "gtsv"))
+        solve = getattr(lapack, kind + "gttrs")
+    else:
+        solve = getattr(lapack, kind + "gtsv")
     explicit = 1.0 + main
     rhs = np.empty_like(y)
     tmp = np.empty(y.size - 1, dtype=y.dtype)
@@ -100,7 +166,7 @@ def crank_nicolson(bands, y0: np.ndarray, dt: float, n_steps: int,
         np.multiply(lower, y[:-1], out=tmp)
         rhs[1:] += tmp
         if static:
-            x, info = solve(*lu, rhs, overwrite_b=1)
+            x, info = solve(*factors, rhs, overwrite_b=1)
         else:
             main, upper, lower = bands(j * dt)
             *_, x, info = solve(-lower, 1.0 - main, -upper, rhs, overwrite_dl=1,

@@ -59,8 +59,14 @@ def _grid(args) -> Grid1D:
 
 
 def cmd_solve(args) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be >= 1, got {args.steps}")
     if args.snapshots < 1:
         raise InputError(f"--snapshots must be >= 1, got {args.snapshots}")
+    # t = 0 and every (steps / snapshots)-th step: exactly --snapshots more
+    if args.steps % args.snapshots:
+        raise InputError(f"--snapshots ({args.snapshots}) must divide "
+                         f"--steps ({args.steps})")
     where = resolve_out_dir(args.out) / SNAPSHOT_STEM
     grid = _grid(args)
     # the oracle rejects a parameter that its state does not take
@@ -69,7 +75,7 @@ def cmd_solve(args) -> int:
     ws0 = analytic_oracle(args.state, state_params, grid, [0.0])
     V = ho_potential(grid.x) if args.state.startswith("ho") else np.zeros(grid.n)
     sol = solve_schrodinger(V, ws0.psi[0], grid, args.dt, args.steps,
-                            store_every=max(1, args.steps // args.snapshots))
+                            store_every=args.steps // args.snapshots)
     files = export_snapshots(where, grid, sol.times, np.abs(sol.psi) ** 2)
     print(f"wrote {len(files)} density snapshots under {where}")
     return 0

@@ -234,6 +234,12 @@ _TAKEN = "exists and is not a directory"
      _TAKEN),
     (["solve", "--steps", "2", "--snapshots", "1", "--grid-n", "201"],
      _TAKEN),
+    # solve writes t = 0 and exactly --snapshots more densities
+    (["solve", "--steps", "25", "--snapshots", "2", "--grid-n", "201"],
+     "--snapshots"),
+    (["solve", "--steps", "25", "--snapshots", "30", "--grid-n", "201"],
+     "--snapshots"),
+    (["solve", "--steps", "0", "--grid-n", "201"], "--steps"),
 ])
 def test_cli_rejects_counts_it_cannot_run(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -401,6 +407,20 @@ def test_sample_writes_counts_as_integers(tmp_path):
             rows = list(csv.DictReader(fh))
         assert rows
         assert sum(int(row["count"]) for row in rows) > 0
+
+
+@pytest.mark.parametrize("steps, snapshots", [(20, 2), (25, 5), (25, 25),
+                                              (25, 1)])
+def test_solve_writes_t0_and_exactly_snapshots_more(steps, snapshots,
+                                                     tmp_path):
+    assert main(["solve", "--steps", str(steps), "--snapshots",
+                 str(snapshots), "--grid-n", "201", "--dt", "0.01", "--out",
+                 str(tmp_path)]) == 0
+    times = sorted(json.loads(path.read_text())["time"] for path in
+                   (tmp_path / "density").glob("density_*.csv.json"))
+    every = steps // snapshots
+    assert times == pytest.approx([0.01 * every * k
+                                   for k in range(snapshots + 1)])
 
 
 def test_solve_sidecars_record_time_label_and_grid(tmp_path):

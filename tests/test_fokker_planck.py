@@ -85,12 +85,14 @@ def test_carried_bands_match_two_band_reference(coherent_packet_solution,
 
 
 @pytest.mark.parametrize("drift, counts", [
-    ("flat", (1, 5, 0)), ("ou_ground", (1, 5, 0)), (0.5, (0, 0, 5))])
+    ("flat", (1, 5, 0, 0, 0)), ("ou_ground", (1, 5, 0, 0, 0)),
+    (0.5, (0, 0, 0, 0, 5))])
 def test_static_drift_is_factored_once(coherent_packet_solution, drift,
                                        counts, monkeypatch):
-    """A static drift's step matrix is factored once and then only solved;
-    a time-dependent one is solved afresh by ``dgtsv`` at every step."""
-    calls = {"dgttrf": 0, "dgttrs": 0, "dgtsv": 0}
+    """A static drift's step matrix is factored once, in the
+    detailed-balance gauge by ``dpttrf``, and then only solved; a
+    time-dependent one is solved afresh by ``dgtsv`` at every step."""
+    calls = {"dpttrf": 0, "dpttrs": 0, "dgttrf": 0, "dgttrs": 0, "dgtsv": 0}
     for name in calls:
         def counted(*args, _name=name, _routine=getattr(lapack, name), **kw):
             calls[_name] += 1

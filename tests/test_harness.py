@@ -16,7 +16,7 @@ from nelsonlab.harness.files import emit_plots_data
 from nelsonlab.harness.checks import (MONTE_CARLO_CHECKS, _mc_status, _pooled,
                                       check_continued_two_time,
                                       check_equal_time_value,
-                                      check_time_change)
+                                      check_time_change, check_tmap_unitarity)
 from nelsonlab.harness.report import FAIL, INCONCLUSIVE, PASS, CheckRecord
 from nelsonlab.sampler import MIN_COUNT_ASSERT
 
@@ -120,6 +120,57 @@ def test_fast_run_builds_each_shared_operator_once(monkeypatch):
     verify_suite("fast")
     assert len(set(hams)) == len(hams) <= 11
     assert len(xs) <= 10
+
+
+def _tmap_unitarity_loop(ctx):
+    """``check_tmap_unitarity``'s measured values and notes, one pair of
+    random fields and one ``inner`` per iteration."""
+    from nelsonlab.algebra import build_space, gauge_map
+    from nelsonlab.fields import analytic_oracle
+    grid = ctx.grid
+    states = {
+        "ho_ground(t=0.3)": analytic_oracle("ho_ground", None, grid, [0.3]),
+        "ho_coherent(t=0.7)": analytic_oracle("ho_coherent", {"x0": 1.0},
+                                              grid, [0.7]),
+    }
+    plist = [diffusion_params("nu", 0.5), diffusion_params("nu", 2.0),
+             ctx.continued(grid, "minus").p, ctx.continued(grid, "plus").p]
+    g = np.random.default_rng(11)
+    worst = 0.0
+    details = {}
+    for sname, ws in states.items():
+        Ht = build_space(grid, "H_t", ws.rho(0))
+        for p in plist:
+            It = build_space(grid, "I_t", ws.S[0], p)
+            dev = 0.0
+            for _ in range(25):
+                f = g.standard_normal(grid.n) + 1j * g.standard_normal(grid.n)
+                h = g.standard_normal(grid.n) + 1j * g.standard_normal(grid.n)
+                lhs = Ht.inner(f, h)
+                rhs = It.inner(gauge_map(f, ws.R[0], ws.S[0], p),
+                               gauge_map(h, ws.R[0], ws.S[0], p))
+                dev = max(dev, abs(lhs - rhs))
+            details[f"{sname},{p.mode},nu={p.nu:g}"] = dev
+            worst = max(worst, dev)
+    ws0 = ctx.ho_ground(grid)
+    t1 = gauge_map(np.ones(grid.n), ws0.R[0], ws0.S[0],
+                   diffusion_params("nu", 1.0))
+    sq_dev = float(np.max(np.abs(t1 - np.exp(ws0.R[0]))))
+    measured = {"max_inner_product_gap": max(worst, sq_dev),
+                "unit_maps_to_sqrt_rho": sq_dev}
+    notes = "; ".join(f"{k}: {v:.1e}" for k, v in list(details.items())[:4])
+    return measured, notes
+
+
+def test_tmap_unitarity_record_equals_the_loop_form():
+    """The stacked draws and row sums give the record of 100 single pairs,
+    field for field: same stream, same products, same sums."""
+    ctx = CheckContext(small_cfg())
+    [rec] = check_tmap_unitarity(ctx)
+    measured, notes = _tmap_unitarity_loop(ctx)
+    assert rec.measured == measured
+    assert rec.notes == notes
+    assert rec.status == PASS
 
 
 def test_fast_run_builds_one_space_and_x_per_grid_and_kind(monkeypatch):

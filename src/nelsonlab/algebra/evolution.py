@@ -15,26 +15,16 @@ recursion or, on the continued branches, the exact conjugation by
 Operators are held as their diagonals, so the recursion goes band in,
 band out.  The interior Hamiltonian and the stationary generator are
 tridiagonal, so their eigensystems come from their two bands through
-``scipy.linalg.eigh_tridiagonal``, by one of three LAPACK drivers:
-
-* Every Hamiltonian sector by ``stemr``, MRRR (Dhillon and Parlett,
-  Linear Algebra Appl. 387, 1 (2004); Dhillon, Parlett and Voemel, ACM
-  TOMS 32, 533 (2006)), named once as ``_SECTOR_DRIVER``.  It makes no
-  level-3 BLAS call.  The divide and conquer of ``stevd`` does, in its
-  merges, on scipy's own threaded BLAS, whose threads contend with
-  numpy's pool right after a numpy product; ``stemr``'s time does not
-  depend on what ran before it.  On the oscillator and the double well
-  ``(x^2 - 4)^2 / 16`` at n = 201 to 1601 its eigenvectors are
-  orthonormal to 3.3e-13 (``stevd``: 4e-15), and its residuals are within
-  7.2e-15 of ``||T||``.
-* A window of the stationary generator, chosen by index, by ``stebz``
-  (bisection) and ``stein`` (inverse iteration), the default for a
-  window.  The window's 1e-15 tail certificate needs eigenvectors
-  orthonormal to about eps, which ``stemr`` does not give.
-* The full spectrum of the stationary generator, past a tenth of it, by
-  the default driver, ``stevd`` (divide and conquer) in scipy 1.17.1.
-  Which driver older releases, down to the 1.13 floor, choose for this
-  one solve has not been checked.
+``scipy.linalg.eigh_tridiagonal``, by one LAPACK driver for both, named
+once as ``_SECTOR_DRIVER``: ``stemr``, MRRR (Dhillon and Parlett, Linear
+Algebra Appl. 387, 1 (2004); Dhillon, Parlett and Voemel, ACM TOMS 32,
+533 (2006)).  It makes no level-3 BLAS call.  The divide and conquer of
+``stevd`` does, in its merges, on scipy's own threaded BLAS, whose threads
+contend with numpy's pool right after a numpy product; ``stemr``'s time
+does not depend on what ran before it.  On the oscillator and the double
+well ``(x^2 - 4)^2 / 16`` at n = 201 to 1601 its eigenvectors are
+orthonormal to 3.3e-13 (``stevd``: 4e-15), and its residuals are within
+7.2e-15 of ``||T||``.
 
 A Hamiltonian's eigensystem is a list of sectors.  Every Hamiltonian the
 checks and the benchmark build has an even potential on a box centred at
@@ -57,12 +47,12 @@ sizes, unfolded with its adjoint straight into the output in O(n^2).
 The two-time element of every member, real or continued, is one formula,
 ``dx sum_k w_k^2 exp(conj(nu) mu_k s)``, over the eigenpairs of the
 ``nu``-free stationary generator M (``L = nu M``) and the weights of
-``x theta`` on them.  Its eigenpairs come from one window per state,
-64, 256, ... pairs from the top of the spectrum, certified by the weight
-of ``x theta`` it leaves out, or from the full spectrum past a tenth of
-it; the window's residual and orthonormality are checked too.  Since
-``|exp(conj(nu) mu s)| <= 1``, that one window serves every lag and every
-member, and it is kept apart from the Hamiltonian eigensystem.
+``v = x theta`` on them.  When theta is mirror-even and x mirror-odd,
+both are taken exactly so: M's bands equal their mirror image, v is odd,
+and only M's odd sector, solved in full, carries v's weight.  Any other
+state is one full solve.  Nothing is left out, so the one check is
+Parseval's, ``sum w^2 = ||v||^2``.  The eigenpairs serve every lag and
+every member, and are kept apart from the Hamiltonian eigensystem.
 """
 from __future__ import annotations
 
@@ -174,17 +164,28 @@ def _expand(w: np.ndarray, parity: int, m: int, axis: int = -1
     return out
 
 
-# LAPACK driver of every Hamiltonian sector solve: MRRR, which makes no
-# level-3 BLAS call, so its time does not depend on the products around it
+# LAPACK driver of every tridiagonal solve: MRRR, which makes no level-3
+# BLAS call, so its time does not depend on the products around it
 _SECTOR_DRIVER = "stemr"
 # (key, result) of the last solve: one entry, replaced by one assignment
 _last_eigensystem: tuple | None = None
 
 
+def _solve_sector(d: np.ndarray, e: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, U)`` of the tridiagonal matrix of bands ``d``, ``e`` by
+    ``_SECTOR_DRIVER``; a LAPACK failure is a ``NumericalBreakdownError``."""
+    try:
+        return eigh_tridiagonal(d, e, lapack_driver=_SECTOR_DRIVER)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdownError(
+            f"eigendecomposition of {d.size} nodes failed: {exc}") from exc
+
+
 def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
                 ) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """``(parity, lam, U)`` of each sector of ``_sector_bands``, from
-    ``eigh_tridiagonal`` on the sector's bands by ``_SECTOR_DRIVER``.
+    ``_solve_sector`` on the sector's bands.
 
     The last sectors are kept, keyed on the split and the exact bytes of
     both bands, so a repeat call on the same matrix returns them without a
@@ -199,10 +200,7 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
         return last[1]
     sectors = []
     for parity, d, e in _sector_bands(diag, off, split):
-        try:
-            lam, U = eigh_tridiagonal(d, e, lapack_driver=_SECTOR_DRIVER)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise NumericalBreakdownError("eigendecomposition failed") from exc
+        lam, U = _solve_sector(d, e)
         lam.flags.writeable = U.flags.writeable = False
         sectors.append((parity, lam, U))
     sectors = tuple(sectors)
@@ -210,98 +208,40 @@ def _eigh_bands(diag: np.ndarray, off: np.ndarray, split: bool
     return sectors
 
 
-# bound on the weight a window leaves out, relative to ||x theta||^2
-_TAIL_TOL = 1e-15
-# largest eigenvector residual ||T u - lambda u|| accepted, relative to ||T||
-_RESIDUAL_TOL = 1e-10
-# how far sum w^2 may pass ||v||^2, relative, before the eigenvectors
-# cannot be orthonormal
+# largest relative miss of sum w^2 from ||v||^2 that orthonormal U allow
 _NORM_SLACK = 1e-12
-# past this share of the spectrum a window (stebz + stein) is no cheaper
-# than the full solve (stevd); measured in BENCH_real_window.json
-_WINDOW_MAX_SHARE = 0.1
-# the first window tried: no state of the package certifies with 16 pairs
-_FIRST_WINDOW = 64
+# (key, result) of the last solve of M, kept apart from _last_eigensystem
+_last_generator: tuple | None = None
 
 
-def _top_eigenpairs(diag: np.ndarray, off: np.ndarray, v: np.ndarray, k: int
-                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(lam, w, outside)`` of the top k eigenpairs of the tridiagonal
-    matrix T: ascending eigenvalues, the coefficients ``w = U^T v``, and the
-    weight ``||v||^2 - sum w^2`` that v puts on the eigenvectors left out.
+def _generator_eigenpairs(diag: np.ndarray, off: np.ndarray, v: np.ndarray,
+                          split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu, w)``: the eigenvalues of the tridiagonal M and the
+    coefficients ``w = U^T v`` of v on its eigenvectors.
 
-    One ``eigh_tridiagonal`` solve, by index below the whole spectrum; the
-    kept eigensystem of ``_eigh_bands`` is left as it is.  Coefficients
-    that carry more than all of ``||v||^2`` raise
-    ``NumericalBreakdownError``, and so does a window (``stein``'s inverse
-    iteration) with a residual ``||T u - lambda u||`` above
-    ``_RESIDUAL_TOL`` of ``||T||_inf``.  The O(n^2) residual of a full
-    ``stevd`` solve, which the rest of this module takes unchecked, is
-    not formed: it would cost a fifth of the solve.
+    With the split, v must be exactly mirror-odd, so only M's odd sector,
+    the last of ``_sector_bands``, is solved; without it, all of M.  A
+    ``sum w^2`` that misses ``||v||^2`` by more than ``_NORM_SLACK`` of it
+    raises ``NumericalBreakdownError``.  The last result is kept, keyed on
+    the split and the exact bytes of both bands and of v; the returned
+    arrays are read-only.
     """
-    m = diag.size
-    window = {} if k == m else {"select": "i", "select_range": (m - k, m - 1)}
-    try:
-        lam, U = eigh_tridiagonal(diag, off, **window)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdownError(
-            f"eigensolve of the top {k} of {m} eigenpairs failed: {exc}"
-        ) from exc
-    if window:
-        r = (diag[:, None] - lam) * U
-        r[:-1] += off[:, None] * U[1:]
-        r[1:] += off[:, None] * U[:-1]
-        norm = np.abs(diag)
-        norm[:-1] += np.abs(off)
-        norm[1:] += np.abs(off)
-        residual = float(np.max(np.linalg.norm(r, axis=0)))
-        if residual > _RESIDUAL_TOL * norm.max():
-            raise NumericalBreakdownError(
-                f"the top {k} of {m} eigenpairs have a residual of "
-                f"{residual:.1e}, above {_RESIDUAL_TOL:g} of ||T|| = "
-                f"{norm.max():.1e}")
-    w = U.T @ v
-    vv = float(np.sum(v * v))
-    outside = vv - float(np.sum(w * w))
-    if outside < -_NORM_SLACK * vv:
-        raise NumericalBreakdownError(
-            f"the top {k} of {m} eigenvectors carry {1 - outside / vv:.15g} "
-            "of ||v||^2: they are not orthonormal")
-    return lam, w, max(outside, 0.0)
-
-
-# (key, result) of the last window, kept apart from _last_eigensystem
-_last_window: tuple | None = None
-
-
-def _certified_window(diag: np.ndarray, off: np.ndarray, v: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``(mu, w)``: the top eigenvalues of the tridiagonal ``T <= 0`` and
-    the coefficients ``w = U^T v`` of a window that leaves out at most
-    ``_TAIL_TOL ||v||^2`` of v's weight.
-
-    Windows of 64, 256, ... pairs are tried from the top of the spectrum;
-    past ``_WINDOW_MAX_SHARE`` of it the full spectrum is solved, which
-    leaves nothing out.  The last window is kept, keyed on the exact bytes
-    of both bands and of v, so every lag and every member on one state
-    share one solve; the returned arrays are read-only.
-    """
-    global _last_window
-    key = tuple((a.dtype.str, a.tobytes()) for a in (diag, off, v))
-    last = _last_window
+    global _last_generator
+    key = (split, *((a.dtype.str, a.tobytes()) for a in (diag, off, v)))
+    last = _last_generator
     if last is not None and last[0] == key:
         return last[1]
+    parity, d, e = _sector_bands(diag, off, split)[-1]
+    mu, U = _solve_sector(d, e)
+    w = U.T @ _restrict(v, parity)
     vv = float(np.sum(v * v))
-    k = _FIRST_WINDOW
-    while k <= _WINDOW_MAX_SHARE * diag.size:
-        mu, w, outside = _top_eigenpairs(diag, off, v, k)
-        if outside <= _TAIL_TOL * vv:
-            break
-        k *= 4
-    else:
-        mu, w, _ = _top_eigenpairs(diag, off, v, diag.size)
+    ww = float(np.sum(w * w))
+    if abs(ww - vv) > _NORM_SLACK * vv:
+        raise NumericalBreakdownError(
+            f"the {d.size} eigenvectors of M carry {ww / vv:.15g} of "
+            "||v||^2: they are not orthonormal")
     mu.flags.writeable = w.flags.writeable = False
-    _last_window = (key, (mu, w))
+    _last_generator = (key, (mu, w))
     return mu, w
 
 
@@ -529,6 +469,17 @@ def correlation(state: np.ndarray, ops: list[OperatorMatrix],
     return space.inner(state, vec)
 
 
+def _generator_bands(theta: np.ndarray, dx: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of ``M = Lap_D - diag(Lap_D theta /
+    theta)`` on the interior values theta; ``M theta = 0`` exactly, and a
+    mirror-symmetric theta gives mirror-symmetric bands exactly."""
+    inv = 1.0 / (dx * dx)
+    padded = np.concatenate(([0.0], theta, [0.0]))
+    lap_theta = (inv * padded[:-2] + inv * padded[2:]) + (-2.0 * inv) * theta
+    return -2.0 * inv - lap_theta / theta, np.full(theta.size - 1, inv)
+
+
 def stationary_generator(ws: WaveSolution
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauge-image generator of the stationary diffusion on interior nodes.
@@ -542,14 +493,8 @@ def stationary_generator(ws: WaveSolution
     This is ``-2 m / hbar^2`` times the Hamiltonian of the recursion
     shifted by the state's energy, up to O(dx^2).
     """
-    grid = ws.grid
     theta = np.exp(ws.R[0])[1:-1]
-    inv = 1.0 / (grid.dx * grid.dx)
-    padded = np.concatenate(([0.0], theta, [0.0]))
-    lap_theta = (inv * padded[:-2] + inv * padded[2:]) + (-2.0 * inv) * theta
-    diag = -2.0 * inv - lap_theta / theta
-    off = np.full(theta.size - 1, inv)
-    return diag, off, theta
+    return (*_generator_bands(theta, ws.grid.dx), theta)
 
 
 def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
@@ -576,12 +521,12 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
 
     ``mu <= 0`` and ``Re nu >= 0``, so ``|exp(conj(nu) mu s)| <= 1`` for
     every member at ``s >= 0``, and for the continued members at any s.
-    Lags below 0 are refused where ``Re nu > 0``.  The eigenpairs come
-    from one window per state (``_certified_window``), which leaves out at
-    most 1e-15 of ``||x theta||^2`` and so bounds the error at every lag
-    and on every member: a call solves at most one window, and a second
-    member or lag sequence on the same state solves none.  A two-time call
-    never replaces the kept Hamiltonian eigensystem.
+    Lags below 0 are refused where ``Re nu > 0``.  When theta is
+    mirror-even and x mirror-odd, to ``grids.MIRROR_TOL``, both are made
+    exactly so and only M's odd sector, ``floor(m/2)`` nodes, is solved;
+    any other state takes one solve of M's m nodes.  A second member or lag
+    sequence on the same state solves nothing, and a two-time call never
+    replaces the kept Hamiltonian eigensystem.
 
     ``s`` is a scalar, which gives a ``complex``, or a 1-D sequence of
     finite lags, which gives a complex array whose element ``j`` is the
@@ -595,9 +540,14 @@ def two_time_position_correlation(ws: WaveSolution, p: DiffusionParams,
     if p.nu.real > 0 and (lags < 0).any():
         raise InputError("the stationary semigroup exp(s nu M) is a "
                          f"contraction only for s >= 0; got {lags.tolist()}")
-    diag, off, theta = stationary_generator(ws)
+    theta, x = np.exp(ws.R[0])[1:-1], grid.x[1:-1]
+    split = (theta.size >= 2 and has_mirror_parity(theta, 1)
+             and has_mirror_parity(x, -1))
+    if split:
+        theta, x = (theta + theta[::-1]) / 2.0, (x - x[::-1]) / 2.0
+    diag, off = _generator_bands(theta, grid.dx)
     theta = theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
-    mu, w = _certified_window(diag, off, grid.x[1:-1] * theta)
+    mu, w = _generator_eigenpairs(diag, off, x * theta, split)
     rate = p.nu.conjugate() * mu
     vals = np.array([np.sum(w * np.exp(rate * lag) * w)
                      for lag in lags.ravel().tolist()]) * grid.dx

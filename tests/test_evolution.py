@@ -176,7 +176,12 @@ def test_stationary_generator_annihilates_sqrt_density(grid801):
 
 def test_stationary_generator_matches_dense_laplacian(grid801):
     """M is nu-free, and every member's element is the dense-oracle sum
-    ``dx sum_k w_k^2 exp(conj(nu) mu_k s)`` over all of M's spectrum."""
+    ``dx sum_k w_k^2 exp(conj(nu) mu_k s)`` over all of M's spectrum.
+
+    ``eigh``'s eigenvalues miss those of ``ref`` by up to 0.4 eps ||M||
+    (4.8e-13 on the mode that carries x theta), which the lag 10 turns
+    into 1.2e-12; the oracle takes the Rayleigh quotients of its
+    eigenvectors in long double instead, exact to about 1e-15."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     M, theta = _dense_generator(ws)
     m, inv = grid801.n - 2, 1.0 / grid801.dx ** 2
@@ -185,7 +190,13 @@ def test_stationary_generator_matches_dense_laplacian(grid801):
     ref = lap - np.diag((lap @ theta) / theta)
     assert np.array_equal(theta, np.exp(ws.R[0])[1:-1])
     assert np.max(np.abs(M - ref)) < 1e-13 * np.max(np.abs(ref))
-    lam, U = np.linalg.eigh(ref)
+    _, U = np.linalg.eigh(ref)
+    Ul = U.astype(np.longdouble)
+    d, e = (np.diag(ref, k).astype(np.longdouble)[:, None] for k in (0, 1))
+    refU = d * Ul
+    refU[:-1] += e * Ul[1:]
+    refU[1:] += e * Ul[:-1]
+    lam = (np.sum(Ul * refU, axis=0) / np.sum(Ul * Ul, axis=0)).astype(float)
     w = U.T @ (grid801.x[1:-1] * theta
                / np.sqrt(np.sum(theta ** 2) * grid801.dx))
     for p in _members():
@@ -546,35 +557,22 @@ def test_closed_form_checks_build_no_dense_evolved_operator(monkeypatch):
         assert [r.status for r in check(ctx)] == ["pass"]
 
 
-class _Solves(list):
-    """Sizes of the full eigensolves; ``windows`` holds ``(size, k)`` of
-    each solve of the top k eigenpairs."""
-
-    def __init__(self):
-        super().__init__()
-        self.windows = []
-
-
 @pytest.fixture()
 def solves(monkeypatch):
-    """Counts eigensolves; starts from an empty held eigensystem and no
-    kept window."""
+    """Sizes of the eigensolves, in call order; starts from an empty held
+    eigensystem and no kept solve of the stationary generator."""
     from scipy import linalg
 
     from nelsonlab.algebra import evolution
-    calls = _Solves()
+    calls = []
 
     def counted(diag, off, **kwargs):
-        if kwargs.get("select", "a") == "a":
-            calls.append(diag.size)
-        else:
-            lo, hi = kwargs["select_range"]
-            calls.windows.append((diag.size, hi - lo + 1))
+        calls.append(diag.size)
         return linalg.eigh_tridiagonal(diag, off, **kwargs)
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", counted)
     monkeypatch.setattr(evolution, "_last_eigensystem", None)
-    monkeypatch.setattr(evolution, "_last_window", None)
+    monkeypatch.setattr(evolution, "_last_generator", None)
     return calls
 
 
@@ -713,17 +711,16 @@ def test_threads_on_different_grids_get_their_serial_results():
         for runs, ref in zip(pool.map(act, actions), serial):
             assert all(np.array_equal(r, ref) for r in runs)
     jobs = []
-    for n, p in ((201, continue_to_imaginary(diffusion_params("nu", 0.5),
-                                             "minus")),
-                 (241, diffusion_params("nu", 0.7))):
-        grid = Grid1D(-8.0, 8.0, n)
+    for grid, p in ((Grid1D(-8.0, 8.0, 201), pc),      # odd sectors, and
+                    (Grid1D(-8.0, 8.0, 241), diffusion_params("nu", 0.7)),
+                    (Grid1D(-7.0, 9.0, 221), pc)):     # one full solve
         jobs.append((analytic_oracle("ho_ground", None, grid, [0.0]), p))
     serial = [two_time_position_correlation(ws, p, lags) for ws, p in jobs]
 
     def repeat(job):
         return [two_time_position_correlation(*job, lags) for _ in range(20)]
 
-    with ThreadPoolExecutor(2) as pool:
+    with ThreadPoolExecutor(3) as pool:
         for runs, ref in zip(pool.map(repeat, jobs), serial):
             assert all(np.array_equal(r, ref) for r in runs)
 
@@ -733,14 +730,15 @@ def test_fast_suite_makes_three_conjugation_eigensolves_per_run(solves):
     by the closed-form and continued two-time checks: three Hamiltonians,
     each mirrored and solved as its two sectors (interior counts 23, 29
     and 799), and as many again on a second run, so no Hamiltonian is
-    reused across runs.  The continued two-time check solves one window
-    of 64 stationary eigenpairs, which the second run finds kept."""
+    reused across runs.  The continued two-time check solves the 399-node
+    odd sector of the stationary generator, which the second run finds
+    kept."""
     from nelsonlab.harness.suite import verify_suite
     run = [12, 11, 15, 14, 400, 399]
     verify_suite("fast")
-    assert solves == run and solves.windows == [(799, 64)]
+    assert solves == run + [399]
     verify_suite("fast")
-    assert solves == run * 2 and solves.windows == [(799, 64)]
+    assert solves == run + [399] + run
 
 
 def test_lags_must_be_finite(small, grid801):
@@ -769,36 +767,46 @@ def test_real_two_time_rejects_negative_lags(grid801):
 
 
 def test_real_lags_solve_only_the_window_they_see(solves, grid801):
-    """Every real lag, 0, short or long, is served by the one window of
-    64 top eigenpairs of M: no lag solves the full spectrum, and no lag
-    after the first solves anything."""
+    """Every lag, 0, short or long, on every member, is served by one solve
+    of the only sector x theta sees, the 399-node odd sector of M: no lag
+    solves all 799 nodes, and no lag after the first solves anything."""
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 1.0)
     m = grid801.n - 2
-    two_time_position_correlation(ws, p, 0.5)
-    assert solves == [] and solves.windows == [(m, 64)]
-    for s in (0.0, 0.005, 0.5, 10.0):
-        two_time_position_correlation(ws, p, s)
-    assert solves == [] and solves.windows == [(m, 64)]
+    two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)
+    assert solves == [m // 2]
+    for p in _members():
+        for s in (0.0, 0.005, 0.5, 10.0):
+            two_time_position_correlation(ws, p, s)
+    assert solves == [m // 2]
+
+
+def test_real_lag_sweep_shares_its_windows(solves, grid801):
+    """Twenty lags from 0.05 to 5 take one odd-sector solve of 399 nodes
+    and no full solve, on any member; the other members on the same state
+    take none."""
+    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
+    sweep = np.geomspace(0.05, 5.0, 20)
+    for p in _members():
+        two_time_position_correlation(ws, p, sweep)
+    assert solves == [(grid801.n - 2) // 2]
 
 
 def test_mixed_real_lag_sequence_matches_scalar_calls_bit_for_bit(
         solves, grid801):
-    """A sequence of zero, short and long lags takes one window on every
-    member, and every element is its scalar call."""
+    """A sequence of zero, short and long lags takes one odd-sector solve
+    on every member, and every element is its scalar call."""
     from nelsonlab.algebra import evolution
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
     lags = [0.5, 0.0, 0.005, 5.0, 0.52, 0.01, 1.0, 0.5]
     for p in _members():
-        evolution._last_window = None
-        count = len(solves.windows)
+        evolution._last_generator = None
+        count = len(solves)
         seq = two_time_position_correlation(ws, p, lags)
-        assert solves.windows[count:] == [(grid801.n - 2, 64)]
+        assert solves[count:] == [(grid801.n - 2) // 2]
         for j, s in enumerate(lags):
             one = two_time_position_correlation(ws, p, s)
             assert type(one) is complex and one == seq[j]
-        assert len(solves.windows) == count + 1
-    assert solves == []
+        assert len(solves) == count + 1
 
 
 def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
@@ -808,7 +816,6 @@ def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
     from nelsonlab.algebra import evolution
     ctx = CheckContext(ExperimentConfig())
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    m = grid801.n - 2
     _hamiltonian_two_time(ws, ctx.continued(grid801, "minus"), [0.5])
     held = evolution._last_eigensystem
     assert solves == [400, 399]
@@ -817,86 +824,74 @@ def test_real_call_keeps_the_held_hamiltonian(solves, grid801):
             two_time_position_correlation(ws, p, lag)
             assert evolution._last_eigensystem is held
             _hamiltonian_two_time(ws, ctx.continued(grid801, "plus"), [0.5])
-            assert solves == [400, 399]
-    assert solves.windows == [(m, 64)]
+    assert solves == [400, 399, 399]
 
 
-def test_real_lag_sweep_shares_its_windows(solves, grid801):
-    """Twenty lags from 0.05 to 5 take the one window of 64 and no full
-    solve, on any member; the other members on the same state take
-    none."""
-    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    sweep = np.geomspace(0.05, 5.0, 20)
+@pytest.mark.parametrize("n", [400, 401, 801, 3201])
+def test_mirrored_state_solves_exactly_symmetric_bands(monkeypatch, n):
+    """On the oscillator ground state the bands that reach the solve equal
+    their mirror image exactly, for either parity of m, and v is exactly
+    mirror-odd, so its even sector is exactly zero."""
+    from nelsonlab.algebra import evolution
+    seen = []
+    solve = evolution._generator_eigenpairs
+
+    def spy(diag, off, v, split):
+        seen.append((diag, off, v, split))
+        return solve(diag, off, v, split)
+
+    monkeypatch.setattr(evolution, "_generator_eigenpairs", spy)
+    monkeypatch.setattr(evolution, "_last_generator", None)
+    ws = analytic_oracle("ho_ground", None, Grid1D(-8.0, 8.0, n), [0.0])
+    two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)
+    [(diag, off, v, split)] = seen
+    assert split and diag.size == n - 2
+    assert np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    assert np.array_equal(v, -v[::-1])
+    assert not evolution._restrict(v, 1).any()
+
+
+def test_off_mirror_state_takes_one_full_solve(solves):
+    """A state on a box that is not centred at 0 takes one solve of all of
+    M's 799 nodes and matches the dense oracle on every member."""
+    grid = Grid1D(-7.0, 9.0, 801)
+    ws = analytic_oracle("ho_ground", None, grid, [0.0])
+    M, theta = _dense_generator(ws)
+    lam, U = np.linalg.eigh(M)
+    v = grid.x[1:-1] * theta / np.sqrt(np.sum(theta ** 2) * grid.dx)
+    w = U.T @ v
+    lags = np.array([0.5, 1.0, 2.5])
     for p in _members():
-        two_time_position_correlation(ws, p, sweep)
-    assert solves == [] and solves.windows == [(grid801.n - 2, 64)]
+        got = two_time_position_correlation(ws, p, lags)
+        for s, g in zip(lags, got):
+            ref = np.sum(w * np.exp(np.conj(p.nu) * lam * s) * w)
+            assert abs(g / grid.dx - ref) < 1e-12 * np.sum(v * v)
+    assert solves == [grid.n - 2]
 
 
-def _broken_window(monkeypatch, mend):
-    """``eigh_tridiagonal`` whose windows pass through ``mend``."""
+@pytest.mark.parametrize("stretch", [1.01, 0.99])
+def test_eigenvectors_that_are_not_orthonormal_are_a_numerical_breakdown(
+        monkeypatch, grid801, stretch):
+    """Stretched or shrunk eigenvectors keep their residual small but
+    carry more or less weight than x theta has: Parseval sees both."""
     from scipy import linalg
 
+    from nelsonlab import NumericalBreakdownError
     from nelsonlab.algebra import evolution
 
     def solve(diag, off, **kwargs):
         lam, U = linalg.eigh_tridiagonal(diag, off, **kwargs)
-        return mend(lam, U) if kwargs else (lam, U)
+        return lam, stretch * U
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", solve)
-    monkeypatch.setattr(evolution, "_last_window", None)
-
-
-def test_window_with_a_large_residual_is_a_numerical_breakdown(
-        monkeypatch, grid801):
-    from nelsonlab import NumericalBreakdownError
+    monkeypatch.setattr(evolution, "_last_generator", None)
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 1.0)
-    diag, off, _ = stationary_generator(ws)
-    # a shift of 1e-9 ||T|| moves no vector, so only the residual sees it
-    shift = 1e-9 * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
-    _broken_window(monkeypatch, lambda lam, U: (lam + shift, U))
-    with pytest.raises(NumericalBreakdownError, match="residual"):
-        two_time_position_correlation(ws, p, 0.5)
-
-
-def test_window_vectors_that_are_not_orthonormal_are_a_numerical_breakdown(
-        monkeypatch, grid801):
-    from nelsonlab import NumericalBreakdownError
-    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    p = diffusion_params("nu", 1.0)
-    # stretched eigenvectors keep their residual small but put more
-    # weight in the window than x theta has
-    _broken_window(monkeypatch, lambda lam, U: (lam, 1.01 * U))
     with pytest.raises(NumericalBreakdownError, match="not orthonormal"):
-        two_time_position_correlation(ws, p, 0.5)
+        two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)
 
 
-def test_window_certifies_what_it_leaves_out(solves, grid801):
-    """x theta certifies with the first window; a vector with weight on
-    every mode leaves too much outside it, climbs to the full spectrum,
-    and matches the dense oracle on every member."""
-    from nelsonlab.algebra import evolution
-    ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    diag, off, theta = stationary_generator(ws)
-    m = diag.size
-    evolution._certified_window(diag, off, grid801.x[1:-1] * theta)
-    assert solves.windows == [(m, 64)] and solves == []
-    lam, U = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
-                            + np.diag(off, -1))
-    v = np.random.default_rng(11).standard_normal(m)
-    w = U.T @ v
-    mu, got = evolution._certified_window(diag, off, v)
-    assert solves.windows == [(m, 64)] * 2 and solves == [m]
-    lags = np.array([0.5, 1.0, 2.5])
-    for p in _members():
-        nu = np.conj(p.nu)
-        for s in lags:
-            ref = np.sum(w * np.exp(nu * lam * s) * w)
-            assert abs(np.sum(got * np.exp(nu * mu * s) * got) - ref) \
-                < 1e-12 * np.sum(v * v)
-
-
-def test_failed_window_solve_is_a_numerical_breakdown(monkeypatch, grid801):
+def test_failed_generator_solve_is_a_numerical_breakdown(monkeypatch,
+                                                         grid801):
     from nelsonlab import NumericalBreakdownError
     from nelsonlab.algebra import evolution
 
@@ -904,7 +899,7 @@ def test_failed_window_solve_is_a_numerical_breakdown(monkeypatch, grid801):
         raise np.linalg.LinAlgError("1 eigenvectors failed to converge")
 
     monkeypatch.setattr(evolution, "eigh_tridiagonal", failing)
-    monkeypatch.setattr(evolution, "_last_window", None)
+    monkeypatch.setattr(evolution, "_last_generator", None)
     ws = analytic_oracle("ho_ground", None, grid801, [0.0])
-    with pytest.raises(NumericalBreakdownError, match="top"):
+    with pytest.raises(NumericalBreakdownError, match="eigendecomposition"):
         two_time_position_correlation(ws, diffusion_params("nu", 1.0), 0.5)

@@ -73,29 +73,50 @@ class DriftField:
     def b_at(self, t: float, x: np.ndarray) -> np.ndarray:
         """Forward drift at arbitrary positions (linear in x and t).
 
-        Positions outside the box take the value at the nearest wall.  The
-        row at t becomes per-cell tables, slope ``d[i] = row[i+1] - row[i]``
-        and intercept ``a[i] = row[i] - i d[i]`` (padded with ``d[n-1] = 0``
-        and ``a[n-1] = row[n-1]``), so that in units ``u`` of the grid
-        spacing, clipped to ``[0, n-1]``, the drift is ``a[i] + d[i] u``
-        with ``i = int(u)``: one clip, one cast, two gathers and one
-        multiply-add per position.  This agrees with the blend
-        ``(1 - w) row[i] + w row[i+1]`` to rounding (about 1e-14 of
-        max|b|), not bit for bit.
+        Positions outside the box take the value at the nearest wall, and
+        a NaN position gives NaN.  The row at t becomes per-cell tables
+        (``b_tables``), slope ``d[i] = row[i+1] - row[i]`` and intercept
+        ``a[i] = row[i] - i d[i]`` (padded with ``d[n-1] = 0`` and
+        ``a[n-1] = row[n-1]``), so that in units ``u`` of the grid spacing,
+        clipped to ``[0, n-1]``, the drift is ``a[i] + d[i] u`` with
+        ``i = int(u)``: one clip, one cast, two gathers and one multiply-add
+        per position (``b_from_tables``).
+        This agrees with the blend ``(1 - w) row[i] + w row[i+1]`` to
+        rounding (about 1e-14 of max|b|), not bit for bit.
         """
+        return self.b_from_tables(self.b_tables(t), x)
+
+    def b_tables(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Slope and intercept tables ``(d, a)`` of the drift row at t."""
         row = self.b_on_grid(t)
-        n = self.grid.n
         d = np.empty_like(row)
         np.subtract(row[1:], row[:-1], out=d[:-1])
         d[-1] = 0.0
-        a = row - np.arange(n) * d
-        u = np.subtract(x, self.grid.x_min, out=np.empty(np.shape(x)))
+        return d, row - np.arange(self.grid.n) * d
+
+    def b_from_tables(self, tables: tuple[np.ndarray, np.ndarray],
+                      x: np.ndarray, out: np.ndarray | None = None,
+                      u: np.ndarray | None = None,
+                      i: np.ndarray | None = None) -> np.ndarray:
+        """``b_at`` on tables taken once by ``b_tables``.
+
+        ``out``, ``u`` (float) and ``i`` (``np.intp``), when given, are
+        buffers shaped like ``x`` that the evaluation overwrites, so a
+        caller that steps many blocks allocates none per block.  Returns
+        the drift, in ``out`` when it is given.
+        """
+        d, a = tables
+        shape = np.shape(x)
+        u = np.subtract(x, self.grid.x_min,
+                        out=np.empty(shape) if u is None else u)
         u /= self.grid.dx
-        np.clip(u, 0.0, n - 1.0, out=u)
-        i = u.astype(np.intp)
-        b = d[i]
+        np.clip(u, 0.0, self.grid.n - 1.0, out=u)
+        if i is None:
+            i = np.empty(shape, dtype=np.intp)
+        np.copyto(i, u, casting="unsafe")    # truncates: the cell index
+        b = np.take(d, i, out=out, mode="clip")
         b *= u
-        b += a[i]
+        b += np.take(a, i, out=u, mode="clip")
         return b
 
     def max_abs_b(self) -> float:

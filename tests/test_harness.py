@@ -122,55 +122,48 @@ def test_fast_run_builds_each_shared_operator_once(monkeypatch):
     assert len(xs) <= 10
 
 
-def _tmap_unitarity_loop(ctx):
-    """``check_tmap_unitarity``'s measured values and notes, one pair of
-    random fields and one ``inner`` per iteration."""
+def test_tmap_unitarity_gram_pairs_every_node_once():
+    """Every node's unit vector meets its i-multiple in exactly one Gram
+    entry, which is that pair's single ``inner``, bit for bit, on both
+    sides of the identity; every other entry is zero."""
     from nelsonlab.algebra import build_space, gauge_map
     from nelsonlab.fields import analytic_oracle
-    grid = ctx.grid
-    states = {
-        "ho_ground(t=0.3)": analytic_oracle("ho_ground", None, grid, [0.3]),
-        "ho_coherent(t=0.7)": analytic_oracle("ho_coherent", {"x0": 1.0},
-                                              grid, [0.7]),
-    }
-    plist = [diffusion_params("nu", 0.5), diffusion_params("nu", 2.0),
-             ctx.continued(grid, "minus").p, ctx.continued(grid, "plus").p]
-    g = np.random.default_rng(11)
-    worst = 0.0
-    details = {}
-    for sname, ws in states.items():
-        Ht = build_space(grid, "H_t", ws.rho(0))
-        for p in plist:
-            It = build_space(grid, "I_t", ws.S[0], p)
-            dev = 0.0
-            for _ in range(25):
-                f = g.standard_normal(grid.n) + 1j * g.standard_normal(grid.n)
-                h = g.standard_normal(grid.n) + 1j * g.standard_normal(grid.n)
-                lhs = Ht.inner(f, h)
-                rhs = It.inner(gauge_map(f, ws.R[0], ws.S[0], p),
-                               gauge_map(h, ws.R[0], ws.S[0], p))
-                dev = max(dev, abs(lhs - rhs))
-            details[f"{sname},{p.mode},nu={p.nu:g}"] = dev
-            worst = max(worst, dev)
-    ws0 = ctx.ho_ground(grid)
-    t1 = gauge_map(np.ones(grid.n), ws0.R[0], ws0.S[0],
-                   diffusion_params("nu", 1.0))
-    sq_dev = float(np.max(np.abs(t1 - np.exp(ws0.R[0]))))
-    measured = {"max_inner_product_gap": max(worst, sq_dev),
-                "unit_maps_to_sqrt_rho": sq_dev}
-    notes = "; ".join(f"{k}: {v:.1e}" for k, v in list(details.items())[:4])
-    return measured, notes
-
-
-def test_tmap_unitarity_record_equals_the_loop_form():
-    """The stacked draws and row sums give the record of 100 single pairs,
-    field for field: same stream, same products, same sums."""
     ctx = CheckContext(small_cfg())
+    grid = ctx.grid
+    ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, [0.7])
+    p = ctx.continued(grid, "minus").p
+    Ht = build_space(grid, "H_t", ws.rho(0))
+    blocks, combs = checks._tmap_fields(grid.n)
+    lhs = checks._gram(Ht, blocks, combs)
+    k = np.arange(grid.n)
+    unit = np.eye(grid.n)
+    assert np.array_equal(lhs[k // 32, k % 32],
+                          [Ht.inner(unit[i], 1j * unit[i]) for i in k])
+    assert np.count_nonzero(lhs) == grid.n
+    It = build_space(grid, "I_t", ws.S[0], p)
+    rhs = checks._gram(It, gauge_map(blocks, ws.R[0], ws.S[0], p),
+                       gauge_map(combs, ws.R[0], ws.S[0], p))
+    single = [It.inner(gauge_map(unit[i], ws.R[0], ws.S[0], p),
+                       gauge_map(1j * unit[i], ws.R[0], ws.S[0], p))
+              for i in k]
+    assert np.max(np.abs(rhs[k // 32, k % 32] - single)) <= (
+        4 * np.finfo(float).eps * np.max(np.abs(single)))
+    assert np.count_nonzero(rhs) == grid.n
     [rec] = check_tmap_unitarity(ctx)
-    measured, notes = _tmap_unitarity_loop(ctx)
-    assert rec.measured == measured
-    assert rec.notes == notes
     assert rec.status == PASS
+
+
+def test_tmap_unitarity_turns_red_on_a_gauge_map_off_by_1e_8(monkeypatch):
+    """A gauge map scaled by 1 + 1e-8 moves every node's weight by 2e-8 of
+    itself; at the density's peak that is 2.3e-10, above the 1e-10
+    tolerance, on every case the notes list."""
+    exact = checks.gauge_map
+    monkeypatch.setattr(checks, "gauge_map",
+                        lambda f, R, S, p: (1 + 1e-8) * exact(f, R, S, p))
+    [rec] = check_tmap_unitarity(CheckContext(small_cfg()))
+    assert rec.status == FAIL
+    gaps = [float(item.rsplit(": ", 1)[1]) for item in rec.notes.split("; ")]
+    assert len(gaps) == 4 and min(gaps) > rec.tolerance
 
 
 def test_fast_run_builds_one_space_and_x_per_grid_and_kind(monkeypatch):

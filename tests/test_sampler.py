@@ -1,4 +1,5 @@
 import csv
+import sys
 import threading
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from scipy.special import ndtri
 from nelsonlab import (Grid1D, InputError, NumericalBreakdownError,
                        UnsupportedConfigError, diffusion_params,
                        continue_to_imaginary)
-from nelsonlab.fields import drift_fields, ho_ground_density
+from nelsonlab.fields import analytic_oracle, drift_fields, ho_ground_density
 from nelsonlab.sampler import (ensemble_steps, reflect, sample_initial,
                                simulate_ensemble, step_normals,
                                stream_uniforms)
@@ -128,22 +129,54 @@ def _serial_reference(df, x0, p, dt, n_steps, seed):
     return np.stack(cols, axis=1)
 
 
-def test_shards_and_blocks_match_serial_loop(grid801, ground, p_half):
+def test_shards_and_blocks_match_serial_loop(grid801, p_half):
     """Shard edges off the Philox word boundary, shards longer than one
-    block, and paths that hit the walls all reproduce the serial loop."""
-    df = drift_fields(ground, p_half)
-    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 70_001, seed=5)
-    x0[:300] = 7.99                       # reflect at the right wall
-    ref = _serial_reference(df, x0, p_half, 5e-3, 4, seed=5)
-    first = (x0 + df.b_at(0.0, x0) * 5e-3
-             + np.sqrt(2 * 0.5 * 5e-3) * _stream_normals(5, 0, x0.size))
-    assert np.count_nonzero(first > grid801.x_max) > 10
-    for w in (None, 1, 2, 3, 8):
-        e = simulate_ensemble(df, x0, p_half, 5e-3, 4, seed=5, n_workers=w)
-        assert e.paths.flags.f_contiguous
-        assert np.array_equal(e.paths, ref), w
+    block, and paths that hit the walls all reproduce the serial loop, on
+    the static ground-state drift and on the coherent packet's drift,
+    whose tables change at every step; so do the steps yielded one by
+    one."""
+    dt, n_steps = 5e-3, 4
+    # 80 snapshots give every step of the packet a drift row of its own
+    times = np.linspace(0.0, (n_steps + 1) * dt, 80)
+    for state, params, ts in (("ho_ground", None, times[:1]),
+                              ("ho_coherent", {"x0": 1.0}, times)):
+        ws = analytic_oracle(state, params, grid801, ts)
+        df = drift_fields(ws, p_half)
+        x0 = sample_initial(ws.rho(0), grid801, 70_001, seed=5)
+        x0[:300] = 7.99                       # reflect at the right wall
+        ref = _serial_reference(df, x0, p_half, dt, n_steps, seed=5)
+        first = (x0 + df.b_at(0.0, x0) * dt
+                 + np.sqrt(2 * 0.5 * dt) * _stream_normals(5, 0, x0.size))
+        assert np.count_nonzero(first > grid801.x_max) > 10
+        for w in (None, 1, 2, 3, 8):
+            e = simulate_ensemble(df, x0, p_half, dt, n_steps, seed=5,
+                                  n_workers=w)
+            assert e.paths.flags.f_contiguous
+            assert np.array_equal(e.paths, ref), (state, w)
+            steps = ensemble_steps(df, x0, dt, n_steps, seed=5, n_workers=w)
+            assert np.array_equal(
+                np.stack([x.copy() for x in steps], axis=1), ref), (state, w)
     with pytest.raises(InputError):
-        simulate_ensemble(df, x0, p_half, 5e-3, 4, seed=5, n_workers=0)
+        simulate_ensemble(df, x0, p_half, dt, n_steps, seed=5, n_workers=0)
+
+
+def test_threaded_march_survives_fast_thread_switching(grid801, ground,
+                                                      p_half):
+    """Eight shards on two or more threads each, the interpreter switching
+    threads every microsecond: every stored column is still the serial
+    loop's, so no shard wrote another's rows or lost a step."""
+    df = drift_fields(ground, p_half)
+    x0 = sample_initial(ho_ground_density(grid801.x), grid801, 9_001, seed=6)
+    ref = _serial_reference(df, x0, p_half, 5e-3, 12, seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            e = simulate_ensemble(df, x0, p_half, 5e-3, 12, seed=6,
+                                  n_workers=8, store_every=2)
+            assert np.array_equal(e.paths, ref[:, ::2])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _nan_node_drift():
@@ -234,7 +267,10 @@ def test_empty_ensemble_and_zero_steps(grid801, ground, p_half, n_workers):
     assert np.array_equal(only[0], reflect(x0, grid801.x_min, grid801.x_max))
 
 
-def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half):
+def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half,
+                                                    monkeypatch):
+    """Neither entry point leaves a thread behind: ``ensemble_steps`` once
+    it is closed, ``simulate_ensemble`` once it returns or raises."""
     df = drift_fields(ground, p_half)
     baseline = set(threading.enumerate())
     steps = ensemble_steps(df, np.zeros(3000), 1e-3, 10, seed=1,
@@ -244,6 +280,15 @@ def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half):
     next(steps)
     assert set(threading.enumerate()) - baseline
     steps.close()
+    assert set(threading.enumerate()) - baseline == set()
+    simulate_ensemble(df, np.zeros(3000), p_half, 1e-3, 10, seed=1,
+                      n_workers=3)
+    assert set(threading.enumerate()) - baseline == set()
+    bad = _nan_node_drift()
+    monkeypatch.setattr(bad, "max_abs_b", lambda: 500.0)
+    with pytest.raises(NumericalBreakdownError, match="at step 1"):
+        simulate_ensemble(bad, np.full(12, -0.25), bad.params, 1e-3, 3,
+                          seed=1, n_workers=3)
     assert set(threading.enumerate()) - baseline == set()
 
 

@@ -1017,10 +1017,9 @@ def check_time_change(ctx: CheckContext):
     for nu in (1.0, 2.0):
         member = ctx.ou_drift(nu)
         for dt in (1e-3, 5e-3):      # the steps of the sampled members
-            equal[f"paths_nu={nu}_dt={dt:g}"] = all(
-                np.array_equal(a, b) for a, b in zip(
-                    ensemble_steps(member, x0, dt, 40, 9),
-                    ensemble_steps(half, x0, 2 * nu * dt, 40, 9)))
+            equal[f"paths_nu={nu}_dt={dt:g}"] = bool(np.array_equal(
+                ensemble_steps(member, x0, dt, range(41), 9),
+                ensemble_steps(half, x0, 2 * nu * dt, range(41), 9)))
         equal[f"two_time_nu={nu}"] = bool(np.array_equal(
             two_time_position_correlation(ws, member.params, lags),
             two_time_position_correlation(ws, half.params, 2 * nu * lags)))
@@ -1142,15 +1141,16 @@ def check_fk_bridge_real(ctx: CheckContext):
         notes="matrix element equals the exact autocovariance to O(dx^2)")]
 
 
-def _coherent_steps(ctx, dt, n_steps, n_paths, seed):
+def _coherent_steps(ctx, dt, steps, n_paths, seed):
     """The drift of the displaced oscillator packet (x0 = 1) at nu = 1/2,
-    tabulated a step past the last one, and its ``ensemble_steps``."""
+    tabulated a step past the last kept one, and the positions that
+    ``ensemble_steps`` keeps at ``steps``."""
     grid = ctx.grid
-    times = np.linspace(0.0, (n_steps + 1) * dt, 80)
+    times = np.linspace(0.0, (steps[-1] + 1) * dt, 80)
     ws = analytic_oracle("ho_coherent", {"x0": 1.0}, grid, times)
     df = drift_fields(ws, diffusion_params("nu", 0.5))
     x0 = sample_initial(np.abs(ws.psi[0]) ** 2, grid, n_paths, seed)
-    return df, ensemble_steps(df, x0, dt, n_steps, seed)
+    return df, ensemble_steps(df, x0, dt, steps, seed)
 
 
 def check_mean_acceleration_packet(ctx: CheckContext):
@@ -1169,21 +1169,19 @@ def check_mean_acceleration_packet(ctx: CheckContext):
     stride = 45       # tau = 0.45: variance-bias compromise, see notes
     n_paths = max(n_cfg, 200_000)
     t_probe = [int(round(t / dt)) for t in (1.0, 2.0, 3.14, 4.2, 5.3, 6.28)]
-    n_total = max(t_probe) + stride
     tau = stride * dt
     c1 = 2 * (1 - np.cos(tau)) / tau ** 2   # finite-stride factor on cos
     devs, ses, worst = {}, [], np.nan
     if _mc_status(worst, n_cfg, min_count=min_paths)[0] != INCONCLUSIVE:
         probes = [j for j in t_probe if abs(np.cos(j * dt)) >= 0.4]
-        keep = {j + k for j in probes for k in (-stride, 0, stride)}
-        _, steps = _coherent_steps(ctx, dt, n_total, n_paths,
-                                   ctx.cfg.sde.seed + 2)
-        kept = {j: x.copy() for j, x in enumerate(steps) if j in keep}
+        keep = [j + k for j in probes for k in (-stride, 0, stride)]
+        _, kept = _coherent_steps(ctx, dt, keep, n_paths,
+                                  ctx.cfg.sde.seed + 2)
         worst = 0.0
-        for j0 in probes:
+        for i, j0 in enumerate(probes):
             t = j0 * dt
             xbar = np.cos(t)
-            up, mid, down = (kept[j0 + k] for k in (stride, 0, -stride))
+            down, mid, up = kept[:, 3 * i:3 * i + 3].T
             acc = (up.mean() - 2 * mid.mean() + down.mean()) / tau ** 2
             rel = abs(acc / c1 - (-xbar)) / abs(xbar)
             devs[f"t={t:.2f}"] = rel
@@ -1221,10 +1219,8 @@ def check_mean_acceleration_binned_literal(ctx: CheckContext):
     dt = 0.01
     n_paths = ctx.cfg.sde.n_paths
     j0 = 100
-    df, steps = _coherent_steps(ctx, dt, j0 + 1, n_paths,
+    df, paths = _coherent_steps(ctx, dt, [j0 - 1, j0, j0 + 1], n_paths,
                                 ctx.cfg.sde.seed + 3)
-    paths = np.stack([x.copy() for j, x in enumerate(steps) if j >= j0 - 1],
-                     axis=1)
     e = Ensemble(paths=paths, dt=dt, t0=(j0 - 1) * dt,
                  seed=ctx.cfg.sde.seed + 3, drift=df)
     tab = estimate_mean_acceleration(e, 1, bins=np.arange(-3.0, 3.01, 0.25),

@@ -2,8 +2,9 @@
 with ``nu`` read from the drift, so its osmotic part and the noise agree."""
 from __future__ import annotations
 
+import numbers
 import os
-from collections.abc import Iterator
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -15,11 +16,9 @@ from ..grids import Grid1D
 from ..params import DiffusionParams
 from . import rng
 
-# smallest shard the default partition makes: simulate_ensemble's shards
-# join once, ensemble_steps' after every step (crossovers measured on two
-# cores, BENCH_sampler_march.json)
+# smallest shard the default partition makes (crossover of shards that
+# join once, measured on two cores, BENCH_sampler_march.json)
 MIN_SHARD_PATHS = 8_192
-MIN_STEP_SHARD_PATHS = 16_384
 BLOCK_PATHS = 32_768  # paths stepped at once; keeps the temporaries in cache
 
 
@@ -119,26 +118,27 @@ def _fold(y: np.ndarray, lo: float, hi: float) -> None:
     y[outside] = lo + np.minimum(folded, 2.0 * width - folded)
 
 
-def _default_workers(n_paths: int, min_shard: int) -> int:
+def _default_workers(n_paths: int) -> int:
     """Threads used when ``n_workers`` is None: the usable cores, but no
-    shard smaller than ``min_shard`` paths."""
+    shard smaller than ``MIN_SHARD_PATHS`` paths."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cores = os.cpu_count() or 1
-    return max(1, min(cores, n_paths // min_shard))
+    return max(1, min(cores, n_paths // MIN_SHARD_PATHS))
 
 
 class _Shard:
     """Paths [lo, hi) of the position array ``x``, with the buffers of
     their march allocated once.
 
-    ``march`` is the only Euler-Maruyama step loop.  Each step draws its
-    noise from one Philox generator that skips ahead to path ``lo`` and
-    then serves the shard's blocks of at most ``BLOCK_PATHS`` paths in
-    order, so every path is bit-identical for any partition.  The drift's
-    slope/intercept tables are taken once per step, or once for a static
-    drift, by ``DriftField.b_tables``.
+    ``march`` is the only Euler-Maruyama step loop; ``ensemble_steps`` runs
+    it from each kept step to the next.  Each step draws its noise from one
+    Philox generator that skips ahead to path ``lo`` and then serves the
+    shard's blocks of at most ``BLOCK_PATHS`` paths in order, so every path
+    is bit-identical for any partition.  The drift's slope/intercept tables
+    are taken once per step, or once for a static drift, by
+    ``DriftField.b_tables``.
     """
 
     def __init__(self, df: DriftField, x: np.ndarray, lo: int, hi: int,
@@ -150,12 +150,9 @@ class _Shard:
         self.i = np.empty(m, dtype=np.intp)
         self.tables = df.b_tables(0.0) if df.static else None
 
-    def march(self, j0: int, j1: int, paths: np.ndarray | None = None,
-              every: int = 1) -> tuple[int, int] | None:
+    def march(self, j0: int, j1: int) -> tuple[int, int] | None:
         """Advance the shard's paths from step j0 to step j1 in place.
 
-        When ``paths`` is given, the shard writes its rows of stored
-        column ``j // every`` after each step j that ``every`` divides.
         Returns ``(step, path)`` of the first non-finite position, the
         lowest path at the first step that has one, and stops there; or
         None.
@@ -182,26 +179,14 @@ class _Shard:
                     if not finite.all():
                         return j + 1, a + int(np.argmin(finite))
                     _fold(xs, x_min, x_max)
-            if paths is not None and (j + 1) % every == 0:
-                paths[lo:hi, (j + 1) // every] = x[lo:hi]
         return None
 
 
-def _raise_first(bad) -> None:
-    """Raise for the least (step, path) that the shards reported, if any."""
-    bad = [k for k in bad if k is not None]
-    if bad:
-        step, path = min(bad)
-        raise NumericalBreakdownError(
-            f"non-finite position for path {path} at step {step}")
-
-
-def _plan(df: DriftField, init: np.ndarray, dt: float, n_steps: int,
-          n_workers: int | None, min_shard: int
-          ) -> tuple[np.ndarray, list, float]:
-    """Check a march's arguments; return ``init`` as floats, the shards'
-    path bounds (``n_workers`` None: no shard under ``min_shard`` paths)
-    and the noise scale ``sqrt(2 nu dt)``."""
+def _plan(df: DriftField, init: np.ndarray, dt: float, steps: Sequence[int],
+          n_workers: int | None) -> tuple[np.ndarray, list[int], list, float]:
+    """Check a march's arguments; return ``init`` as floats, the kept
+    steps as ints, the shards' path bounds and the noise scale
+    ``sqrt(2 nu dt)``."""
     nu = df.params.nu_real      # refuses a continued member
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
@@ -209,7 +194,7 @@ def _plan(df: DriftField, init: np.ndarray, dt: float, n_steps: int,
     if init.ndim != 1:
         raise InputError("init must be a 1-d array of positions")
     if n_workers is None:
-        n_workers = _default_workers(init.size, min_shard)
+        n_workers = _default_workers(init.size)
     elif n_workers < 1:
         raise InputError("n_workers must be >= 1")
     guard = df.max_abs_b() * dt
@@ -221,111 +206,112 @@ def _plan(df: DriftField, init: np.ndarray, dt: float, n_steps: int,
     if bad0.any():
         raise NumericalBreakdownError(
             f"non-finite position for path {int(np.argmax(bad0))} at step 0")
-    if n_steps < 0:
-        raise InputError("n_steps must be >= 0")
+    steps = np.asarray(steps)
+    if steps.ndim != 1 or steps.size == 0 or steps.dtype.kind not in "iu":
+        raise InputError("steps must be a non-empty 1-d integer sequence")
+    # compared pairwise: np.diff of unsigned steps would wrap, not go negative
+    if steps[0] < 0 or not (steps[1:] > steps[:-1]).all():
+        raise InputError("steps must be >= 0 and strictly increasing")
     bounds = np.linspace(0, init.size, n_workers + 1).astype(int).tolist()
     shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    return init, shards, np.sqrt(2.0 * nu * dt)
+    return init, steps.tolist(), shards, np.sqrt(2.0 * nu * dt)
 
 
-def ensemble_steps(df: DriftField, init: np.ndarray, dt: float, n_steps: int,
-                   seed: int, *, n_workers: int | None = None
-                   ) -> Iterator[np.ndarray]:
-    """Step the ensemble with explicit Euler-Maruyama; yield its positions.
+def ensemble_steps(df: DriftField, init: np.ndarray, dt: float,
+                   steps: Sequence[int], seed: int, *,
+                   n_workers: int | None = None) -> np.ndarray:
+    """Step the ensemble with explicit Euler-Maruyama; keep the positions
+    at ``steps``.
 
     ``x_{j+1} = x_j + b(x_j, t_j) dt + dW_j`` with ``dW_j`` zero-mean
     Gaussian of variance ``2 nu dt`` (``nu`` from ``df.params``); the
     drift is linear interpolation of the field in x and t; reflecting
     walls at the grid ends keep paths in the box (``init`` is folded in
-    first).  The generator yields the positions at steps 0, 1, ...,
-    ``n_steps`` as *one* array that each step advances in place: copy what
-    must outlive the next step.
+    first, and is step 0).  ``steps`` is a strictly increasing sequence of
+    nonnegative integer step indices; the result is the column-major
+    ``(n_paths, len(steps))`` array whose column c holds the positions at
+    step ``steps[c]``.
 
-    The paths are split into ``n_workers`` contiguous shards that step on
-    as many threads; ``None`` (the default) uses the usable cores but keeps
-    every shard at least ``MIN_STEP_SHARD_PATHS`` paths, and one shard
-    steps on the calling thread.  The positions are bit-identical for
-    every value: each shard draws its slice of the step's noise row by
-    counter skip-ahead.  Each shard runs the march of ``simulate_ensemble``
-    one step at a time, with its buffers kept from step to step, and the
-    threads join after every step, before the array is yielded.  Every
-    argument is checked when this is called, before any step; the threads
-    start at the first ``next()`` and are released when the generator
-    finishes, raises or is closed.
+    The paths are split into ``n_workers`` contiguous shards, each
+    marching on its own thread (a lone shard on the calling thread) from
+    one kept step to the next and writing its own rows of that step's
+    column; the threads join once, at the end.  ``None`` (the default)
+    uses the usable cores but keeps every shard at least
+    ``MIN_SHARD_PATHS`` paths.  The positions are bit-identical for every
+    value: each shard draws its slice of the step's noise row by counter
+    skip-ahead.  Every argument is checked before any thread starts.
 
     Raises
     ------
     UnsupportedConfigError
         A drift at a continued member.
     InputError
-        ``init`` not 1-d, a non-positive ``dt`` or ``n_workers``, a negative
-        ``n_steps``, or a drift so large that ``max|b| dt >= 10 dx`` (a step
-        would jump many cells; a NaN drift node fails too).
+        ``init`` not 1-d, a non-positive ``dt`` or ``n_workers``, a
+        ``steps`` that is empty, not 1-d, not integer, negative or not
+        strictly increasing, or a drift so large that ``max|b| dt >= 10
+        dx`` (a step would jump many cells; a NaN drift node fails too).
     NumericalBreakdownError
-        Non-finite position: a non-finite ``init`` on the call, or, while
-        stepping, the first step at which one occurs and the lowest path
-        index at that step.
+        Non-finite position: a non-finite ``init``, or, while stepping,
+        the first step at which one occurs (kept or not) and the lowest
+        path index at that step.
     """
-    init, bounds, sigma = _plan(df, init, dt, n_steps, n_workers,
-                                MIN_STEP_SHARD_PATHS)
+    init, steps, bounds, sigma = _plan(df, init, dt, steps, n_workers)
+    paths = np.empty((init.size, len(steps)), order="F")
+    x = reflect(init, df.grid.x_min, df.grid.x_max)
 
-    def steps():
-        x = reflect(init, df.grid.x_min, df.grid.x_max)
-        shards = [_Shard(df, x, lo, hi, dt, sigma, seed) for lo, hi in bounds]
-        pool = ThreadPoolExecutor(len(shards)) if len(shards) > 1 else None
-        run = map if pool is None else pool.map
-        try:
-            yield x
-            for j in range(n_steps):
-                _raise_first(run(lambda s: s.march(j, j + 1), shards))
-                yield x
-        finally:
-            if pool is not None:
-                pool.shutdown()
-    return steps()
+    def march(s: _Shard) -> tuple[int, int] | None:
+        j = 0
+        for c, k in enumerate(steps):
+            bad = s.march(j, k)
+            if bad is not None:
+                return bad
+            paths[s.lo:s.hi, c] = x[s.lo:s.hi]
+            j = k
+        return None
+    shards = [_Shard(df, x, lo, hi, dt, sigma, seed) for lo, hi in bounds]
+    if len(shards) > 1:
+        with ThreadPoolExecutor(len(shards)) as pool:
+            bad = list(pool.map(march, shards))
+    else:
+        bad = list(map(march, shards))
+    bad = min(filter(None, bad), default=None)    # the least (step, path)
+    if bad is not None:
+        step, path = bad
+        raise NumericalBreakdownError(
+            f"non-finite position for path {path} at step {step}")
+    return paths
 
 
 def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
                       dt: float, n_steps: int, seed: int, *,
                       n_workers: int | None = None,
                       store_every: int = 1) -> Ensemble:
-    """Store every ``store_every``-th array that ``ensemble_steps`` yields.
+    """Keep every ``store_every``-th step of ``ensemble_steps``.
 
     ``p`` must be ``df.params`` (a continued ``p``:
-    UnsupportedConfigError; any other: InputError).  The other arguments,
-    their checks and the errors are those of ``ensemble_steps``, and so is
-    the partition, except that ``n_workers=None`` keeps every shard at
-    least ``MIN_SHARD_PATHS`` paths; ``store_every`` must be >= 1 and
-    divide ``n_steps`` (InputError).  Each shard marches once through all
-    ``n_steps`` on its own thread, writing its own rows of every stored
-    column, and the threads join once, at the end; a non-finite position
-    is then reported at the least (step, path) over the shards, as
-    ``ensemble_steps`` reports it.  The stored matrix represents the
-    process observed at spacing ``store_every * dt``, with the integration
-    step recorded as ``sde_dt``.  ``paths`` is column-major, so each stored
-    step is contiguous.
+    UnsupportedConfigError; any other: InputError).  ``n_steps`` and
+    ``store_every`` must be integers, ``n_steps >= 0``, and ``store_every``
+    must be >= 1 and divide ``n_steps`` (InputError).  The other
+    arguments, their checks, the partition, the single join and the
+    errors are those of ``ensemble_steps`` on ``range(0, n_steps + 1,
+    store_every)``.  The stored matrix represents the process observed at
+    spacing ``store_every * dt``, with the integration step recorded as
+    ``sde_dt``.  ``paths`` is column-major, so each stored step is
+    contiguous.
     """
     if not p.is_real:
         raise UnsupportedConfigError("sampling needs a real diffusion constant")
     if p != df.params:
         raise InputError(f"p has nu = {p.nu}, but the drift was built at "
                          f"nu = {df.params.nu}")
-    init, bounds, sigma = _plan(df, init, dt, n_steps, n_workers,
-                                MIN_SHARD_PATHS)
-    if store_every < 1 or (n_steps % store_every and n_steps > 0):
+    for name, count in (("n_steps", n_steps), ("store_every", store_every)):
+        if not isinstance(count, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {count!r}")
+    if n_steps < 0:
+        raise InputError("n_steps must be >= 0")
+    if store_every < 1 or n_steps % store_every:
         raise InputError("store_every must be >= 1 and divide n_steps")
-    paths = np.empty((init.size, n_steps // store_every + 1), order="F")
-    x = reflect(init, df.grid.x_min, df.grid.x_max)
-    paths[:, 0] = x
-    shards = [_Shard(df, x, lo, hi, dt, sigma, seed) for lo, hi in bounds]
-
-    def march(s):
-        return s.march(0, n_steps, paths, store_every)
-    if len(shards) > 1:
-        with ThreadPoolExecutor(len(shards)) as pool:
-            bad = list(pool.map(march, shards))
-    else:
-        bad = list(map(march, shards))
-    _raise_first(bad)
+    paths = ensemble_steps(df, init, dt, range(0, n_steps + 1, store_every),
+                           seed, n_workers=n_workers)
     return Ensemble(paths=paths, dt=dt * store_every, t0=0.0, seed=seed,
                     drift=df, sde_dt=dt)

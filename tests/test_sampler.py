@@ -1,6 +1,7 @@
 import csv
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -133,9 +134,9 @@ def test_shards_and_blocks_match_serial_loop(grid801, p_half):
     """Shard edges off the Philox word boundary, shards longer than one
     block, and paths that hit the walls all reproduce the serial loop, on
     the static ground-state drift and on the coherent packet's drift,
-    whose tables change at every step; so do the steps yielded one by
-    one."""
-    dt, n_steps = 5e-3, 4
+    whose tables change at every step; so do kept step sets that skip
+    steps or do not start at step 0."""
+    dt, n_steps = 5e-3, 12
     # 80 snapshots give every step of the packet a drift row of its own
     times = np.linspace(0.0, (n_steps + 1) * dt, 80)
     for state, params, ts in (("ho_ground", None, times[:1]),
@@ -153,9 +154,10 @@ def test_shards_and_blocks_match_serial_loop(grid801, p_half):
                                   n_workers=w)
             assert e.paths.flags.f_contiguous
             assert np.array_equal(e.paths, ref), (state, w)
-            steps = ensemble_steps(df, x0, dt, n_steps, seed=5, n_workers=w)
-            assert np.array_equal(
-                np.stack([x.copy() for x in steps], axis=1), ref), (state, w)
+            for keep in ([0, 1, 5, 12], [2, 3, 7, 12]):
+                kept = ensemble_steps(df, x0, dt, keep, seed=5, n_workers=w)
+                assert kept.flags.f_contiguous
+                assert np.array_equal(kept, ref[:, keep]), (state, w, keep)
     with pytest.raises(InputError):
         simulate_ensemble(df, x0, p_half, dt, n_steps, seed=5, n_workers=0)
 
@@ -206,80 +208,108 @@ def test_nonfinite_report_is_partition_independent(n_workers, late, early,
     with pytest.raises(NumericalBreakdownError, match=expected):
         simulate_ensemble(df, x0, df.params, 1e-3, 3, seed=1,
                           n_workers=n_workers)
-    steps = ensemble_steps(df, x0, 1e-3, 3, seed=1,
-                           n_workers=n_workers)
-    next(steps)                                      # step 0 is the input
-    with pytest.raises(NumericalBreakdownError, match=expected):
-        next(steps)
+    # kept sets that skip the bad step still name it
+    for keep in ([3], [0, 2, 3]):
+        with pytest.raises(NumericalBreakdownError, match=expected):
+            ensemble_steps(df, x0, 1e-3, keep, seed=1, n_workers=n_workers)
 
 
 @pytest.mark.parametrize("n_workers", [None, 1, 3, 8])
 def test_ensemble_steps_yield_the_stored_paths(grid801, ground, p_half,
                                                n_workers):
-    """One array, advanced in place, whose snapshots are the paths that
-    simulate_ensemble stores; on two or more cores None makes two shards."""
+    """``simulate_ensemble`` stores what ``ensemble_steps`` keeps on
+    ``range(0, n + 1, every)``, for every partition; on two or more cores
+    None makes two shards."""
     df = drift_fields(ground, p_half)
     x0 = sample_initial(ho_ground_density(grid801.x), grid801, 40_000, seed=7)
     x0[:200] = 7.99                       # reflect at the right wall
-    steps = ensemble_steps(df, x0, 5e-3, 6, seed=7,
-                           n_workers=n_workers)
-    snaps = [(id(x), x.copy()) for x in steps]
-    assert len({i for i, _ in snaps}) == 1
-    stacked = np.stack([x for _, x in snaps], axis=1)
-    e = simulate_ensemble(df, x0, p_half, 5e-3, 6, seed=7)
-    assert np.array_equal(stacked, e.paths)
+    for every in (1, 2, 3):
+        kept = ensemble_steps(df, x0, 5e-3, range(0, 7, every), seed=7,
+                              n_workers=n_workers)
+        e = simulate_ensemble(df, x0, p_half, 5e-3, 6, seed=7,
+                              store_every=every)
+        assert np.array_equal(kept, e.paths), every
+
+
+def _no_threads(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
 
 
 @pytest.mark.parametrize("args, kwargs, error", [
-    ((np.zeros(5), "continued", 1e-3, 3), {}, UnsupportedConfigError),
-    ((np.zeros(5), "real", 0.0, 3), {}, InputError),
-    ((np.zeros(5), "real", -1e-3, 3), {}, InputError),
-    ((np.zeros((5, 2)), "real", 1e-3, 3), {}, InputError),
-    ((np.array([0.0, np.nan]), "real", 1e-3, 3), {}, NumericalBreakdownError),
-    ((np.zeros(5), "real", 1e-3, -1), {}, InputError),
-    ((np.zeros(5), "real", 1e-3, 3), {"n_workers": 0}, InputError),
-    ((np.zeros(5), "real", 1.0, 3), {}, InputError),     # max|b| dt
+    ((np.zeros(5), "continued", 1e-3, [0, 3]), {}, UnsupportedConfigError),
+    ((np.zeros(5), "real", 0.0, [0, 3]), {}, InputError),
+    ((np.zeros(5), "real", -1e-3, [0, 3]), {}, InputError),
+    ((np.zeros((5, 2)), "real", 1e-3, [0, 3]), {}, InputError),
+    ((np.array([0.0, np.nan]), "real", 1e-3, [0, 3]), {},
+     NumericalBreakdownError),
+    ((np.zeros(5), "real", 1e-3, [-1, 3]), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, [0, 3]), {"n_workers": 0}, InputError),
+    ((np.zeros(5), "real", 1.0, [0, 3]), {}, InputError),     # max|b| dt
+    ((np.zeros(5), "real", 1e-3, []), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, 3), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, [[0, 3]]), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, [0.0, 3.0]), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, [0, 3, 3]), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, [0, 3, 2]), {}, InputError),
+    ((np.zeros(5), "real", 1e-3, np.array([0, 3, 2], dtype=np.uint64)), {},
+     InputError),                       # np.diff would wrap to 2**64 - 1
 ], ids=["continued", "dt_zero", "dt_negative", "init_2d", "init_nan",
-        "n_steps_negative", "n_workers_zero", "dt_guard"])
+        "steps_negative", "n_workers_zero", "dt_guard", "steps_empty",
+        "steps_scalar", "steps_2d", "steps_float", "steps_repeat",
+        "steps_decrease", "steps_decrease_unsigned"])
 def test_ensemble_steps_checks_arguments_on_the_call(grid801, ground, p_half,
-                                                     args, kwargs, error):
+                                                     args, kwargs, error,
+                                                     monkeypatch):
+    """Every bad argument is refused before a thread pool starts."""
     df = drift_fields(ground, p_half)
-    init, mode, dt, n_steps = args
+    init, mode, dt, steps = args
     if mode == "continued":              # a drift built by hand at -i/2
         df = replace(df, params=continue_to_imaginary(p_half, "minus"))
+    monkeypatch.setattr("nelsonlab.sampler.ensemble.ThreadPoolExecutor",
+                        _no_threads)
     with pytest.raises(error):
-        ensemble_steps(df, init, dt, n_steps, 1, **kwargs)   # no next()
+        ensemble_steps(df, init, dt, steps, 1,
+                       **{"n_workers": 3, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [{"n_steps": 4.0}, {"store_every": 2.0},
+                                    {"n_steps": np.float64(4)}])
+def test_float_step_counts_are_input_errors(ground, p_half, kwargs,
+                                            monkeypatch):
+    df = drift_fields(ground, p_half)
+    monkeypatch.setattr("nelsonlab.sampler.ensemble.ThreadPoolExecutor",
+                        _no_threads)
+    with pytest.raises(InputError, match="must be an integer"):
+        simulate_ensemble(df, np.zeros(5), p_half, 1e-3,
+                          **{"n_steps": 4, "seed": 1, "n_workers": 3,
+                             **kwargs})
 
 
 @pytest.mark.parametrize("n_workers", [None, 3])
 def test_empty_ensemble_and_zero_steps(grid801, ground, p_half, n_workers):
     df = drift_fields(ground, p_half)
-    empty = list(ensemble_steps(df, np.empty(0), 1e-3, 4, seed=1,
-                                n_workers=n_workers))
-    assert len(empty) == 5 and all(x.shape == (0,) for x in empty)
+    for keep in (range(5), [3]):
+        empty = ensemble_steps(df, np.empty(0), 1e-3, keep, seed=1,
+                               n_workers=n_workers)
+        assert empty.shape == (0, len(keep))
     e = simulate_ensemble(df, np.empty(0), p_half, 1e-3, 4, seed=1,
                           n_workers=n_workers)
     assert e.paths.shape == (0, 5)
     x0 = np.array([-9.0, 0.5, 8.25])
-    only = list(ensemble_steps(df, x0, 1e-3, 0, seed=1,
-                               n_workers=n_workers))
-    assert len(only) == 1
-    assert np.array_equal(only[0], reflect(x0, grid801.x_min, grid801.x_max))
+    only = ensemble_steps(df, x0, 1e-3, [0], seed=1, n_workers=n_workers)
+    assert np.array_equal(only,
+                          reflect(x0, grid801.x_min, grid801.x_max)[:, None])
+    e = simulate_ensemble(df, x0, p_half, 1e-3, 0, seed=1,
+                          n_workers=n_workers)
+    assert np.array_equal(e.paths, only)
 
 
-def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half,
-                                                    monkeypatch):
-    """Neither entry point leaves a thread behind: ``ensemble_steps`` once
-    it is closed, ``simulate_ensemble`` once it returns or raises."""
+def test_no_thread_outlives_a_call(grid801, ground, p_half, monkeypatch):
+    """Neither entry point leaves a thread behind once it returns or
+    raises."""
     df = drift_fields(ground, p_half)
     baseline = set(threading.enumerate())
-    steps = ensemble_steps(df, np.zeros(3000), 1e-3, 10, seed=1,
-                           n_workers=3)
-    assert set(threading.enumerate()) == baseline   # no thread on the call
-    next(steps)
-    next(steps)
-    assert set(threading.enumerate()) - baseline
-    steps.close()
+    ensemble_steps(df, np.zeros(3000), 1e-3, [0, 4, 10], seed=1, n_workers=3)
     assert set(threading.enumerate()) - baseline == set()
     simulate_ensemble(df, np.zeros(3000), p_half, 1e-3, 10, seed=1,
                       n_workers=3)
@@ -290,6 +320,33 @@ def test_closing_ensemble_steps_releases_its_threads(grid801, ground, p_half,
         simulate_ensemble(bad, np.full(12, -0.25), bad.params, 1e-3, 3,
                           seed=1, n_workers=3)
     assert set(threading.enumerate()) - baseline == set()
+    with pytest.raises(NumericalBreakdownError, match="at step 1"):
+        ensemble_steps(bad, np.full(12, -0.25), 1e-3, [3], seed=1,
+                       n_workers=3)
+    assert set(threading.enumerate()) - baseline == set()
+
+
+def test_shards_join_once_per_call(ground, p_half, monkeypatch):
+    """One pool map per call, one task per shard: no per-step join."""
+    maps, tasks = [], []
+    real_map, real_submit = ThreadPoolExecutor.map, ThreadPoolExecutor.submit
+
+    def counted_map(self, *args, **kwargs):
+        maps.append(self)
+        return real_map(self, *args, **kwargs)
+
+    def counted_submit(self, *args, **kwargs):
+        tasks.append(self)
+        return real_submit(self, *args, **kwargs)
+    monkeypatch.setattr(ThreadPoolExecutor, "map", counted_map)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted_submit)
+    df = drift_fields(ground, p_half)
+    ensemble_steps(df, np.zeros(3000), 1e-3, [0, 4, 5, 10], seed=1,
+                   n_workers=3)
+    assert (len(maps), len(tasks)) == (1, 3)
+    simulate_ensemble(df, np.zeros(3000), p_half, 1e-3, 10, seed=1,
+                      n_workers=3)
+    assert (len(maps), len(tasks)) == (2, 6)
 
 
 def test_nan_drift_node_is_rejected_before_any_step():
@@ -297,7 +354,7 @@ def test_nan_drift_node_is_rejected_before_any_step():
     with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
         simulate_ensemble(df, np.full(12, -5.0), df.params, 1e-3, 3, seed=1)
     with pytest.raises(InputError, match="max\\|b\\| dt = nan"):
-        ensemble_steps(df, np.full(12, -5.0), 1e-3, 3, seed=1)
+        ensemble_steps(df, np.full(12, -5.0), 1e-3, range(4), seed=1)
 
 
 def test_store_every_matches_dense_run(grid801, ground, p_half):
@@ -306,6 +363,8 @@ def test_store_every_matches_dense_run(grid801, ground, p_half):
     dense = simulate_ensemble(df, x0, p_half, 1e-3, 40, seed=4)
     thin = simulate_ensemble(df, x0, p_half, 1e-3, 40, seed=4, store_every=10)
     assert np.array_equal(thin.paths, dense.paths[:, ::10])
+    assert np.array_equal(
+        thin.paths, ensemble_steps(df, x0, 1e-3, range(0, 41, 10), seed=4))
     assert thin.dt == pytest.approx(1e-2)
     assert thin.sde_dt == pytest.approx(1e-3)
     # the member and the walls are the drift's, held once

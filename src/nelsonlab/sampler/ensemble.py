@@ -76,6 +76,8 @@ def sample_initial(rho0: np.ndarray, grid: Grid1D, n_paths: int,
     The CDF is the cumulative trapezoid of ``rho0``; uniforms come from the
     dedicated initial-positions stream of ``seed``, so the draw is
     deterministic and independent of everything simulated later.
+    ``n_paths`` must be an integer >= 0, not a bool (InputError, before
+    any draw).
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n,):
@@ -87,6 +89,8 @@ def sample_initial(rho0: np.ndarray, grid: Grid1D, n_paths: int,
     total = grid.trapezoid(rho0)
     if total <= 0:
         raise InputError("rho0 is degenerate (zero mass)")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
+        raise InputError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 0:
         raise InputError("n_paths must be >= 0")
     if n_paths == 0:
@@ -290,9 +294,9 @@ def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
 
     ``p`` must be ``df.params`` (a continued ``p``:
     UnsupportedConfigError; any other: InputError).  ``n_steps`` and
-    ``store_every`` must be integers, ``n_steps >= 0``, and ``store_every``
-    must be >= 1 and divide ``n_steps`` (InputError).  The other
-    arguments, their checks, the partition, the single join and the
+    ``store_every`` must be integers, not bools, ``n_steps >= 0``, and
+    ``store_every`` must be >= 1 and divide ``n_steps`` (InputError).  The
+    other arguments, their checks, the partition, the single join and the
     errors are those of ``ensemble_steps`` on ``range(0, n_steps + 1,
     store_every)``.  The stored matrix represents the process observed at
     spacing ``store_every * dt``, with the integration step recorded as
@@ -305,7 +309,7 @@ def simulate_ensemble(df: DriftField, init: np.ndarray, p: DiffusionParams,
         raise InputError(f"p has nu = {p.nu}, but the drift was built at "
                          f"nu = {df.params.nu}")
     for name, count in (("n_steps", n_steps), ("store_every", store_every)):
-        if not isinstance(count, numbers.Integral):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
             raise InputError(f"{name} must be an integer, got {count!r}")
     if n_steps < 0:
         raise InputError("n_steps must be >= 0")

@@ -1,10 +1,11 @@
 """Binned conditional-moment estimators over path ensembles.
 
 Each estimator conditions on the position at a reference step, bins it,
-and averages an increment statistic per bin.  Bins with fewer samples
-than the occupancy threshold are flagged unusable, never silently
-reported (default 50 for exploration; assertions in the verification
-suite require 500).
+and averages an increment statistic per bin; tables and histograms share
+one pass over blocks of paths.  Bins with fewer samples than the
+occupancy threshold are flagged unusable, never silently reported
+(default 50 for exploration; assertions in the verification suite
+require 500).
 """
 from __future__ import annotations
 
@@ -54,56 +55,66 @@ def _as_edges(e: Ensemble, bins) -> np.ndarray:
     return edges
 
 
-def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Slot of each sample: ``np.digitize(x, edges)`` on slots 1 ... nb.
+def _check_step(e: Ensemble, t_j, back: int, ahead: int) -> None:
+    hi = e.n_steps - ahead     # the steps read are t_j - back ... t_j + ahead
+    if (isinstance(t_j, bool) or not isinstance(t_j, (int, np.integer))
+            or not back <= t_j <= hi):
+        raise InputError(f"t_j must be an integer in [{back}, {hi}]: {t_j!r}")
 
-    Samples outside the edges, NaN included, land in slot 0 or nb + 1.
-    Each block of ``BLOCK_PATHS`` samples guesses its slots from uniform
-    spacing, then moves every sample one slot towards its bracket, tested
-    against the real edges, until none moves: one round for uniform edges,
-    more for irregular ones, and exact for any finite increasing edges.
-    Slot k holds ``left[k] <= x < right[k]``.  The top slot's right end is
-    NaN, not +inf, so that +inf stays in slot nb + 1 rather than moving up
-    past it; NaN compares false with every edge and stays in slot 0.
+
+def _bin_index(xs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.digitize(xs, edges)`` on slots 1 ... nb; 0 or nb + 1 elsewhere.
+
+    Slots are guessed from uniform spacing, then moved one at a time
+    towards their bracket ``left[k] <= x < right[k]`` until none moves,
+    which is exact for any finite increasing edges.  The top slot's right
+    end is NaN, not +inf, so +inf stays in slot nb + 1; NaN stays in 0.
     """
     nb = edges.size - 1
     ext = np.concatenate(([-np.inf], edges, [np.nan]))
     left, right = ext[:-1], ext[1:]
-    out = np.empty(x.shape, dtype=np.intp)
     # a guess may overflow or be NaN; it is clamped before it is used
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = nb / (edges[-1] - edges[0])
-        for a in range(0, x.size, BLOCK_PATHS):
-            xs = x[a:a + BLOCK_PATHS]
-            g = np.subtract(xs, edges[0])
-            g *= scale
-            g += 1.0
-            np.fmax(g, 0.0, out=g)             # NaN -> slot 0
-            np.fmin(g, nb + 1.0, out=g)
-            k = out[a:a + BLOCK_PATHS]
-            k[...] = g
-            while True:
-                down = xs < left[k]
-                up = xs >= right[k]
-                if not (down.any() or up.any()):
-                    break
-                k -= down
-                k += up
-    return out
+        g = np.subtract(xs, edges[0])
+        g *= nb / (edges[-1] - edges[0])
+        g += 1.0
+    np.fmax(g, 0.0, out=g)                 # NaN -> slot 0
+    k = np.fmin(g, nb + 1.0, out=g).astype(np.intp)
+    del g
+    while True:
+        down = xs < left[k]
+        up = xs >= right[k]
+        if not (down.any() or up.any()):
+            return k
+        k -= down
+        k += up
 
 
-def _bin_reduce(cond: np.ndarray, values: np.ndarray, edges: np.ndarray,
-                min_count: int) -> ConditionalMomentTable:
-    # _bin_index gives np.digitize's slots 1 ... nb and puts every other
-    # sample (outside the edges or NaN) in slot 0 or nb + 1; slicing those
-    # off after bincount leaves each bin's sum over the same samples in the
-    # same order
-    nb = edges.size - 1
-    idx = _bin_index(cond, edges)
-    inside = slice(1, nb + 1)
-    counts = np.bincount(idx, minlength=nb + 2)[inside]
-    sums = np.bincount(idx, weights=values, minlength=nb + 2)[inside]
-    sq = np.bincount(idx, weights=values * values, minlength=nb + 2)[inside]
+def _binned_pass(x: np.ndarray, edges: np.ndarray, value=None):
+    """Per-bin counts of ``x``, and sums and squares of ``value(rows)``,
+    added block by block with ``np.add.at`` in sample order, as a one-shot
+    ``np.bincount`` sums each bin, so the sums are bit-identical to it."""
+    counts = np.zeros(edges.size + 1, dtype=np.intp)
+    sums, sq = np.zeros((2, edges.size + 1))
+    for a in range(0, x.size, BLOCK_PATHS):
+        rows = slice(a, a + BLOCK_PATHS)
+        k = _bin_index(x[rows], edges)
+        np.add.at(counts, k, 1)
+        if value is not None:
+            v = value(rows)
+            with np.errstate(over="ignore", invalid="ignore"):  # as bincount
+                np.add.at(sums, k, v)
+                np.add.at(sq, k, v * v)
+            del v
+        del k               # freed before the next block's are made
+    return counts[1:-1], sums[1:-1], sq[1:-1]
+
+
+def _conditional_table(e: Ensemble, t_j, back: int, ahead: int, bins,
+                       min_count: int, value) -> ConditionalMomentTable:
+    _check_step(e, t_j, back, ahead)
+    edges = _as_edges(e, bins)
+    counts, sums, sq = _binned_pass(e.paths[:, t_j], edges, value)
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = sums / counts
         var = np.maximum(sq / counts - mean * mean, 0.0)
@@ -120,22 +131,16 @@ def estimate_forward_drift(e: Ensemble, t_j: int, bins=None,
                            min_count: int = MIN_COUNT_DEFAULT
                            ) -> ConditionalMomentTable:
     """Per-bin mean of (x(t_{j+1}) - x(t_j))/dt conditioned on x(t_j)."""
-    if not 0 <= t_j < e.n_steps:
-        raise InputError(f"forward drift needs a non-final step, got {t_j}")
-    edges = _as_edges(e, bins)
-    inc = (e.paths[:, t_j + 1] - e.paths[:, t_j]) / e.dt
-    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count)
+    return _conditional_table(e, t_j, 0, 1, bins, min_count, lambda r: (
+        e.paths[r, t_j + 1] - e.paths[r, t_j]) / e.dt)
 
 
 def estimate_backward_drift(e: Ensemble, t_j: int, bins=None,
                             min_count: int = MIN_COUNT_DEFAULT
                             ) -> ConditionalMomentTable:
     """Per-bin mean of (x(t_j) - x(t_{j-1}))/dt conditioned on x(t_j)."""
-    if not 0 < t_j <= e.n_steps:
-        raise InputError(f"backward drift needs a non-initial step, got {t_j}")
-    edges = _as_edges(e, bins)
-    inc = (e.paths[:, t_j] - e.paths[:, t_j - 1]) / e.dt
-    return _bin_reduce(e.paths[:, t_j], inc, edges, min_count)
+    return _conditional_table(e, t_j, 1, 0, bins, min_count, lambda r: (
+        e.paths[r, t_j] - e.paths[r, t_j - 1]) / e.dt)
 
 
 def estimate_quadratic_variation(e: Ensemble, t_j: int, bins=None,
@@ -147,11 +152,8 @@ def estimate_quadratic_variation(e: Ensemble, t_j: int, bins=None,
     cross-coordinate matrix of the multi-dimensional theory is diagonal
     (independent noise components), so only the diagonal entry exists here.
     """
-    if not 0 <= t_j < e.n_steps:
-        raise InputError(f"quadratic variation needs a non-final step, got {t_j}")
-    edges = _as_edges(e, bins)
-    inc = e.paths[:, t_j + 1] - e.paths[:, t_j]
-    return _bin_reduce(e.paths[:, t_j], inc * inc / e.dt, edges, min_count)
+    return _conditional_table(e, t_j, 0, 1, bins, min_count, lambda r: (
+        np.square(e.paths[r, t_j + 1] - e.paths[r, t_j]) / e.dt))
 
 
 def estimate_mean_acceleration(e: Ensemble, t_j: int, bins=None,
@@ -167,11 +169,9 @@ def estimate_mean_acceleration(e: Ensemble, t_j: int, bins=None,
     the osmotic term integrates to zero, tracks the ensemble-mean
     acceleration; see the verification suite for the quantitative story.
     """
-    if not 0 < t_j < e.n_steps:
-        raise InputError(f"mean acceleration needs an interior step, got {t_j}")
-    edges = _as_edges(e, bins)
-    sec = (e.paths[:, t_j + 1] - 2.0 * e.paths[:, t_j] + e.paths[:, t_j - 1]) / e.dt ** 2
-    return _bin_reduce(e.paths[:, t_j], sec, edges, min_count)
+    return _conditional_table(e, t_j, 1, 1, bins, min_count, lambda r: (
+        e.paths[r, t_j + 1] - 2.0 * e.paths[r, t_j] + e.paths[r, t_j - 1]
+    ) / e.dt ** 2)
 
 
 def density_histogram(e: Ensemble, t_j: int, bins=None
@@ -179,18 +179,16 @@ def density_histogram(e: Ensemble, t_j: int, bins=None
     """Normalized position histogram with per-bin standard errors.
 
     Returns (edges, density, std_error); the density integrates to 1 over
-    the binned range.
+    the binned range.  As in ``np.histogram``, a position equal to the top
+    edge counts in the last bin.
     """
-    if not 0 <= t_j <= e.n_steps:
-        raise InputError(f"step index out of range: {t_j}")
+    _check_step(e, t_j, 0, 0)
     edges = _as_edges(e, bins)
-    x = e.paths[:, t_j]
-    counts, _ = np.histogram(x, bins=edges)
-    n = counts.sum()
+    # a top edge one ulp higher closes the last bin
+    closed = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+    counts = _binned_pass(e.paths[:, t_j], closed)[0]
+    n = max(counts.sum(), 1)           # an empty histogram is all zeros
     widths = np.diff(edges)
-    if n == 0:
-        z = np.zeros(edges.size - 1)
-        return edges, z, z
     p = counts / n
     dens = p / widths
     se = np.sqrt(p * (1.0 - p) / n) / widths

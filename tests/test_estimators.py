@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,9 @@ from nelsonlab.sampler import (Ensemble, density_histogram,
                                estimate_quadratic_variation,
                                histogram_l1_distance, sample_initial,
                                simulate_ensemble)
-from nelsonlab.sampler.estimators import ConditionalMomentTable, _bin_index
+from nelsonlab.sampler.ensemble import BLOCK_PATHS
+from nelsonlab.sampler.estimators import (ConditionalMomentTable, _as_edges,
+                                          _bin_index)
 from nelsonlab.harness.files import export_table_csv
 
 
@@ -71,14 +75,19 @@ def test_quadratic_variation_recovers_2nu(grid801_module):
     assert np.all(np.abs(tab.estimate[sel] - 1.0) < 0.02)
 
 
-def test_mean_acceleration_is_the_symmetric_second_difference():
-    paths = np.array([[0.0, 1.0, 4.0],
-                      [0.0, 1.2, 4.4]])
+def _flat_ensemble(paths, dt=0.5):
+    """An ensemble over given paths, on a 17-node grid over [-8, 8]."""
     grid = Grid1D(-8.0, 8.0, 17)
     flat = DriftField(grid=grid, times=np.array([0.0]), b=np.zeros((1, grid.n)),
                       b_star=np.zeros((1, grid.n)),
                       params=diffusion_params("nu", 0.5), provenance="b=0")
-    e = Ensemble(paths=paths, dt=0.5, t0=0.0, seed=0, drift=flat)
+    return Ensemble(paths=np.asfortranarray(paths), dt=dt, t0=0.0, seed=0,
+                    drift=flat)
+
+
+def test_mean_acceleration_is_the_symmetric_second_difference():
+    e = _flat_ensemble(np.array([[0.0, 1.0, 4.0],
+                                 [0.0, 1.2, 4.4]]))
     tab = estimate_mean_acceleration(e, 1, bins=np.array([0.5, 1.5]),
                                      min_count=1)
     # ((4 - 2 + 0) + (4.4 - 2.4 + 0)) / 2 / 0.25
@@ -162,24 +171,148 @@ def _digitize_bin_reduce(cond, values, edges, min_count):
                                   usable=usable)
 
 
-@pytest.mark.parametrize("bins", [None, 24, np.arange(-3.0, 3.01, 0.25),
-                                  np.array([-2.0, -0.7, -0.1, 0.0, 0.05,
-                                            1.3, 4.0])])
-def test_tables_equal_the_digitize_reduction(ou, bins):
-    j, dt = 10, ou.dt
-    x0, x1, x2 = ou.paths[:, j - 1], ou.paths[:, j], ou.paths[:, j + 1]
+def _assert_tables_equal_the_digitize_reduction(e, j, bins, min_count=50):
+    dt = e.dt
+    x0, x1, x2 = e.paths[:, j - 1], e.paths[:, j], e.paths[:, j + 1]
     cases = [
         (estimate_forward_drift, (x2 - x1) / dt),
+        (estimate_backward_drift, (x1 - x0) / dt),
         (estimate_quadratic_variation, (x2 - x1) * (x2 - x1) / dt),
         (estimate_mean_acceleration, (x2 - 2.0 * x1 + x0) / dt ** 2),
     ]
     for estimate, values in cases:
-        tab = estimate(ou, j, bins=bins)
-        ref = _digitize_bin_reduce(x1, values, tab.bin_edges, 50)
+        tab = estimate(e, j, bins=bins, min_count=min_count)
+        ref = _digitize_bin_reduce(x1, values, tab.bin_edges, min_count)
         assert np.array_equal(tab.counts, ref.counts)
+        assert tab.counts.dtype == ref.counts.dtype
         assert np.array_equal(tab.usable, ref.usable)
         assert np.array_equal(tab.estimate, ref.estimate, equal_nan=True)
         assert np.array_equal(tab.std_error, ref.std_error, equal_nan=True)
+
+
+_TABLE_BINS = [None, 24, np.arange(-3.0, 3.01, 0.25),
+               np.array([-2.0, -0.7, -0.1, 0.0, 0.05, 1.3, 4.0])]
+_BINS_IDS = ["default", "count", "uniform", "irregular"]
+
+
+@pytest.mark.parametrize("bins", _TABLE_BINS)
+def test_tables_equal_the_digitize_reduction(ou, bins):
+    _assert_tables_equal_the_digitize_reduction(ou, 10, bins)
+
+
+@pytest.mark.parametrize("bins", _TABLE_BINS, ids=_BINS_IDS)
+@pytest.mark.parametrize("n_paths", [BLOCK_PATHS - 1, BLOCK_PATHS,
+                                     BLOCK_PATHS + 1, 5 * BLOCK_PATHS // 2],
+                         ids=["block_less_1", "block", "block_plus_1",
+                              "blocks_2.5"])
+def test_tables_equal_the_digitize_reduction_across_blocks(n_paths, bins):
+    """Samples on every edge, one ulp either side of it, NaN and +-inf are
+    spread over the blocks; two samples in one bin step to +inf and -inf,
+    so that bin's sums meet inf - inf.  Every table must equal the
+    digitize + bincount reduction bit for bit."""
+    rng = np.random.default_rng(n_paths)
+    edges = _as_edges(_flat_ensemble(np.zeros((1, 3))), bins)
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                              np.nextafter(edges, np.inf),
+                              [np.nan, np.inf, -np.inf]])
+    x1 = rng.uniform(edges[0] - 1.0, edges[-1] + 1.0, n_paths)
+    # the last sample, on the first edge, is in the table
+    x1[np.linspace(0, n_paths - 1, special.size).astype(int)] = special[::-1]
+    x0 = x1 + rng.normal(0.0, 0.3, n_paths)
+    x2 = x1 + rng.normal(0.0, 0.3, n_paths)
+    x0[~np.isfinite(x0)] = 0.0
+    x2[~np.isfinite(x2)] = 0.0
+    inner = np.flatnonzero((x1 > edges[0]) & (x1 < edges[1]))[:2]
+    x2[inner] = [np.inf, -np.inf]
+    e = _flat_ensemble(np.stack([x0, x1, x2], axis=1), dt=0.01)
+    _assert_tables_equal_the_digitize_reduction(e, 1, bins, min_count=2)
+
+
+@pytest.mark.parametrize("bins", _TABLE_BINS, ids=_BINS_IDS)
+def test_histogram_counts_equal_np_histogram(bins):
+    """Positions on every edge, the top edge and the walls (``default_bins``)
+    included, across three blocks: the counts are np.histogram's, which
+    closes the last bin."""
+    rng = np.random.default_rng(5)
+    e0 = _flat_ensemble(np.zeros((1, 1)))
+    edges = _as_edges(e0, bins)
+    n = 3 * BLOCK_PATHS + 17
+    x = rng.uniform(edges[0] - 1.0, edges[-1] + 1.0, n)
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                              np.nextafter(edges, np.inf), [e0.x_min, e0.x_max],
+                              np.repeat(edges[-1], 40), [np.inf, -np.inf]])
+    x[rng.choice(n, special.size, replace=False)] = special
+    e = _flat_ensemble(x[:, None])
+    out_edges, dens, se = density_histogram(e, 0, bins=bins)
+    ref, _ = np.histogram(x, bins=edges)
+    assert np.array_equal(out_edges, edges)
+    counts = np.rint(dens * np.diff(edges) * ref.sum()).astype(int)
+    assert np.array_equal(counts, ref)
+    p = ref / ref.sum()
+    assert np.array_equal(dens, p / np.diff(edges))
+    assert np.array_equal(se, np.sqrt(p * (1.0 - p) / ref.sum())
+                          / np.diff(edges))
+
+
+def test_histogram_of_no_inside_position_is_all_zeros():
+    e = _flat_ensemble(np.array([[-9.0], [9.0]]))
+    edges, dens, se = density_histogram(e, 0, bins=np.array([-1.0, 0.0, 1.0]))
+    assert np.array_equal(dens, np.zeros(2))
+    assert np.array_equal(se, np.zeros(2))
+
+
+def test_estimator_call_holds_no_full_column():
+    """An estimator over eight blocks holds at most a few block-sized
+    temporaries at once, never one as long as a stored column."""
+    n = 8 * BLOCK_PATHS
+    e = _flat_ensemble(np.random.default_rng(3).normal(size=(n, 3)), dt=0.01)
+    estimate_forward_drift(e, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_forward_drift(e, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    column = n * e.paths.itemsize
+    assert peak < column // 2, (peak, column)
+    assert peak < 4 * BLOCK_PATHS * e.paths.itemsize, peak
+
+
+_BAD_STEPS = [(1.5, "float"), (np.float64(1), "numpy_float"), (True, "bool"),
+              (np.bool_(True), "numpy_bool"), ("1", "str"), (None, "none"),
+              (np.array(1), "zero_d_array")]
+
+
+@pytest.mark.parametrize("t_j", [t for t, _ in _BAD_STEPS],
+                         ids=[name for _, name in _BAD_STEPS])
+@pytest.mark.parametrize("estimate", [estimate_forward_drift,
+                                      estimate_backward_drift,
+                                      estimate_quadratic_variation,
+                                      estimate_mean_acceleration,
+                                      density_histogram])
+def test_step_index_must_be_an_integer(estimate, t_j):
+    e = _flat_ensemble(np.zeros((1000, 4)))
+    with pytest.raises(InputError, match="t_j must be an integer"):
+        estimate(e, t_j)
+
+
+@pytest.mark.parametrize("estimate", [estimate_forward_drift,
+                                      estimate_backward_drift,
+                                      estimate_quadratic_variation,
+                                      estimate_mean_acceleration,
+                                      density_histogram])
+def test_numpy_integer_steps_are_accepted(estimate):
+    e = _flat_ensemble(np.random.default_rng(2).normal(size=(1000, 4)))
+    plain = estimate(e, 2)
+    for j in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = estimate(e, j)
+        if isinstance(got, ConditionalMomentTable):
+            got, ref = (got.counts, got.estimate), (plain.counts, plain.estimate)
+        else:
+            ref = plain
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 _EDGES = st.one_of(

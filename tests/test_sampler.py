@@ -60,6 +60,29 @@ def test_sample_initial_rejects_non_finite_density(grid801, bad):
         sample_initial(rho0, grid801, 100, seed=1)
 
 
+@pytest.mark.parametrize("n_paths", [100.0, np.float64(5), True, np.bool_(1),
+                                     "5"],
+                         ids=["float", "numpy_float", "bool", "numpy_bool",
+                              "str"])
+def test_sample_initial_path_count_must_be_an_integer(grid801, n_paths,
+                                                      monkeypatch):
+    """A bad path count is refused before any uniform is drawn."""
+    monkeypatch.setattr("nelsonlab.sampler.rng.stream_uniforms", _no_draws)
+    rho0 = np.exp(-grid801.x ** 2)
+    with pytest.raises(InputError, match="n_paths must be an integer"):
+        sample_initial(rho0, grid801, n_paths, seed=1)
+
+
+def test_sample_initial_takes_numpy_integer_path_counts(grid801):
+    rho0 = np.exp(-grid801.x ** 2)
+    assert np.array_equal(sample_initial(rho0, grid801, np.int32(300), 4),
+                          sample_initial(rho0, grid801, 300, 4))
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a uniform was drawn")
+
+
 def test_sample_initial_deterministic(grid801):
     rho0 = ho_ground_density(grid801.x)
     a = sample_initial(rho0, grid801, 1000, seed=7)
@@ -273,7 +296,8 @@ def test_ensemble_steps_checks_arguments_on_the_call(grid801, ground, p_half,
 
 
 @pytest.mark.parametrize("kwargs", [{"n_steps": 4.0}, {"store_every": 2.0},
-                                    {"n_steps": np.float64(4)}])
+                                    {"n_steps": np.float64(4)},
+                                    {"n_steps": True}])
 def test_float_step_counts_are_input_errors(ground, p_half, kwargs,
                                             monkeypatch):
     df = drift_fields(ground, p_half)
